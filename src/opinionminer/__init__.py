@@ -22,14 +22,11 @@ from .evaluation import (
 from .layers import (
     ForwardCache,
     ModelParams,
-    bgru_forward,
     classify,
     dense_sigmoid,
-    dropout_apply,
     embed_lookup,
     gru_cell_forward,
     init_model_params,
-    lstm_forward_sequence,
     lstm_step,
     model_backward,
     model_forward,

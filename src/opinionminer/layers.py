@@ -23,18 +23,27 @@ recurrent output sequence and to the final hidden state in train mode only.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
 from .tensor_math import affine, glorot_uniform, sigmoid
 
-STACK_VARIANTS = ("hbgru_lstm", "lstm_only", "gru_lstm")
+# The GRU directions of each stack, in the order their outputs are
+# concatenated into the LSTM input: (parameter block, scans right to left).
+# Every other statement of the layout -- tensor names and order, shapes,
+# init draws, forward and backward wiring -- is derived from this table.
+STACKS = {
+    "hbgru_lstm": (("gru_fwd", False), ("gru_bwd", True)),
+    "lstm_only": (),
+    "gru_lstm": (("gru_fwd", False),),
+}
 
 
 @dataclass
 class EmbeddingParams:
     E: np.ndarray  # (vocab_size, dim); row 0 is PAD, kept all-zero
+    TENSORS: ClassVar = ("E",)
 
     @property
     def vocab_size(self):
@@ -53,6 +62,7 @@ class GruParams:
     b_z: np.ndarray  # (k,)
     b_r: np.ndarray
     b_h: np.ndarray
+    TENSORS: ClassVar = ("W_z", "b_z", "W_r", "b_r", "W_h", "b_h")
 
     @property
     def hidden_size(self):
@@ -73,6 +83,7 @@ class LstmParams:
     b_i: np.ndarray
     b_o: np.ndarray
     b_c: np.ndarray
+    TENSORS: ClassVar = ("W_f", "b_f", "W_i", "b_i", "W_o", "b_o", "W_c", "b_c")
 
     @property
     def hidden_size(self):
@@ -87,33 +98,59 @@ class LstmParams:
 class DenseParams:
     W: np.ndarray  # (1, m)
     b: np.ndarray  # (1,)
+    TENSORS: ClassVar = ("W", "b")
+
+
+def _blocks(stack):
+    """(block name, params class) pairs of a stack, in checkpoint order."""
+    if stack not in STACKS:
+        raise ValueError(f"unknown stack variant: {stack!r}")
+    return ([("embedding", EmbeddingParams)]
+            + [(block, GruParams) for block, _ in STACKS[stack]]
+            + [("lstm", LstmParams), ("dense", DenseParams)])
+
+
+def param_names(stack):
+    """Every parameter tensor name of a stack, in checkpoint order."""
+    return [f"{block}.{tensor}" for block, cls in _blocks(stack) for tensor in cls.TENSORS]
+
+
+def param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units):
+    """{tensor name: shape} in checkpoint order.
+
+    A block's weights are (rows, cols) and its biases (rows,); each recurrent
+    weight reads [h_prev, x], so its cols are rows + input width.
+    """
+    names = param_names(stack)
+    directions = STACKS[stack]
+    lstm_in = gru_units * len(directions) if directions else embedding_dim
+    weights = {
+        "embedding": (vocab_size, embedding_dim),
+        "lstm": (lstm_units, lstm_units + lstm_in),
+        "dense": (1, lstm_units),
+    }
+    weights.update((block, (gru_units, gru_units + embedding_dim)) for block, _ in directions)
+    shapes = {}
+    for name in names:
+        block, tensor = name.split(".")
+        shapes[name] = weights[block][:1] if tensor.startswith("b") else weights[block]
+    return shapes
 
 
 @dataclass
 class ModelParams:
+    stack: str
     embedding: EmbeddingParams
-    gru_fwd: Optional[GruParams]
-    gru_bwd: Optional[GruParams]
     lstm: LstmParams
     dense: DenseParams
-    stack: str
+    gru_fwd: Optional[GruParams] = None
+    gru_bwd: Optional[GruParams] = None
 
     def named_arrays(self):
-        """Yield (name, array) for every parameter tensor, in a fixed order."""
-        yield "embedding.E", self.embedding.E
-        if self.gru_fwd is not None:
-            for gate in ("z", "r", "h"):
-                yield f"gru_fwd.W_{gate}", getattr(self.gru_fwd, f"W_{gate}")
-                yield f"gru_fwd.b_{gate}", getattr(self.gru_fwd, f"b_{gate}")
-        if self.gru_bwd is not None:
-            for gate in ("z", "r", "h"):
-                yield f"gru_bwd.W_{gate}", getattr(self.gru_bwd, f"W_{gate}")
-                yield f"gru_bwd.b_{gate}", getattr(self.gru_bwd, f"b_{gate}")
-        for gate in ("f", "i", "o", "c"):
-            yield f"lstm.W_{gate}", getattr(self.lstm, f"W_{gate}")
-            yield f"lstm.b_{gate}", getattr(self.lstm, f"b_{gate}")
-        yield "dense.W", self.dense.W
-        yield "dense.b", self.dense.b
+        """Yield (name, array) for every parameter tensor, in checkpoint order."""
+        for block, cls in _blocks(self.stack):
+            for tensor in cls.TENSORS:
+                yield f"{block}.{tensor}", getattr(getattr(self, block), tensor)
 
     def clone(self):
         return model_params_from_arrays(
@@ -125,74 +162,25 @@ def zero_grads(params):
     return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
 
 
-def _gru_from_arrays(arrays, prefix):
-    return GruParams(
-        W_z=arrays[f"{prefix}.W_z"], W_r=arrays[f"{prefix}.W_r"], W_h=arrays[f"{prefix}.W_h"],
-        b_z=arrays[f"{prefix}.b_z"], b_r=arrays[f"{prefix}.b_r"], b_h=arrays[f"{prefix}.b_h"],
-    )
-
-
 def model_params_from_arrays(stack, arrays):
     """Rebuild ModelParams from a name -> array mapping (checkpoint loading)."""
-    if stack not in STACK_VARIANTS:
-        raise ValueError(f"unknown stack variant: {stack!r}")
-    gru_fwd = _gru_from_arrays(arrays, "gru_fwd") if "gru_fwd.W_z" in arrays else None
-    gru_bwd = _gru_from_arrays(arrays, "gru_bwd") if "gru_bwd.W_z" in arrays else None
-    lstm = LstmParams(
-        W_f=arrays["lstm.W_f"], W_i=arrays["lstm.W_i"],
-        W_o=arrays["lstm.W_o"], W_c=arrays["lstm.W_c"],
-        b_f=arrays["lstm.b_f"], b_i=arrays["lstm.b_i"],
-        b_o=arrays["lstm.b_o"], b_c=arrays["lstm.b_c"],
-    )
-    dense = DenseParams(W=arrays["dense.W"], b=arrays["dense.b"])
-    return ModelParams(
-        embedding=EmbeddingParams(E=arrays["embedding.E"]),
-        gru_fwd=gru_fwd, gru_bwd=gru_bwd, lstm=lstm, dense=dense, stack=stack,
-    )
-
-
-def _init_gru(rng, hidden, in_dim):
-    return GruParams(
-        W_z=glorot_uniform(rng, hidden, hidden + in_dim),
-        W_r=glorot_uniform(rng, hidden, hidden + in_dim),
-        W_h=glorot_uniform(rng, hidden, hidden + in_dim),
-        b_z=np.zeros(hidden), b_r=np.zeros(hidden), b_h=np.zeros(hidden),
-    )
-
-
-def _init_lstm(rng, hidden, in_dim):
-    return LstmParams(
-        W_f=glorot_uniform(rng, hidden, hidden + in_dim),
-        W_i=glorot_uniform(rng, hidden, hidden + in_dim),
-        W_o=glorot_uniform(rng, hidden, hidden + in_dim),
-        W_c=glorot_uniform(rng, hidden, hidden + in_dim),
-        b_f=np.zeros(hidden), b_i=np.zeros(hidden),
-        b_o=np.zeros(hidden), b_c=np.zeros(hidden),
-    )
+    blocks = {block: cls(**{t: arrays[f"{block}.{t}"] for t in cls.TENSORS})
+              for block, cls in _blocks(stack)}
+    return ModelParams(stack=stack, **blocks)
 
 
 def init_model_params(vocab_size, embedding_dim, gru_units, lstm_units,
                       stack="hbgru_lstm", seed=0):
-    """Seeded Glorot-uniform weights, zero biases, zero PAD embedding row."""
-    if stack not in STACK_VARIANTS:
-        raise ValueError(f"unknown stack variant: {stack!r}")
+    """Seeded Glorot-uniform weights, zero biases, zero PAD embedding row.
+
+    Weights are drawn in checkpoint order from one generator.
+    """
+    shapes = param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units)
     rng = np.random.default_rng(seed)
-    E = glorot_uniform(rng, vocab_size, embedding_dim)
-    E[0, :] = 0.0
-    gru_fwd = gru_bwd = None
-    if stack == "hbgru_lstm":
-        gru_fwd = _init_gru(rng, gru_units, embedding_dim)
-        gru_bwd = _init_gru(rng, gru_units, embedding_dim)
-        lstm_in = 2 * gru_units
-    elif stack == "gru_lstm":
-        gru_fwd = _init_gru(rng, gru_units, embedding_dim)
-        lstm_in = gru_units
-    else:  # lstm_only
-        lstm_in = embedding_dim
-    lstm = _init_lstm(rng, lstm_units, lstm_in)
-    dense = DenseParams(W=glorot_uniform(rng, 1, lstm_units), b=np.zeros(1))
-    return ModelParams(embedding=EmbeddingParams(E=E), gru_fwd=gru_fwd,
-                       gru_bwd=gru_bwd, lstm=lstm, dense=dense, stack=stack)
+    arrays = {name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+              for name, shape in shapes.items()}
+    arrays["embedding.E"][0, :] = 0.0
+    return model_params_from_arrays(stack, arrays)
 
 
 class GruGates(NamedTuple):
@@ -267,17 +255,6 @@ def gru_scan(p, X, reverse=False):
     return trace
 
 
-def bgru_forward(fwd, bwd, X):
-    """Both GRU scans concatenated per timestep: H_t = [h_t_fwd ; h_t_bwd]."""
-    if X.shape[0] == 0:
-        raise ValueError("bgru_forward needs a non-empty sequence")
-    if fwd.hidden_size != bwd.hidden_size or fwd.in_dim != bwd.in_dim:
-        raise ValueError("forward and backward GRU parameter shapes differ")
-    tf = gru_scan(fwd, X, reverse=False)
-    tb = gru_scan(bwd, X, reverse=True)
-    return np.concatenate([tf.h, tb.h], axis=1)
-
-
 def lstm_step(p, h_prev, C_prev, x_t):
     """One LSTM step: gated cell update then gated tanh readout."""
     u = np.concatenate([h_prev, x_t])
@@ -310,13 +287,6 @@ def lstm_scan(p, X):
     return trace
 
 
-def lstm_forward_sequence(p, X):
-    """Final hidden state of an LSTM scan from zero initial state."""
-    if X.shape[0] == 0:
-        raise ValueError("lstm_forward_sequence needs a non-empty sequence")
-    return lstm_scan(p, X).h[-1]
-
-
 def dense_sigmoid(p, h):
     """Scalar probability from the single-unit sigmoid head."""
     s = affine(p.W, h, p.b)
@@ -328,18 +298,6 @@ def classify(yhat):
     return 1 if yhat >= 0.5 else 0
 
 
-def dropout_apply(v, rate, rng=None, mode="infer"):
-    """Inverted dropout. Returns (output, mask); mask is None when inactive."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if mode == "infer" or rate == 0.0:
-        return v, None
-    mask = rng.random(v.shape) >= rate
-    return v * mask / (1.0 - rate), mask
-
-
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs to replay one forward call."""
@@ -348,8 +306,7 @@ class ForwardCache:
     dropout_rate: float
     indices: np.ndarray          # effective (non-PAD) token indices
     x: np.ndarray                # (n, d) embedded inputs
-    fwd: Optional[GruTrace]
-    bwd: Optional[GruTrace]
+    grus: tuple                  # one GruTrace per STACKS direction, in order
     seq_mask: Optional[np.ndarray]   # dropout mask over the LSTM input sequence
     lstm_in: np.ndarray          # (n, in_dim) sequence the LSTM consumed
     lstm: Optional[LstmTrace]
@@ -376,7 +333,7 @@ def model_forward(params, seq, mode="infer", dropout_rate=0.0, seed=0):
     if n == 0:
         return 0.5, ForwardCache(
             stack=params.stack, mode=mode, dropout_rate=dropout_rate,
-            indices=np.zeros(0, dtype=np.int64), x=x, fwd=None, bwd=None,
+            indices=np.zeros(0, dtype=np.int64), x=x, grus=(),
             seq_mask=None, lstm_in=empty, lstm=None, out_mask=None,
             h_final=np.zeros(params.lstm.hidden_size), yhat=0.5, degenerate=True,
         )
@@ -384,34 +341,27 @@ def model_forward(params, seq, mode="infer", dropout_rate=0.0, seed=0):
     train = mode == "train" and dropout_rate > 0.0
     rng = np.random.default_rng(seed) if train else None
 
-    tf = tb = None
-    if params.stack == "hbgru_lstm":
-        tf = gru_scan(params.gru_fwd, x, reverse=False)
-        tb = gru_scan(params.gru_bwd, x, reverse=True)
-        H = np.concatenate([tf.h, tb.h], axis=1)
-    elif params.stack == "gru_lstm":
-        tf = gru_scan(params.gru_fwd, x, reverse=False)
-        H = tf.h
-    else:
-        H = x
+    grus = tuple(gru_scan(getattr(params, block), x, reverse=reverse)
+                 for block, reverse in STACKS[params.stack])
+    H = np.concatenate([trace.h for trace in grus], axis=1) if grus else x
 
-    # dropout on the recurrent output sequence; raw embeddings are not dropped
-    seq_mask = None
-    if train and params.stack != "lstm_only":
+    # inverted dropout; raw embeddings are not dropped, so the sequence
+    # mask is drawn only after a GRU and always before the final-state mask
+    seq_mask = out_mask = None
+    if train and grus:
         seq_mask = rng.random(H.shape) >= dropout_rate
         H = H * seq_mask / (1.0 - dropout_rate)
 
     lt = lstm_scan(params.lstm, H)
-    h_last = lt.h[-1]
+    h_final = lt.h[-1]
     if train:
-        h_final, out_mask = dropout_apply(h_last, dropout_rate, rng, mode="train")
-    else:
-        h_final, out_mask = h_last, None
+        out_mask = rng.random(h_final.shape) >= dropout_rate
+        h_final = h_final * out_mask / (1.0 - dropout_rate)
     yhat = dense_sigmoid(params.dense, h_final)
     cache = ForwardCache(
         stack=params.stack, mode=mode, dropout_rate=dropout_rate,
         indices=np.asarray(seq.indices[: seq.true_length]), x=x,
-        fwd=tf, bwd=tb, seq_mask=seq_mask, lstm_in=H, lstm=lt,
+        grus=grus, seq_mask=seq_mask, lstm_in=H, lstm=lt,
         out_mask=out_mask, h_final=h_final, yhat=yhat,
     )
     return yhat, cache
@@ -544,17 +494,14 @@ def model_backward(params, cache, dL_dyhat):
     if cache.seq_mask is not None:
         dU = dU * cache.seq_mask / (1.0 - cache.dropout_rate)
 
-    if params.stack == "hbgru_lstm":
-        k = params.gru_fwd.hidden_size
-        dX = _gru_backward(params.gru_fwd, cache.fwd, cache.x, dU[:, :k],
-                           grads, "gru_fwd", reverse=False)
-        dX += _gru_backward(params.gru_bwd, cache.bwd, cache.x, dU[:, k:],
-                            grads, "gru_bwd", reverse=True)
-    elif params.stack == "gru_lstm":
-        dX = _gru_backward(params.gru_fwd, cache.fwd, cache.x, dU,
-                           grads, "gru_fwd", reverse=False)
-    else:
-        dX = dU
+    # each GRU direction owns an equal slice of the LSTM input columns
+    dX = dU
+    if cache.grus:
+        k = dU.shape[1] // len(cache.grus)
+        dX = sum(_gru_backward(getattr(params, block), trace, cache.x,
+                               dU[:, j * k:(j + 1) * k], grads, block, reverse=reverse)
+                 for j, ((block, reverse), trace)
+                 in enumerate(zip(STACKS[params.stack], cache.grus)))
 
     dE = grads["embedding.E"]
     for t, idx in enumerate(cache.indices):

@@ -9,21 +9,9 @@ import numpy as np
 
 __all__ = [
     "affine",
-    "concat",
     "sigmoid",
-    "tanh",
-    "activate",
-    "seeded_init",
     "glorot_uniform",
-    "check_finite",
 ]
-
-
-def check_finite(arr, name="array"):
-    """Raise ValueError if `arr` contains NaN or Inf."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def affine(W, v, b):
@@ -40,12 +28,6 @@ def affine(W, v, b):
     return W @ v + b
 
 
-def concat(a, b):
-    """[a; b] -- a's entries first."""
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel(),
-                           np.asarray(b, dtype=np.float64).ravel()])
-
-
 def sigmoid(x):
     """Elementwise logistic function, branch form so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
@@ -57,33 +39,7 @@ def sigmoid(x):
     return out
 
 
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def activate(v, kind):
-    """Elementwise activation; `kind` is 'sigmoid' or 'tanh'."""
-    if kind == "sigmoid":
-        return sigmoid(v)
-    if kind == "tanh":
-        return tanh(v)
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
 def glorot_uniform(rng, rows, cols):
     """Uniform(-s, s) draw with s = sqrt(6 / (rows + cols)) from a given Generator."""
     s = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-s, s, size=(rows, cols))
-
-
-def seeded_init(rows, cols, seed, scheme="uniform_scaled"):
-    """Deterministic (rows, cols) weight matrix for a given seed.
-
-    Identical (rows, cols, seed, scheme) always yields a bit-identical matrix.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("seeded_init requires rows, cols >= 1")
-    if scheme != "uniform_scaled":
-        raise ValueError(f"unknown init scheme: {scheme!r}")
-    rng = np.random.default_rng(seed)
-    return glorot_uniform(rng, rows, cols)

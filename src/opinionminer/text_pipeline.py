@@ -125,6 +125,21 @@ def load_dataset(path, fmt="csv"):
     return LabeledCorpus.from_reviews(reviews)
 
 
+def _lines(fh, path):
+    """Iterate a UTF-8 text file; a byte that is not UTF-8 is a DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in blocks, so find the line in the raw bytes
+        with open(path, "rb") as raw:
+            for line_num, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise DataError(f"{path}: line {line_num}: not valid UTF-8") from exc
+        raise DataError(f"{path}: not valid UTF-8") from exc
+
+
 def _load_csv(path):
     reviews = []
     try:
@@ -132,22 +147,25 @@ def _load_csv(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["text", "label"]:
-            raise DataError(f"{path}: expected header 'text,label', got {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 2:
-                raise DataError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
-            text, label = row
-            if not text.strip():
-                raise DataError(f"{path}: line {line}: missing text")
-            if label not in ("0", "1"):
-                raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label!r}")
-            reviews.append(Review(text, int(label)))
+        reader = csv.reader(_lines(fh, path))
+        try:
+            header = next(reader, None)
+            if header != ["text", "label"]:
+                raise DataError(f"{path}: expected header 'text,label', got {header!r}")
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != 2:
+                    raise DataError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+                text, label = row
+                if not text.strip():
+                    raise DataError(f"{path}: line {line}: missing text")
+                if label not in ("0", "1"):
+                    raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label!r}")
+                reviews.append(Review(text, int(label)))
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     return reviews
 
 
@@ -158,13 +176,15 @@ def _load_jsonl(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for line_num, line in enumerate(fh, start=1):
+        for line_num, line in enumerate(_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {line_num}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {line_num}: expected a JSON object")
             text = obj.get("text")
             label = obj.get("label")
             if not isinstance(text, str) or not text.strip():

@@ -23,16 +23,19 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
 from .layers import (
-    STACK_VARIANTS,
+    STACKS,
     classify,
     init_model_params,
     model_backward,
     model_forward,
     model_params_from_arrays,
+    param_names,
+    param_shapes,
     zero_grads,
 )
 from .text_pipeline import Vocabulary
@@ -97,7 +100,7 @@ class TrainConfig:
             ("test_fraction", 0.0 < self.test_fraction < 1.0),
             ("validation_fraction", 0.0 < self.validation_fraction < 1.0),
             ("seed", self.seed >= 0),
-            ("stack", self.stack in STACK_VARIANTS),
+            ("stack", self.stack in STACKS),
         ]
         for key, ok in checks:
             if not ok:
@@ -342,7 +345,11 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Read and verify a checkpoint; raises CheckpointError on any corruption."""
+    """Read and verify a checkpoint.
+
+    Raises CheckpointError on any corruption or malformed header, and
+    ModelMismatchError when the tensor names are not the stack's, in order.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -360,28 +367,29 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
-    arrays = {}
+    stack, config, vocab_tokens, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
+    names, arrays = [], {}
     for _ in range(r.u32()):
-        name = r.take(r.u16()).decode("utf-8")
+        name = r.take(r.u16()).decode("utf-8", errors="replace")
         rows, cols = r.u32(), r.u32()
         count = rows * max(cols, 1)
         payload = r.take(count * 8)
         if struct.unpack("<I", r.take(4))[0] != zlib.crc32(payload):
             raise CheckpointError(f"{path}: checksum failure in tensor {name}")
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        names.append(name)
         arrays[name] = arr if cols == 0 else arr.reshape(rows, cols)
     if r.pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    config = TrainConfig(**header["config"])
-    params = model_params_from_arrays(header["stack"], arrays)
-    vocab_tokens = header["vocab"]
+    for i, (got, want) in enumerate(zip_longest(names, param_names(stack))):
+        if got != want:
+            raise ModelMismatchError(
+                f"{path}: tensor {i} is {got!r} but stack {stack!r} stores {want!r} there")
+    params = model_params_from_arrays(stack, arrays)
     vocab = Vocabulary(
         token_to_index={t: i for i, t in enumerate(vocab_tokens)},
         index_to_token=tuple(vocab_tokens),
     )
-    stopwords = header["stopwords"]
-    whitelist = header["whitelist"]
     return Checkpoint(
         params=params, config=config, vocab=vocab,
         stopwords=frozenset(stopwords) if stopwords is not None else None,
@@ -389,18 +397,42 @@ def load_checkpoint(path):
     )
 
 
+def _parse_header(raw, path):
+    """(stack, config, vocab, stopwords, whitelist) from the JSON header bytes."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("stack", "config", "vocab", "stopwords", "whitelist"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r} key")
+    if header["stack"] not in STACKS:
+        raise CheckpointError(f"{path}: unknown stack variant {header['stack']!r}")
+    try:
+        config = TrainConfig(**header["config"]).validate()
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: bad config in header: {exc}") from exc
+    lists = [header["vocab"]] + [header[k] for k in ("stopwords", "whitelist")
+                                 if header[k] is not None]
+    if not all(isinstance(v, list) and all(isinstance(t, str) for t in v) for v in lists):
+        raise CheckpointError(f"{path}: vocab and word lists must be lists of strings")
+    return header["stack"], config, header["vocab"], header["stopwords"], header["whitelist"]
+
+
 def validate_checkpoint(ckpt):
-    """Cross-check tensors against the stored vocabulary and config."""
-    emb = ckpt.params.embedding
-    if emb.vocab_size != ckpt.vocab.size:
-        raise ModelMismatchError(
-            f"embedding has {emb.vocab_size} rows but vocabulary has {ckpt.vocab.size} tokens")
-    if emb.dim != ckpt.config.embedding_dim:
-        raise ModelMismatchError(
-            f"embedding dim {emb.dim} does not match config embedding_dim "
-            f"{ckpt.config.embedding_dim}")
-    if ckpt.params.stack != ckpt.config.stack:
+    """Check every tensor shape against the stored vocabulary and config."""
+    config = ckpt.config
+    if ckpt.params.stack != config.stack:
         raise ModelMismatchError(
             f"checkpoint stack {ckpt.params.stack!r} does not match config "
-            f"stack {ckpt.config.stack!r}")
+            f"stack {config.stack!r}")
+    expected = param_shapes(config.stack, ckpt.vocab.size, config.embedding_dim,
+                            config.gru_units, config.lstm_units)
+    for name, arr in ckpt.params.named_arrays():
+        if arr.shape != expected[name]:
+            raise ModelMismatchError(
+                f"tensor {name} has shape {arr.shape} but the vocabulary "
+                f"({ckpt.vocab.size} tokens) and config give {expected[name]}")
     return ckpt

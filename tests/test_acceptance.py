@@ -245,7 +245,8 @@ def test_criterion_6_hidden_state_bounds():
             n = int(rng.integers(1, 9))
             seq = make_seq(list(rng.integers(1, 15, size=n)), max_len=10)
             _, cache = model_forward(params, seq, mode="infer")
-            for trace in (cache.fwd, cache.bwd):
+            assert len(cache.grus) == 2
+            for trace in cache.grus:
                 assert np.all(np.abs(trace.h) < 1.0)
                 assert np.all((trace.z > 0.0) & (trace.z < 1.0))
                 assert np.all((trace.r > 0.0) & (trace.r < 1.0))

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -311,6 +315,59 @@ class TestModelMismatch:
                      "--out", str(tmp_path / "eval")])
         assert code == 4
         assert "vocabulary" in capsys.readouterr().err
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a checkpoint's JSON header, keeping every checksum valid."""
+    body = path.read_bytes()[:-4]
+    (size,) = struct.unpack("<I", body[8:12])
+    header = json.loads(body[12:12 + size])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    body = body[:8] + struct.pack("<I", len(raw)) + raw + body[12 + size:]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def narrow_lstm(params):
+    # the gru_lstm LSTM reads 2 columns where the hbgru_lstm GRUs give 4
+    params.lstm = init_model_params(5, 4, 2, 2, stack="gru_lstm", seed=0).lstm
+
+
+def relabel_gru_lstm(header):
+    header["stack"] = header["config"]["stack"] = "gru_lstm"
+
+
+# (edit of params before saving, edit of the header after, exit code, named
+# in the error); the checkpoint is a 5-token hbgru_lstm model with
+# embedding_dim 4 and 2 GRU and LSTM units
+CHECKPOINT_PROBES = {
+    "lstm_width": (narrow_lstm, None, 4, "lstm.W_f"),
+    "stray_gru_bwd": (None, relabel_gru_lstm, 4, "gru_bwd.W_z"),
+    "missing_whitelist": (None, lambda h: h.pop("whitelist"), 3, "whitelist"),
+    "unknown_config_key": (None, lambda h: h["config"].update(bogus=1), 3, "bogus"),
+    "unknown_stack": (None, lambda h: h.update(stack="foo"), 3, "foo"),
+    "gru_units_disagree": (None, lambda h: h["config"].update(gru_units=3), 4,
+                           "gru_fwd.W_z"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CHECKPOINT_PROBES))
+def test_inconsistent_checkpoint_named_error(tmp_path, capsys, probe):
+    edit_params, edit_header, code, named = CHECKPOINT_PROBES[probe]
+    vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
+    config = TrainConfig(embedding_dim=4, gru_units=2, lstm_units=2,
+                         vocab_size=vocab.size, max_len=8)
+    params = init_model_params(vocab.size, 4, 2, 2, seed=0)
+    if edit_params:
+        edit_params(params)
+    path = tmp_path / "probe.ckpt"
+    save_checkpoint(params, config, vocab, path)
+    if edit_header:
+        rewrite_header(path, edit_header)
+    assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert err.startswith("model mismatch" if code == 4 else "data error")
 
 
 class TestCompareCommand:

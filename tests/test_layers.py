@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,17 +13,17 @@ from opinionminer.layers import (
     EmbeddingParams,
     GruParams,
     LstmParams,
-    bgru_forward,
     classify,
     dense_sigmoid,
-    dropout_apply,
     embed_lookup,
     gru_cell_forward,
+    gru_scan,
     init_model_params,
-    lstm_forward_sequence,
     lstm_scan,
     lstm_step,
     model_forward,
+    param_names,
+    param_shapes,
 )
 from opinionminer.text_pipeline import TokenSequence
 
@@ -103,59 +109,53 @@ class TestGruCell:
             npt.assert_allclose(h, [0.5 * h_prev + 0.5 * np.tanh(r * h_prev)], atol=1e-12)
 
 
+def random_gru(rng, k, in_dim, scale=1.0):
+    return GruParams(*(rng.normal(size=(k, k + in_dim)) * scale for _ in range(3)),
+                     *(rng.normal(size=k) * scale for _ in range(3)))
+
+
 class TestBgru:
     def test_single_step_matches_cells(self):
         rng = np.random.default_rng(1)
-        fwd = GruParams(*(rng.normal(size=(2, 5)) for _ in range(3)),
-                        *(rng.normal(size=2) for _ in range(3)))
-        bwd = GruParams(*(rng.normal(size=(2, 5)) for _ in range(3)),
-                        *(rng.normal(size=2) for _ in range(3)))
+        fwd, bwd = random_gru(rng, 2, 3), random_gru(rng, 2, 3)
         x = rng.normal(size=(1, 3))
-        H = bgru_forward(fwd, bwd, x)
         hf, _ = gru_cell_forward(fwd, np.zeros(2), x[0])
         hb, _ = gru_cell_forward(bwd, np.zeros(2), x[0])
-        npt.assert_array_equal(H[0, :2], hf)
-        npt.assert_array_equal(H[0, 2:], hb)
+        npt.assert_array_equal(gru_scan(fwd, x).h[0], hf)
+        npt.assert_array_equal(gru_scan(bwd, x, reverse=True).h[0], hb)
 
     def test_palindrome_symmetry(self):
         # shared params + palindromic input: fwd state at t mirrors bwd at n+1-t
         rng = np.random.default_rng(2)
-        p = GruParams(*(rng.normal(size=(3, 7)) * 0.4 for _ in range(3)),
-                      *(rng.normal(size=3) * 0.1 for _ in range(3)))
+        p = random_gru(rng, 3, 4, scale=0.4)
         a, b = rng.normal(size=4), rng.normal(size=4)
         X = np.stack([a, b, a])
-        H = bgru_forward(p, p, X)
+        hf = gru_scan(p, X).h
+        hb = gru_scan(p, X, reverse=True).h
         n = 3
-        k = 3
         for t in range(n):
-            npt.assert_allclose(H[t, :k], H[n - 1 - t, k:], atol=1e-12)
+            npt.assert_allclose(hf[t], hb[n - 1 - t], atol=1e-12)
 
     def test_zero_parameters_zero_output(self):
         p = GruParams(W_z=np.zeros((2, 6)), W_r=np.zeros((2, 6)), W_h=np.zeros((2, 6)),
                       b_z=np.zeros(2), b_r=np.zeros(2), b_h=np.zeros(2))
         X = np.random.default_rng(3).normal(size=(4, 4))
-        H = bgru_forward(p, p, X)
-        npt.assert_array_equal(H, np.zeros((4, 4)))
-
-    def test_empty_sequence_rejected(self):
-        p = GruParams(W_z=np.zeros((2, 6)), W_r=np.zeros((2, 6)), W_h=np.zeros((2, 6)),
-                      b_z=np.zeros(2), b_r=np.zeros(2), b_h=np.zeros(2))
-        with pytest.raises(ValueError):
-            bgru_forward(p, p, np.zeros((0, 4)))
+        for reverse in (False, True):
+            npt.assert_array_equal(gru_scan(p, X, reverse=reverse).h, np.zeros((4, 2)))
 
     def test_direction_independence(self):
-        rng = np.random.default_rng(4)
-        fwd = GruParams(*(rng.normal(size=(2, 5)) for _ in range(3)),
-                        *(rng.normal(size=2) for _ in range(3)))
-        bwd = GruParams(*(rng.normal(size=(2, 5)) for _ in range(3)),
-                        *(rng.normal(size=2) for _ in range(3)))
-        bwd2 = GruParams(*(rng.normal(size=(2, 5)) for _ in range(3)),
-                         *(rng.normal(size=2) for _ in range(3)))
-        X = rng.normal(size=(5, 3))
-        H1 = bgru_forward(fwd, bwd, X)
-        H2 = bgru_forward(fwd, bwd2, X)
-        npt.assert_array_equal(H1[:, :2], H2[:, :2])
-        assert np.any(H1[:, 2:] != H2[:, 2:])
+        # the model's backward direction is gru_scan(reverse=True) and leaves
+        # the forward half of the LSTM input alone
+        params = tiny_params(seed=4)
+        other = tiny_params(seed=4)
+        other.gru_bwd = random_gru(np.random.default_rng(4), 2, 2)
+        seq = make_seq([2, 4, 3, 1, 2])
+        _, c1 = model_forward(params, seq)
+        _, c2 = model_forward(other, seq)
+        npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
+        assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
+        npt.assert_array_equal(c2.lstm_in[:, 2:],
+                               gru_scan(other.gru_bwd, c2.x, reverse=True).h)
 
 
 class TestLstm:
@@ -194,7 +194,7 @@ class TestLstm:
         npt.assert_allclose(trace.h[:, 0],
                             [0.36960635293570576, 0.65053522320081336, 0.78876582774045945],
                             atol=1e-12)
-        npt.assert_allclose(lstm_forward_sequence(p, X), [0.78876582774045945], atol=1e-12)
+        npt.assert_allclose(lstm_scan(p, X).h[-1], [0.78876582774045945], atol=1e-12)
 
     def test_single_step_equals_sequence_of_one(self):
         rng = np.random.default_rng(5)
@@ -202,14 +202,14 @@ class TestLstm:
                        *(rng.normal(size=3) for _ in range(4)))
         x = rng.normal(size=(1, 4))
         h_step, _, _ = lstm_step(p, np.zeros(3), np.zeros(3), x[0])
-        npt.assert_array_equal(lstm_forward_sequence(p, x), h_step)
+        npt.assert_array_equal(lstm_scan(p, x).h[-1], h_step)
 
     def test_zero_candidate_zero_trajectory(self):
         p = LstmParams(W_f=np.zeros((2, 5)), W_i=np.zeros((2, 5)),
                        W_o=np.zeros((2, 5)), W_c=np.zeros((2, 5)),
                        b_f=np.zeros(2), b_i=np.zeros(2), b_o=np.zeros(2), b_c=np.zeros(2))
         X = np.random.default_rng(6).normal(size=(2, 3))
-        npt.assert_array_equal(lstm_forward_sequence(p, X), np.zeros(2))
+        npt.assert_array_equal(lstm_scan(p, X).h[-1], np.zeros(2))
 
 
 class TestDenseAndClassify:
@@ -233,29 +233,43 @@ class TestDenseAndClassify:
 
 
 class TestDropout:
+    """The two inverted-dropout sites of a train-mode model_forward."""
+
     def test_rate_zero_train_unchanged(self):
-        v = np.arange(5, dtype=float)
-        out, mask = dropout_apply(v, 0.0, np.random.default_rng(0), mode="train")
-        npt.assert_array_equal(out, v)
-        assert mask is None
+        params = tiny_params(seed=2)
+        seq = make_seq([2, 3, 4])
+        y_infer, _ = model_forward(params, seq)
+        y_train, cache = model_forward(params, seq, mode="train", dropout_rate=0.0, seed=5)
+        assert y_train == y_infer
+        assert cache.seq_mask is None and cache.out_mask is None
 
     def test_infer_identity(self):
-        v = np.arange(5, dtype=float)
-        out, mask = dropout_apply(v, 0.7, None, mode="infer")
-        npt.assert_array_equal(out, v)
-        assert mask is None
+        params = tiny_params(seed=2)
+        seq = make_seq([2, 3, 4])
+        y_plain, _ = model_forward(params, seq)
+        y_rate, cache = model_forward(params, seq, mode="infer", dropout_rate=0.7, seed=5)
+        assert y_rate == y_plain
+        assert cache.seq_mask is None and cache.out_mask is None
 
     def test_statistics_and_scaling(self):
-        v = np.ones(100_000)
-        out, mask = dropout_apply(v, 0.2, np.random.default_rng(99), mode="train")
-        survivors = out[out != 0.0]
-        assert abs(len(survivors) / len(v) - 0.8) < 0.01
-        npt.assert_allclose(survivors, 1.25)
-        assert mask.shape == v.shape
+        # 100 tokens x 2 x 500 GRU units put 100,000 entries under the
+        # sequence mask
+        params = init_model_params(vocab_size=5, embedding_dim=2, gru_units=500,
+                                   lstm_units=50, seed=3)
+        seq = make_seq([2, 3, 4, 1] * 25)
+        _, cache = model_forward(params, seq, mode="train", dropout_rate=0.2, seed=99)
+        H = np.concatenate([trace.h for trace in cache.grus], axis=1)
+        assert cache.seq_mask.shape == H.shape == (100, 1000)
+        assert abs(cache.seq_mask.mean() - 0.8) < 0.01
+        for mask, raw, out in ((cache.seq_mask, H, cache.lstm_in),
+                               (cache.out_mask, cache.lstm.h[-1], cache.h_final)):
+            assert mask.any() and not mask.all()
+            npt.assert_array_equal(out[~mask], 0.0)
+            npt.assert_allclose(out[mask], raw[mask] * 1.25, rtol=1e-15)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout_apply(np.ones(3), 1.0, np.random.default_rng(0), mode="train")
+            model_forward(tiny_params(), make_seq([2, 3]), mode="train", dropout_rate=1.0)
 
 
 def tiny_params(stack="hbgru_lstm", seed=0):
@@ -308,7 +322,7 @@ class TestModelForward:
         # dense head replay from the cached final state is bit-exact
         assert dense_sigmoid(params.dense, cache.h_final) == yhat
         # LSTM replay from the cached (post-dropout) input sequence
-        h = lstm_forward_sequence(params.lstm, cache.lstm_in)
+        h = lstm_scan(params.lstm, cache.lstm_in).h[-1]
         npt.assert_array_equal(h, cache.lstm.h[-1])
 
     def test_oracle_equivalence(self):
@@ -377,7 +391,8 @@ class TestHiddenStateBounds:
             n = int(rng.integers(1, 7))
             seq = make_seq(list(rng.integers(1, 8, size=n)), max_len=8)
             _, cache = model_forward(params, seq)
-            for trace in (cache.fwd, cache.bwd):
+            assert len(cache.grus) == 2
+            for trace in cache.grus:
                 assert np.all(np.abs(trace.h) < 1.0)
                 assert np.all((trace.z > 0) & (trace.z < 1))
                 assert np.all((trace.r > 0) & (trace.r < 1))
@@ -387,3 +402,75 @@ class TestHiddenStateBounds:
             for g in (lt.f, lt.i, lt.o):
                 assert np.all((g > 0) & (g < 1))
             assert np.all(np.abs(lt.c_cand) < 1.0)
+
+
+GRU_TENSORS = ["W_z", "b_z", "W_r", "b_r", "W_h", "b_h"]
+LSTM_TENSORS = ["W_f", "b_f", "W_i", "b_i", "W_o", "b_o", "W_c", "b_c"]
+# the checkpoint tensor order of each stack, written out by hand
+CHECKPOINT_ORDER = {
+    "hbgru_lstm": ["embedding.E"] + [f"gru_fwd.{t}" for t in GRU_TENSORS]
+    + [f"gru_bwd.{t}" for t in GRU_TENSORS] + [f"lstm.{t}" for t in LSTM_TENSORS]
+    + ["dense.W", "dense.b"],
+    "gru_lstm": ["embedding.E"] + [f"gru_fwd.{t}" for t in GRU_TENSORS]
+    + [f"lstm.{t}" for t in LSTM_TENSORS] + ["dense.W", "dense.b"],
+    "lstm_only": ["embedding.E"] + [f"lstm.{t}" for t in LSTM_TENSORS]
+    + ["dense.W", "dense.b"],
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("stack", sorted(CHECKPOINT_ORDER))
+    def test_param_names_are_the_checkpoint_order(self, stack):
+        assert param_names(stack) == CHECKPOINT_ORDER[stack]
+        params = init_model_params(11, 3, 4, 5, stack=stack)
+        assert [name for name, _ in params.named_arrays()] == CHECKPOINT_ORDER[stack]
+
+    @pytest.mark.parametrize("stack, lstm_in", [("hbgru_lstm", 8), ("gru_lstm", 4),
+                                                ("lstm_only", 3)])
+    def test_param_shapes_match_init(self, stack, lstm_in):
+        params = init_model_params(11, 3, 4, 5, stack=stack)
+        shapes = param_shapes(stack, 11, 3, 4, 5)
+        assert shapes == {name: arr.shape for name, arr in params.named_arrays()}
+        assert shapes["lstm.W_f"] == (5, 5 + lstm_in)
+
+    def test_unknown_stack_rejected(self):
+        with pytest.raises(ValueError, match="foo"):
+            param_names("foo")
+        with pytest.raises(ValueError, match="foo"):
+            init_model_params(11, 3, 4, 5, stack="foo")
+
+
+# Runs in its own interpreter because installing the recorder rebinds the
+# package's functions for the rest of the process.
+TRACE_PROBE = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import spans
+import opinionminer.cli
+from opinionminer import layers
+from opinionminer.text_pipeline import TokenSequence
+
+params = layers.init_model_params(9, 3, 4, 2, stack="hbgru_lstm", seed=0)
+recorder = spans.Recorder()
+recorder.install()
+recorder.enabled = True
+seq = TokenSequence(indices=np.array([2, 5, 3, 0]), true_length=3)
+yhat, cache = layers.model_forward(params, seq, mode="train", dropout_rate=0.2, seed=1)
+layers.model_backward(params, cache, 1.0)
+print(json.dumps(recorder.counts))
+"""
+
+
+def test_traced_benchmark_sees_every_scan():
+    # a scan reached through a stored function reference would bypass the
+    # benchmark's wrappers and read as 0 s in the traced run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", TRACE_PROBE, str(root / "bench")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    counts = json.loads(out.stdout)
+    assert counts["layers.gru_scan"] == 2
+    assert counts["layers.lstm_scan"] == 1
+    assert counts["layers.zero_grads"] == 1
+    assert counts["tensor_math.affine_calls"] > 0

@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from opinionminer.tensor_math import activate, affine, concat, seeded_init, sigmoid, tanh
+from opinionminer.layers import LstmParams, init_model_params, lstm_step
+from opinionminer.tensor_math import affine, sigmoid
 
 
 class TestAffine:
@@ -37,24 +38,17 @@ class TestAffine:
             npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-class TestConcat:
-    def test_basic(self):
-        npt.assert_array_equal(concat(np.array([1.0, 2.0]), np.array([3.0])), [1, 2, 3])
-
-    def test_empty_left(self):
-        npt.assert_array_equal(concat(np.zeros(0), np.array([7.0])), [7.0])
-
-    def test_length_additivity(self):
-        out = concat(np.ones(256), np.ones(256))
-        assert out.shape == (512,)
-
-
 class TestActivate:
     def test_sigmoid_zero(self):
-        assert activate(np.array([0.0]), "sigmoid")[0] == 0.5
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_tanh_zero(self):
-        assert activate(np.array([0.0]), "tanh")[0] == 0.0
+        # a zero-parameter LSTM cell from a zero state has both tanh sites at 0
+        zeros = np.zeros((1, 2))
+        p = LstmParams(W_f=zeros, W_i=zeros, W_o=zeros, W_c=zeros, b_f=np.zeros(1),
+                       b_i=np.zeros(1), b_o=np.zeros(1), b_c=np.zeros(1))
+        h, C, gates = lstm_step(p, np.zeros(1), np.zeros(1), np.array([3.0]))
+        assert gates.c_cand[0] == 0.0 and C[0] == 0.0 and h[0] == 0.0
 
     def test_sigmoid_symmetry(self):
         for x in (0.5, 2.0, 10.0):
@@ -68,7 +62,7 @@ class TestActivate:
         # tanh past ~x=19)
         x = np.linspace(-50.0, 50.0, 2001)
         s = sigmoid(x)
-        t = tanh(x)
+        t = np.tanh(x)
         assert np.all(np.isfinite(s)) and np.all(np.isfinite(t))
         assert np.all((s >= 0) & (s <= 1))
         assert np.all((t >= -1) & (t <= 1))
@@ -76,35 +70,34 @@ class TestActivate:
         s = sigmoid(x)
         assert np.all((s > 0) & (s < 1))
         x = np.linspace(-18.0, 18.0, 2001)
-        t = tanh(x)
+        t = np.tanh(x)
         assert np.all((t > -1) & (t < 1))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activate(np.zeros(1), "relu")
 
 
 class TestSeededInit:
+    """Glorot-uniform weights and zero biases, drawn by init_model_params."""
+
+    @staticmethod
+    def arrays(seed, **shape):
+        shape = {"vocab_size": 6, "embedding_dim": 3, "gru_units": 2, "lstm_units": 2,
+                 **shape}
+        return dict(init_model_params(seed=seed, **shape).named_arrays())
+
     def test_determinism(self):
-        a = seeded_init(2, 3, seed=42)
-        b = seeded_init(2, 3, seed=42)
-        npt.assert_array_equal(a, b)
+        a, b = self.arrays(42), self.arrays(42)
+        for name in a:
+            npt.assert_array_equal(a[name], b[name], err_msg=name)
 
     def test_seed_changes_output(self):
-        a = seeded_init(4, 4, seed=42)
-        b = seeded_init(4, 4, seed=43)
-        assert np.any(a != b)
+        a, b = self.arrays(42), self.arrays(43)
+        assert all(np.any(a[name] != b[name]) for name in a if a[name].ndim == 2)
 
     def test_bound_and_mean(self):
-        m = seeded_init(100, 100, seed=7)
-        s = np.sqrt(6.0 / 200.0)  # ~0.17320508
-        assert np.all(np.abs(m) < s)
-        assert abs(m.mean()) < 0.02
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            seeded_init(0, 3, seed=1)
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            seeded_init(2, 2, seed=1, scheme="normal")
+        arrays = self.arrays(7, vocab_size=101, embedding_dim=100)
+        for name, arr in arrays.items():
+            if arr.ndim == 1:
+                npt.assert_array_equal(arr, 0.0, err_msg=name)
+            else:
+                assert np.all(np.abs(arr) < np.sqrt(6.0 / sum(arr.shape))), name
+        E = arrays["embedding.E"][1:]  # row 0 is the zeroed PAD row
+        assert abs(E.mean()) < 0.02

@@ -79,6 +79,25 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path, "jsonl")
 
+    def test_non_utf8_csv_names_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"text,label\ngood film,1\nna\xefve plot,0\n")
+        with pytest.raises(DataError, match=r"latin1\.csv: line 3: not valid UTF-8"):
+            load_dataset(path, "csv")
+
+    def test_csv_field_over_limit_names_line(self, tmp_path):
+        # the csv module's default field_size_limit is 131,072 characters
+        path = tmp_path / "long.csv"
+        path.write_text("text,label\nfine,1\n" + "a" * 131_073 + ",0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"long\.csv: line 3: field larger"):
+            load_dataset(path, "csv")
+
+    def test_jsonl_non_object_names_line(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text('{"text": "x", "label": 1}\n["y", 0]\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"list\.jsonl: line 2: expected a JSON object"):
+            load_dataset(path, "jsonl")
+
     def test_merged_corpus_counts(self, tmp_path):
         # count bookkeeping at a realistic merged-corpus scale
         path = tmp_path / "merged.csv"
