@@ -4,7 +4,8 @@ The package is organized as:
 
 - text_pipeline: ingestion, cleaning, vocabulary, encoding, balancing, splits
 - tensor_math: float64 kernels and seeded initialization
-- layers: embedding/GRU/LSTM/dense forward math and analytic BPTT
+- layers: the batched, masked GRU/LSTM engine: forward math, analytic BPTT,
+  predict_proba
 - training: BCE loss, Adam, epoch loop with early stopping, checkpoints
 - evaluation: confusion metrics, percent loss, chi-square model comparison
 - cli: `opinionminer train|evaluate|predict|compare`
@@ -30,6 +31,7 @@ from .layers import (
     lstm_step,
     model_backward,
     model_forward,
+    predict_proba,
 )
 from .text_pipeline import (
     LabeledCorpus,

@@ -20,7 +20,7 @@ from .evaluation import (
     parse_report,
     report_values,
 )
-from .layers import classify, init_model_params, model_forward
+from .layers import classify, init_model_params, predict_proba
 from .text_pipeline import (
     DEFAULT_WHITELIST,
     DataError,
@@ -157,9 +157,12 @@ def load_word2vec_text(path):
                 raise DataError(
                     f"{path}: line {line_num}: expected token plus {dim} values")
             try:
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+                vector = np.array([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_num}: bad vector value") from exc
+            if not np.isfinite(vector).all():
+                raise DataError(f"{path}: line {line_num}: non-finite vector value")
+            vectors[parts[0]] = vector
     return vectors, dim
 
 
@@ -271,12 +274,13 @@ def run_predict(args):
                 texts.extend(fh.read().splitlines())
         except OSError as exc:
             raise DataError(f"cannot read input file {args.input}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input file {args.input} is not valid UTF-8: {exc}") from exc
     if not texts:
         raise ConfigError("predict needs --text or a non-empty --input file")
-    for raw in texts:
-        cleaned = clean_text(raw, ckpt.stopwords, ckpt.whitelist)
-        seq = encode_sequence(cleaned, ckpt.vocab, ckpt.config.max_len)
-        yhat, _ = model_forward(ckpt.params, seq, mode="infer")
+    seqs = [encode_sequence(clean_text(raw, ckpt.stopwords, ckpt.whitelist),
+                            ckpt.vocab, ckpt.config.max_len) for raw in texts]
+    for yhat in predict_proba(ckpt.params, seqs):
         print(f"{yhat:.6f}\t{classify(yhat)}")
     return 0
 
@@ -321,7 +325,8 @@ def build_parser():
     shared.add_argument("--seed", type=int, help="master RNG seed")
     shared.add_argument("--out", help="output directory")
     shared.add_argument("--deterministic", choices=["true", "false"],
-                        help="force ordered gradient reduction (default true)")
+                        help="accepted for compatibility; runs are always deterministic "
+                             "at a fixed BLAS thread count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", parents=[shared],

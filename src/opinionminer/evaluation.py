@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .layers import classify, model_forward
+from .layers import classify, predict_proba
 from .training import bce_loss
 
 REPORT_KEYS = (
@@ -140,15 +140,12 @@ def evaluate_model(params, test):
     """Infer-mode predictions over an encoded dataset, aggregated to a report."""
     if not test:
         raise ValueError("evaluate_model needs a non-empty dataset")
-    predictions = []
-    labels = []
+    yhat = predict_proba(params, [seq for seq, _ in test])
+    labels = [label for _, label in test]
     total_loss = 0.0
-    for seq, label in test:
-        yhat, _ = model_forward(params, seq, mode="infer")
-        predictions.append(classify(yhat))
-        labels.append(label)
-        total_loss += bce_loss(label, yhat)
-    counts = confusion_matrix(predictions, labels)
+    for label, p in zip(labels, yhat):
+        total_loss += bce_loss(label, p)
+    counts = confusion_matrix([classify(p) for p in yhat], labels)
     return classification_report(counts, total_loss / len(test))
 
 

@@ -102,7 +102,7 @@ def load_token_file(path):
     """One token per line, UTF-8; blank lines ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return frozenset(line.strip() for line in fh if line.strip())
+            return frozenset(line.strip() for line in _lines(fh, path) if line.strip())
     except OSError as exc:
         raise DataError(f"cannot read token file {path}: {exc}") from exc
 

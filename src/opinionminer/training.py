@@ -12,9 +12,14 @@ Checkpoint layout (all integers little-endian, versioned, checksummed):
                  1-D vector), row-major float64 payload, payload crc32
     file crc32 over everything above
 
-Training is single-threaded and gradients are reduced in fixed example
-order, so identical (config, corpus, seed) reproduce identical histories
-and checkpoint bytes.
+Each mini-batch is sorted by length and run through the batched engine in
+sub-batches of at most `layers.ROW_BUDGET` padded rows; the gradients of
+every sub-batch add into one accumulator before the Adam step. Batch
+composition, the shuffle and the per-example dropout seeds do not depend on
+the sub-batching. Nothing depends on timing or scheduling, so identical
+(config, corpus, seed) reproduce byte-identical histories and checkpoints
+at a fixed BLAS thread count; another thread count may change how a matrix
+product sums and so the last bits of the results.
 """
 
 import dataclasses
@@ -29,13 +34,15 @@ import numpy as np
 
 from .layers import (
     STACKS,
+    backward_batch,
     classify,
+    forward_batch,
     init_model_params,
-    model_backward,
-    model_forward,
     model_params_from_arrays,
     param_names,
     param_shapes,
+    predict_proba,
+    sub_batches,
     zero_grads,
 )
 from .text_pipeline import Vocabulary
@@ -190,28 +197,42 @@ def _example_seed(seed, epoch, index):
     return int(np.random.SeedSequence([seed, epoch, index]).generate_state(1)[0])
 
 
+def batch_gradients(params, batch, dropout_rate, seeds):
+    """Train-mode probabilities and summed BCE gradient of one mini-batch.
+
+    Runs the length-sorted sub-batches of `sub_batches`; example j draws its
+    dropout masks from seeds[j]. An all-PAD example scores 0.5 and adds no
+    gradient. Returns (yhat in batch order, {tensor name: gradient sum}).
+    """
+    seqs = [seq for seq, _ in batch]
+    yhat = np.full(len(batch), 0.5)
+    grads = zero_grads(params)
+    for rows in sub_batches(seqs):
+        cache = forward_batch(params, [seqs[j] for j in rows], mode="train",
+                              dropout_rate=dropout_rate, seeds=[seeds[j] for j in rows])
+        yhat[rows] = cache.yhat
+        upstream = np.array([bce_grad(batch[j][1], yhat[j]) for j in rows])
+        backward_batch(params, cache, upstream, grads)
+    return yhat, grads
+
+
 def train_epoch(params, adam, batches, config, epoch=0):
     """One pass over the batches: mean batch gradient, one Adam step per batch.
 
-    Per-example gradients are accumulated in example order so results do not
-    depend on any scheduling; returns (params, adam, (mean_loss, accuracy)).
+    Example i of the epoch draws its dropout masks from seed
+    _example_seed(seed, epoch, i) wherever the length sorting puts it.
+    Returns (params, adam, (mean_loss, accuracy)).
     """
     total_loss = 0.0
     correct = 0
     count = 0
     for batch in batches:
-        grad_sum = zero_grads(params)
-        for seq, label in batch:
-            yhat, cache = model_forward(
-                params, seq, mode="train", dropout_rate=config.dropout_rate,
-                seed=_example_seed(config.seed, epoch, count),
-            )
-            total_loss += bce_loss(label, yhat)
-            correct += int(classify(yhat) == label)
-            g = model_backward(params, cache, bce_grad(label, yhat))
-            for name in grad_sum:
-                grad_sum[name] += g[name]
-            count += 1
+        seeds = [_example_seed(config.seed, epoch, count + j) for j in range(len(batch))]
+        yhat, grad_sum = batch_gradients(params, batch, config.dropout_rate, seeds)
+        for (_, label), p in zip(batch, yhat):
+            total_loss += bce_loss(label, p)
+            correct += int(classify(p) == label)
+        count += len(batch)
         inv = 1.0 / len(batch)
         for name in grad_sum:
             grad_sum[name] *= inv
@@ -223,13 +244,23 @@ def evaluate_loss(params, data):
     """Mean BCE and accuracy over an encoded dataset in infer mode."""
     if not data:
         raise ValueError("evaluate_loss needs a non-empty dataset")
+    yhat = predict_proba(params, [seq for seq, _ in data])
     total = 0.0
     correct = 0
-    for seq, label in data:
-        yhat, _ = model_forward(params, seq, mode="infer")
-        total += bce_loss(label, yhat)
-        correct += int(classify(yhat) == label)
+    for (_, label), p in zip(data, yhat):
+        total += bce_loss(label, p)
+        correct += int(classify(p) == label)
     return total / len(data), correct / len(data)
+
+
+def _check_finite(epoch, params, train_loss, val_loss):
+    """ConfigError naming the first non-finite loss or tensor of a diverged epoch."""
+    values = [("train loss", train_loss), ("validation loss", val_loss)]
+    values += [(f"tensor {name}", arr) for name, arr in params.named_arrays()]
+    for what, value in values:
+        if not np.isfinite(value).all():
+            raise ConfigError(f"training diverged in epoch {epoch}: {what} is not finite "
+                              f"(try a smaller learning_rate)")
 
 
 def fit(config, train, validation, params=None, on_epoch=None):
@@ -238,7 +269,8 @@ def fit(config, train, validation, params=None, on_epoch=None):
     Stops after `patience` consecutive epochs without an improvement larger
     than `min_delta`, or at max_epochs. Returns the parameters from the
     best-validation epoch together with the per-epoch history. `on_epoch`,
-    if given, is called with each EpochRecord as it is produced.
+    if given, is called with each EpochRecord as it is produced. An epoch
+    that leaves a loss or a parameter non-finite raises ConfigError.
     """
     config.validate()
     if not train or not validation:
@@ -258,6 +290,7 @@ def fit(config, train, validation, params=None, on_epoch=None):
         params, adam, (train_loss, train_acc) = train_epoch(
             params, adam, batches, config, epoch=epoch)
         val_loss, val_acc = evaluate_loss(params, validation)
+        _check_finite(epoch, params, train_loss, val_loss)
         record = EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc)
         history.records.append(record)
         if on_epoch is not None:
@@ -422,7 +455,8 @@ def _parse_header(raw, path):
 
 
 def validate_checkpoint(ckpt):
-    """Check every tensor shape against the stored vocabulary and config."""
+    """Check every tensor's shape against the stored vocabulary and config
+    (ModelMismatchError) and its values for NaN and inf (CheckpointError)."""
     config = ckpt.config
     if ckpt.params.stack != config.stack:
         raise ModelMismatchError(
@@ -435,4 +469,6 @@ def validate_checkpoint(ckpt):
             raise ModelMismatchError(
                 f"tensor {name} has shape {arr.shape} but the vocabulary "
                 f"({ckpt.vocab.size} tokens) and config give {expected[name]}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
     return ckpt

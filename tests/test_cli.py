@@ -86,6 +86,21 @@ class TestConfigHandling:
         assert code == 2
         assert "dropout_rate" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_2(self, tmp_path, capsys):
+        # two Adam steps of size ~1e308 overflow the weights to inf
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("embedding_dim = 8\ngru_units = 4\nlstm_units = 3\nbatch_size = 8\n"
+                       "max_len = 12\nvocab_size = 60\nmax_epochs = 3\n"
+                       "learning_rate = 1e308\n", encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diverged in epoch 1" in err and "not finite" in err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
 
 class TestTrainCommand:
     def test_artifacts_exist(self, trained_run):
@@ -188,6 +203,14 @@ class TestPredictCommand:
         ckpt = zero_checkpoint(tmp_path)
         assert main(["predict", "--checkpoint", str(ckpt)]) == 2
 
+    def test_input_not_utf8_exits_3(self, tmp_path, capsys):
+        ckpt = zero_checkpoint(tmp_path)
+        inp = tmp_path / "latin1.txt"
+        inp.write_bytes("good film\ncaf\u00e9 bad\n".encode("latin-1"))
+        assert main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "latin1.txt" in err and "UTF-8" in err
+
 
 MODEL_COUNTS = {
     "lstm": (5568, 4962, 677, 232),
@@ -248,6 +271,20 @@ class TestPretrainedEmbeddings:
         assert code == 2
         assert "embedding" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_vector_exits_3(self, tmp_path, capsys, value):
+        (tmp_path / "w2v.txt").write_text(
+            f"2 3\ngood 0.1 0.2 0.3\nbad 0.1 {value} 0.3\n", encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "embedding_dim = 3\ngru_units = 4\nlstm_units = 3\nmax_epochs = 1\n"
+            f"embeddings = {tmp_path / 'w2v.txt'}\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "w2v.txt: line 3: non-finite" in capsys.readouterr().err
+
     def test_train_with_pretrained_runs(self, tmp_path):
         self.write_vectors(tmp_path / "w2v.txt", ["good", "bad"], 8)
         data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
@@ -282,6 +319,18 @@ class TestWordlistFiles:
         # "film" was stopworded away, "plot" survived via the whitelist
         assert "film" not in ckpt.vocab.token_to_index
         assert "plot" in ckpt.vocab.token_to_index
+
+
+    def test_stopword_file_not_utf8_exits_3(self, tmp_path, capsys):
+        (tmp_path / "stop.txt").write_bytes("plot\ncaf\u00e9\n".encode("latin-1"))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"max_epochs = 1\nstopwords = {tmp_path / 'stop.txt'}\n",
+                       encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=3)
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "stop.txt: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestJsonlDataFormat:
@@ -348,6 +397,9 @@ CHECKPOINT_PROBES = {
     "unknown_stack": (None, lambda h: h.update(stack="foo"), 3, "foo"),
     "gru_units_disagree": (None, lambda h: h["config"].update(gru_units=3), 4,
                            "gru_fwd.W_z"),
+    "nan_weight": (lambda p: p.lstm.W_f.__setitem__((0, 0), np.nan), None, 3, "lstm.W_f"),
+    "inf_embedding": (lambda p: p.embedding.E.__setitem__((2, 1), -np.inf), None, 3,
+                      "embedding.E"),
 }
 
 

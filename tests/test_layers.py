@@ -42,6 +42,11 @@ def scalar_lstm(w, b=0.0):
                       b_o=np.array([b]), b_c=np.array([b]))
 
 
+def one_sequence(X):
+    """An (n, d) sequence as a time-major batch of one, with its all-real mask."""
+    return X[:, np.newaxis], np.ones((X.shape[0], 1), dtype=bool)
+
+
 def make_seq(indices, max_len=None):
     idx = list(indices)
     max_len = max_len or len(idx)
@@ -54,23 +59,23 @@ class TestEmbedLookup:
     def test_basic_lookup(self):
         E = np.arange(20, dtype=float).reshape(5, 4)
         E[0] = 0.0
-        x = embed_lookup(make_seq([2, 3], max_len=4), EmbeddingParams(E))
-        npt.assert_array_equal(x, E[[2, 3]])
+        x = embed_lookup(np.array([[2, 3], [4, 0]]), EmbeddingParams(E))
+        npt.assert_array_equal(x, E[[[2, 3], [4, 0]]])
 
     def test_all_pad_gives_empty(self):
         E = np.zeros((5, 4))
-        x = embed_lookup(make_seq([], max_len=4), EmbeddingParams(E))
-        assert x.shape[0] == 0
+        x = embed_lookup(make_seq([], max_len=4).indices[:0], EmbeddingParams(E))
+        assert x.shape == (0, 4)
 
     def test_basis_rows(self):
         E = np.eye(4)
-        x = embed_lookup(make_seq([1, 3]), EmbeddingParams(E))
+        x = embed_lookup(make_seq([1, 3]).indices, EmbeddingParams(E))
         npt.assert_array_equal(x, np.eye(4)[[1, 3]])
 
     def test_out_of_range(self):
         E = np.zeros((3, 2))
         with pytest.raises(IndexError):
-            embed_lookup(make_seq([5]), EmbeddingParams(E))
+            embed_lookup(make_seq([5]).indices, EmbeddingParams(E))
 
 
 class TestGruCell:
@@ -121,8 +126,10 @@ class TestBgru:
         x = rng.normal(size=(1, 3))
         hf, _ = gru_cell_forward(fwd, np.zeros(2), x[0])
         hb, _ = gru_cell_forward(bwd, np.zeros(2), x[0])
-        npt.assert_array_equal(gru_scan(fwd, x).h[0], hf)
-        npt.assert_array_equal(gru_scan(bwd, x, reverse=True).h[0], hb)
+        # the scan sums the stacked gates' products in another order
+        npt.assert_allclose(gru_scan(fwd, *one_sequence(x)).h[0, 0], hf, rtol=0, atol=1e-15)
+        npt.assert_allclose(gru_scan(bwd, *one_sequence(x), reverse=True).h[0, 0], hb,
+                            rtol=0, atol=1e-15)
 
     def test_palindrome_symmetry(self):
         # shared params + palindromic input: fwd state at t mirrors bwd at n+1-t
@@ -130,8 +137,8 @@ class TestBgru:
         p = random_gru(rng, 3, 4, scale=0.4)
         a, b = rng.normal(size=4), rng.normal(size=4)
         X = np.stack([a, b, a])
-        hf = gru_scan(p, X).h
-        hb = gru_scan(p, X, reverse=True).h
+        hf = gru_scan(p, *one_sequence(X)).h[:, 0]
+        hb = gru_scan(p, *one_sequence(X), reverse=True).h[:, 0]
         n = 3
         for t in range(n):
             npt.assert_allclose(hf[t], hb[n - 1 - t], atol=1e-12)
@@ -141,7 +148,8 @@ class TestBgru:
                       b_z=np.zeros(2), b_r=np.zeros(2), b_h=np.zeros(2))
         X = np.random.default_rng(3).normal(size=(4, 4))
         for reverse in (False, True):
-            npt.assert_array_equal(gru_scan(p, X, reverse=reverse).h, np.zeros((4, 2)))
+            npt.assert_array_equal(gru_scan(p, *one_sequence(X), reverse=reverse).h,
+                                   np.zeros((4, 1, 2)))
 
     def test_direction_independence(self):
         # the model's backward direction is gru_scan(reverse=True) and leaves
@@ -155,7 +163,7 @@ class TestBgru:
         npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
         assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
         npt.assert_array_equal(c2.lstm_in[:, 2:],
-                               gru_scan(other.gru_bwd, c2.x, reverse=True).h)
+                               gru_scan(other.gru_bwd, *one_sequence(c2.x), reverse=True).h[:, 0])
 
 
 class TestLstm:
@@ -187,14 +195,15 @@ class TestLstm:
     def test_three_step_hand_chain(self):
         p = scalar_lstm([1.0, 1.0])
         X = np.ones((3, 1))
-        trace = lstm_scan(p, X)
-        npt.assert_allclose(trace.c[:, 0],
+        trace = lstm_scan(p, *one_sequence(X))
+        npt.assert_allclose(trace.c[:, 0, 0],
                             [0.5567699411459397, 1.1444461579991028, 1.7394875218692438],
                             atol=1e-12)
-        npt.assert_allclose(trace.h[:, 0],
+        npt.assert_allclose(trace.h[:, 0, 0],
                             [0.36960635293570576, 0.65053522320081336, 0.78876582774045945],
                             atol=1e-12)
-        npt.assert_allclose(lstm_scan(p, X).h[-1], [0.78876582774045945], atol=1e-12)
+        npt.assert_allclose(lstm_scan(p, *one_sequence(X)).h[-1, 0], [0.78876582774045945],
+                            atol=1e-12)
 
     def test_single_step_equals_sequence_of_one(self):
         rng = np.random.default_rng(5)
@@ -202,14 +211,15 @@ class TestLstm:
                        *(rng.normal(size=3) for _ in range(4)))
         x = rng.normal(size=(1, 4))
         h_step, _, _ = lstm_step(p, np.zeros(3), np.zeros(3), x[0])
-        npt.assert_array_equal(lstm_scan(p, x).h[-1], h_step)
+        # the scan sums the stacked gates' products in another order
+        npt.assert_allclose(lstm_scan(p, *one_sequence(x)).h[-1, 0], h_step, rtol=0, atol=1e-15)
 
     def test_zero_candidate_zero_trajectory(self):
         p = LstmParams(W_f=np.zeros((2, 5)), W_i=np.zeros((2, 5)),
                        W_o=np.zeros((2, 5)), W_c=np.zeros((2, 5)),
                        b_f=np.zeros(2), b_i=np.zeros(2), b_o=np.zeros(2), b_c=np.zeros(2))
         X = np.random.default_rng(6).normal(size=(2, 3))
-        npt.assert_array_equal(lstm_scan(p, X).h[-1], np.zeros(2))
+        npt.assert_array_equal(lstm_scan(p, *one_sequence(X)).h[-1, 0], np.zeros(2))
 
 
 class TestDenseAndClassify:
@@ -322,7 +332,7 @@ class TestModelForward:
         # dense head replay from the cached final state is bit-exact
         assert dense_sigmoid(params.dense, cache.h_final) == yhat
         # LSTM replay from the cached (post-dropout) input sequence
-        h = lstm_scan(params.lstm, cache.lstm_in).h[-1]
+        h = lstm_scan(params.lstm, *one_sequence(cache.lstm_in)).h[-1, 0]
         npt.assert_array_equal(h, cache.lstm.h[-1])
 
     def test_oracle_equivalence(self):
