@@ -21,7 +21,6 @@ from .evaluation import (
     evaluate_model,
 )
 from .layers import (
-    ForwardCache,
     ModelParams,
     classify,
     dense_sigmoid,

@@ -90,6 +90,8 @@ def parse_config_file(path):
                 values[key.strip()] = raw.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     return values
 
 
@@ -295,6 +297,8 @@ def run_compare(args):
                 text = fh.read()
         except OSError as exc:
             raise DataError(f"cannot read report {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"report {path} is not valid UTF-8: {exc}") from exc
         try:
             parsed.append((path, parse_report(text)))
         except ValueError as exc:
@@ -306,7 +310,7 @@ def run_compare(args):
     table = [[v["tp"], v["tn"], v["fp"], v["fn"]] for _, v in parsed]
     try:
         result = chi_square_test(table)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot run the chi-square test over these reports: {exc}") from exc
     for path, values in parsed:
         _print_metrics(Path(path).stem, values)

@@ -40,7 +40,7 @@ Each sequence draws its two masks, in that order, from its own seeded
 generator, so a batch reproduces the per-sequence passes.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -223,7 +223,7 @@ class LstmGates(NamedTuple):
 
 @dataclass
 class GruTrace:
-    """Per-step GRU values: (T, B, k) in a batch, (n, k) in a ForwardCache.
+    """Per-step GRU values, (T, B, k).
 
     The gates are None when the scan kept only h, the part the LSTM reads.
     """
@@ -235,7 +235,7 @@ class GruTrace:
 
 @dataclass
 class LstmTrace:
-    """Per-step LSTM values: (T, B, m) in a batch, (n, m) in a ForwardCache.
+    """Per-step LSTM values, (T, B, m).
 
     When the scan kept only what the dense head reads, h is the final state
     alone, (1, B, m), and the rest is None; h[-1] is the final state either way.
@@ -247,12 +247,6 @@ class LstmTrace:
     c_cand: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
     tanh_c: Optional[np.ndarray] = None
-
-
-def _map_arrays(trace, pick):
-    """The trace with `pick` applied to each array it kept."""
-    return replace(trace, **{f.name: pick(getattr(trace, f.name)) for f in fields(trace)
-                             if getattr(trace, f.name) is not None})
 
 
 def embed_lookup(index, emb):
@@ -307,7 +301,7 @@ def gru_scan(p, X, mask, reverse=False, trace=True):
     `mask` (T, B) marks real tokens; a padding step holds the state.
     reverse=True scans t = T..1, so position t's "previous" state is h_{t+1};
     trace arrays stay indexed by the original time axis either way.
-    trace=False keeps only h.
+    Without `trace` only h is kept.
     """
     T, B, _ = X.shape
     k = p.hidden_size
@@ -333,7 +327,7 @@ def lstm_scan(p, X, mask, trace=True):
     """Run the LSTM over time-major (T, B, in_dim) inputs from a zero state.
 
     `mask` (T, B) marks real tokens; a padding step holds h and C.
-    trace=False keeps only the final h.
+    Without `trace` only the final h is kept.
     """
     T, B, _ = X.shape
     m = p.hidden_size
@@ -373,26 +367,12 @@ def classify(yhat):
 
 
 @dataclass
-class ForwardCache:
-    """Everything the backward pass needs to replay one forward call."""
-    stack: str
-    mode: str
-    dropout_rate: float
-    indices: np.ndarray          # effective (non-PAD) token indices
-    x: np.ndarray                # (n, d) embedded inputs
-    grus: tuple                  # one GruTrace per STACKS direction, in order
-    seq_mask: Optional[np.ndarray]   # dropout mask over the LSTM input sequence
-    lstm_in: np.ndarray          # (n, in_dim) sequence the LSTM consumed
-    lstm: Optional[LstmTrace]
-    out_mask: Optional[np.ndarray]   # dropout mask over the final hidden state
-    h_final: np.ndarray          # vector the dense head consumed
-    yhat: float
-    degenerate: bool = False
-
-
-@dataclass
 class BatchCache:
-    """A forward_batch call: time-major arrays over T steps and B sequences."""
+    """A forward_batch call: time-major arrays over T steps and B sequences.
+
+    The GRU and LSTM traces hold their gates only in train mode, the one
+    mode whose caches backward_batch accepts.
+    """
     stack: str
     mode: str
     dropout_rate: float
@@ -415,15 +395,16 @@ def _check_mode(mode, dropout_rate):
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
 
 
-def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None, trace=True):
+def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     """Forward pass over non-empty encoded sequences, padded to the longest.
 
     Train mode with dropout draws sequence j's masks from a generator seeded
     with seeds[j], the LSTM-input mask first, as model_forward does for one
-    sequence. trace=False keeps only what each next layer reads, which is
+    sequence. Infer mode keeps only what each next layer reads, which is
     enough for the probabilities but not for backward_batch.
     """
     _check_mode(mode, dropout_rate)
+    trace = mode == "train"
     lengths = [seq.true_length for seq in seqs]
     if min(lengths) < 1:
         raise ValueError("forward_batch needs sequences with at least one token")
@@ -465,30 +446,15 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None, trac
 def model_forward(params, seq, mode="infer", dropout_rate=0.0, seed=0):
     """Full forward pass for one encoded sequence: forward_batch at B = 1.
 
-    Returns (yhat, cache). Train mode draws dropout masks from a generator
-    seeded with `seed`, so (seed, input) fully determines the output. An
-    all-PAD input yields yhat = 0.5 with cache.degenerate set.
+    Returns (yhat, cache), the cache being forward_batch's with B = 1. Train
+    mode draws dropout masks from a generator seeded with `seed`, so (seed,
+    input) fully determines the output. An all-PAD input yields (0.5, None).
     """
     _check_mode(mode, dropout_rate)
     if seq.true_length == 0:
-        return 0.5, ForwardCache(
-            stack=params.stack, mode=mode, dropout_rate=dropout_rate,
-            indices=np.zeros(0, dtype=np.int64), x=np.zeros((0, params.embedding.dim)),
-            grus=(), seq_mask=None, lstm_in=np.zeros((0, 0)), lstm=None, out_mask=None,
-            h_final=np.zeros(params.lstm.hidden_size), yhat=0.5, degenerate=True,
-        )
-    batch = forward_batch(params, [seq], mode, dropout_rate, [seed])
-    first = lambda a: None if a is None else a[:, 0]  # noqa: E731
-    yhat = float(batch.yhat[0])
-    return yhat, ForwardCache(
-        stack=params.stack, mode=mode, dropout_rate=dropout_rate,
-        indices=batch.index[:, 0], x=batch.x[:, 0],
-        grus=tuple(_map_arrays(trace, first) for trace in batch.grus),
-        seq_mask=first(batch.seq_mask), lstm_in=batch.lstm_in[:, 0],
-        lstm=_map_arrays(batch.lstm, first),
-        out_mask=None if batch.out_mask is None else batch.out_mask[0],
-        h_final=batch.h_final[0], yhat=yhat,
-    )
+        return 0.5, None
+    cache = forward_batch(params, [seq], mode, dropout_rate, [seed])
+    return float(cache.yhat[0]), cache
 
 
 def sub_batches(seqs):
@@ -518,7 +484,7 @@ def predict_proba(params, seqs):
     """
     yhat = np.full(len(seqs), 0.5)
     for rows in sub_batches(seqs):
-        yhat[rows] = forward_batch(params, [seqs[j] for j in rows], trace=False).yhat
+        yhat[rows] = forward_batch(params, [seqs[j] for j in rows]).yhat
     return yhat
 
 
@@ -544,7 +510,10 @@ def _lstm_backward(p, trace, U, mask, dh_last, grads, prefix="lstm"):
     """BPTT through the LSTM; returns d(loss)/d(input sequence), (T, B, in_dim)."""
     T, B, m = trace.h.shape
     W_x, _, W_h = _stacked(p, LSTM_GATES)
-    zero = np.zeros((B, m))
+    # step t read state t-1; step 0 read the zero initial state
+    zero = np.zeros((1, B, m))
+    h_prev = np.concatenate([zero, trace.h[:-1]])
+    c_prev = np.concatenate([zero, trace.c[:-1]])
     real = mask[:, :, np.newaxis]
     da = np.empty((T, B, 4 * m))
     dh = dh_last
@@ -555,14 +524,13 @@ def _lstm_backward(p, trace, U, mask, dh_last, grads, prefix="lstm"):
         # a padding step passed h and C through unchanged
         dh_new = np.where(real[t], dh, 0.0)
         dc_new = np.where(real[t], dc, 0.0) + dh_new * o * (1.0 - tc * tc)
-        da[t, :, :m] = dc_new * (trace.c[t - 1] if t else zero) * f * (1.0 - f)
+        da[t, :, :m] = dc_new * c_prev[t] * f * (1.0 - f)
         da[t, :, m:2 * m] = dc_new * cc * i * (1.0 - i)
         da[t, :, 2 * m:3 * m] = dh_new * tc * o * (1.0 - o)
         da[t, :, 3 * m:] = dc_new * i * (1.0 - cc * cc)
         dh = np.where(real[t], 0.0, dh) + da[t] @ W_h
         dc = np.where(real[t], dc_new * f, dc)
-    # step 0 read the zero initial state, so its rows add nothing to dW_h
-    dW_h = da[1:].reshape(-1, 4 * m).T @ trace.h[:-1].reshape(-1, m)
+    dW_h = da.reshape(-1, 4 * m).T @ h_prev.reshape(-1, m)
     _add_gate_grads(grads, prefix, LSTM_GATES, da, U, dW_h)
     return (da.reshape(-1, 4 * m) @ W_x).reshape(T, B, -1)
 
@@ -576,15 +544,15 @@ def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
     T, B, k = trace.h.shape
     W_x, _, W_h = _stacked(p, GRU_GATES)
     W_zr, W_hh = W_h[:2 * k], W_h[2 * k:]
-    zero = np.zeros((B, k))
+    # the state step t read, zero where the scan started
+    zero = np.zeros((1, B, k))
+    h_prev = (np.concatenate([trace.h[1:], zero]) if reverse
+              else np.concatenate([zero, trace.h[:-1]]))
     real = mask[:, :, np.newaxis]
     da = np.empty((T, B, 3 * k))
     dh_carry = np.zeros((B, k))
     for t in range(T) if reverse else range(T - 1, -1, -1):
-        if reverse:
-            hp = trace.h[t + 1] if t + 1 < T else zero
-        else:
-            hp = trace.h[t - 1] if t > 0 else zero
+        hp = h_prev[t]
         z, r, hc = trace.z[t], trace.r[t], trace.h_cand[t]
         dh = dH[t] + dh_carry
         dh_new = np.where(real[t], dh, 0.0)
@@ -593,23 +561,11 @@ def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
         da[t, :, :k] = dh_new * (hc - hp) * z * (1.0 - z)
         da[t, :, k:2 * k] = dv * hp * r * (1.0 - r)
         dh_carry = np.where(real[t], dh_new * (1.0 - z) + dv * r, dh) + da[t, :, :2 * k] @ W_zr
-    # the step that read the zero initial state adds nothing to dW_h
     da2 = da.reshape(-1, 3 * k)
-    steps, h_prev = (slice(0, -B), trace.h[1:]) if reverse else (slice(B, None), trace.h[:-1])
-    rh_prev = (trace.r[:-1] if reverse else trace.r[1:]) * h_prev
-    dW_h = np.concatenate([da2[steps, :2 * k].T @ h_prev.reshape(-1, k),
-                           da2[steps, 2 * k:].T @ rh_prev.reshape(-1, k)])
+    dW_h = np.concatenate([da2[:, :2 * k].T @ h_prev.reshape(-1, k),
+                           da2[:, 2 * k:].T @ (trace.r * h_prev).reshape(-1, k)])
     _add_gate_grads(grads, prefix, GRU_GATES, da, X, dW_h)
     return (da2 @ W_x).reshape(T, B, -1)
-
-
-def _check_cache(params, cache):
-    if cache.mode != "train":
-        raise ValueError("the backward pass needs a cache recorded in train mode")
-    if cache.stack != params.stack:
-        raise ValueError(
-            f"cache stack {cache.stack!r} does not match params stack {params.stack!r}"
-        )
 
 
 def backward_batch(params, cache, dL_dyhat, grads):
@@ -619,7 +575,12 @@ def backward_batch(params, cache, dL_dyhat, grads):
     and dL_dyhat (B,) holds each d(loss_j)/d(yhat_j). The embedding gradient
     is scattered per looked-up row; its PAD row is forced to zero.
     """
-    _check_cache(params, cache)
+    if cache.mode != "train":
+        raise ValueError("the backward pass needs a cache recorded in train mode")
+    if cache.stack != params.stack:
+        raise ValueError(
+            f"cache stack {cache.stack!r} does not match params stack {params.stack!r}"
+        )
     if cache.x.shape[2] != params.embedding.dim or \
             cache.lstm.h.shape[2] != params.lstm.hidden_size:
         raise ValueError("stale cache: shapes do not match params")
@@ -658,22 +619,10 @@ def model_backward(params, cache, dL_dyhat):
     """Exact gradients of a scalar loss with respect to every parameter.
 
     `cache` must come from a train-mode model_forward call on the same
-    params; this is backward_batch at B = 1. The embedding gradient
-    accumulates per looked-up row and its PAD row is forced to zero.
+    params; this is backward_batch at B = 1. The None cache of an all-PAD
+    input gives zero gradients.
     """
-    _check_cache(params, cache)
     grads = zero_grads(params)
-    if cache.degenerate:
-        return grads
-    column = lambda a: None if a is None else a[:, np.newaxis]  # noqa: E731
-    batch = BatchCache(
-        stack=cache.stack, mode=cache.mode, dropout_rate=cache.dropout_rate,
-        index=column(cache.indices), mask=np.ones((len(cache.indices), 1), dtype=bool),
-        x=column(cache.x), grus=tuple(_map_arrays(trace, column) for trace in cache.grus),
-        seq_mask=column(cache.seq_mask), lstm_in=column(cache.lstm_in),
-        lstm=_map_arrays(cache.lstm, column),
-        out_mask=None if cache.out_mask is None else cache.out_mask[np.newaxis],
-        h_final=cache.h_final[np.newaxis], yhat=np.array([cache.yhat]),
-    )
-    backward_batch(params, batch, np.array([dL_dyhat]), grads)
+    if cache is not None:
+        backward_batch(params, cache, np.array([dL_dyhat]), grads)
     return grads

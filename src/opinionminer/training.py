@@ -94,13 +94,13 @@ class TrainConfig:
             ("lstm_units", self.lstm_units >= 1),
             ("dropout_rate", 0.0 <= self.dropout_rate < 1.0),
             ("batch_size", self.batch_size >= 1),
-            ("learning_rate", self.learning_rate > 0.0),
+            ("learning_rate", 0.0 < self.learning_rate < math.inf),
             ("beta1", 0.0 <= self.beta1 < 1.0),
             ("beta2", 0.0 <= self.beta2 < 1.0),
-            ("epsilon", self.epsilon > 0.0),
+            ("epsilon", 0.0 < self.epsilon < math.inf),
             ("max_epochs", self.max_epochs >= 1),
             ("patience", self.patience >= 1),
-            ("min_delta", self.min_delta >= 0.0),
+            ("min_delta", 0.0 <= self.min_delta < math.inf),
             ("max_len", self.max_len >= 1),
             ("vocab_size", self.vocab_size >= 3),
             ("min_freq", self.min_freq >= 1),

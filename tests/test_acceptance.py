@@ -244,7 +244,8 @@ def test_criterion_6_hidden_state_bounds():
         for _ in range(10):
             n = int(rng.integers(1, 9))
             seq = make_seq(list(rng.integers(1, 15, size=n)), max_len=10)
-            _, cache = model_forward(params, seq, mode="infer")
+            # train mode at rate 0 is the infer forward pass, gates kept
+            _, cache = model_forward(params, seq, mode="train", dropout_rate=0.0)
             assert len(cache.grus) == 2
             for trace in cache.grus:
                 assert np.all(np.abs(trace.h) < 1.0)

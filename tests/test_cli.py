@@ -1,9 +1,13 @@
 import json
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _toy import write_toy_csv
 from opinionminer.cli import build_settings, main, parse_config_file
@@ -85,6 +89,26 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "dropout_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["learning_rate", "epsilon", "min_delta"])
+    def test_infinite_float_exits_2(self, tmp_path, capsys, key):
+        # rejected with the config, before a dataset is read or an epoch run
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_CONFIG + f"{key} = inf\n", encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert f"invalid value for {key}: inf" in capsys.readouterr().err
+        assert not (out / "history.txt").exists()
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed = 3\nstack = caf\xe9\n")
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "latin1.cfg" in err and "UTF-8" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_2(self, tmp_path, capsys):
@@ -451,6 +475,20 @@ class TestCompareCommand:
         a = write_report(tmp_path / "a.txt", 40, 40, 10, 10)
         assert main(["compare", str(a)]) == 2
 
+    def test_report_not_utf8_exits_3(self, tmp_path, capsys):
+        a = write_report(tmp_path / "a.txt", 40, 40, 10, 10)
+        b = tmp_path / "latin1.txt"
+        b.write_bytes(a.read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+        assert main(["compare", str(a), str(b)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "latin1.txt" in err and "UTF-8" in err
+
+    def test_count_beyond_float_range_exits_3(self, tmp_path, capsys):
+        a = write_report(tmp_path / "a.txt", 10 ** 400, 40, 10, 10)
+        b = write_report(tmp_path / "b.txt", 10 ** 400, 40, 10, 10)
+        assert main(["compare", str(a), str(b)]) == 3
+        assert "chi-square" in capsys.readouterr().err
+
     def test_degenerate_table_exits_3(self, tmp_path, capsys):
         # two perfect classifiers leave the FP and FN columns all zero, so
         # the chi-square table has zero marginals
@@ -459,3 +497,55 @@ class TestCompareCommand:
         code = main(["compare", str(a), str(b)])
         assert code == 3
         assert "chi-square" in capsys.readouterr().err
+
+
+def _overwrite(doc, edits):
+    """`doc` with each (position, chunk) of `edits` written over its bytes."""
+    data = bytearray(doc)
+    for pos, chunk in edits:
+        pos %= len(data) + 1
+        data[pos:pos + len(chunk)] = chunk
+    return bytes(data)
+
+
+edits = st.lists(st.tuples(st.integers(0, 400), st.binary(min_size=1, max_size=4)),
+                 min_size=1, max_size=4)
+
+
+def hostile(valid):
+    """Arbitrary bytes, or a valid document with a few bytes overwritten."""
+    return st.one_of(st.binary(max_size=300), st.builds(_overwrite, valid, edits))
+
+
+def report_bytes(tp, tn, fp, fn):
+    with tempfile.TemporaryDirectory() as tmp:
+        return write_report(Path(tmp) / "r.txt", tp, tn, fp, fn).read_bytes()
+
+
+counts = st.integers(1, 60)
+
+
+class TestArbitraryBytes:
+    """Whatever bytes a config file or a report holds, the CLI ends in a
+    documented exit code, never in an internal error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=hostile(st.just(TINY_CONFIG.encode("utf-8"))))
+    def test_config_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_bytes(data)
+            try:
+                build_settings(parse_config_file(cfg))
+            except ConfigError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=hostile(st.builds(report_bytes, counts, counts, counts, counts)),
+           b=hostile(st.builds(report_bytes, counts, counts, counts, counts)))
+    def test_compare_reports(self, a, b):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / "a.txt", Path(tmp) / "b.txt"]
+            for path, data in zip(paths, (a, b)):
+                path.write_bytes(data)
+            assert main(["compare"] + [str(p) for p in paths]) in (0, 2, 3)

@@ -160,10 +160,10 @@ class TestBgru:
         seq = make_seq([2, 4, 3, 1, 2])
         _, c1 = model_forward(params, seq)
         _, c2 = model_forward(other, seq)
-        npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
-        assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
-        npt.assert_array_equal(c2.lstm_in[:, 2:],
-                               gru_scan(other.gru_bwd, *one_sequence(c2.x), reverse=True).h[:, 0])
+        npt.assert_array_equal(c1.lstm_in[:, :, :2], c2.lstm_in[:, :, :2])
+        assert np.any(c1.lstm_in[:, :, 2:] != c2.lstm_in[:, :, 2:])
+        npt.assert_array_equal(c2.lstm_in[:, :, 2:],
+                               gru_scan(other.gru_bwd, c2.x, c2.mask, reverse=True).h)
 
 
 class TestLstm:
@@ -260,6 +260,9 @@ class TestDropout:
         y_rate, cache = model_forward(params, seq, mode="infer", dropout_rate=0.7, seed=5)
         assert y_rate == y_plain
         assert cache.seq_mask is None and cache.out_mask is None
+        # infer mode keeps no gates, only what each next layer reads
+        assert all(trace.z is None for trace in cache.grus)
+        assert cache.lstm.f is None and cache.lstm.h.shape == (1, 1, 2)
 
     def test_statistics_and_scaling(self):
         # 100 tokens x 2 x 500 GRU units put 100,000 entries under the
@@ -268,8 +271,8 @@ class TestDropout:
                                    lstm_units=50, seed=3)
         seq = make_seq([2, 3, 4, 1] * 25)
         _, cache = model_forward(params, seq, mode="train", dropout_rate=0.2, seed=99)
-        H = np.concatenate([trace.h for trace in cache.grus], axis=1)
-        assert cache.seq_mask.shape == H.shape == (100, 1000)
+        H = np.concatenate([trace.h for trace in cache.grus], axis=2)
+        assert cache.seq_mask.shape == H.shape == (100, 1, 1000)
         assert abs(cache.seq_mask.mean() - 0.8) < 0.01
         for mask, raw, out in ((cache.seq_mask, H, cache.lstm_in),
                                (cache.out_mask, cache.lstm.h[-1], cache.h_final)):
@@ -316,23 +319,23 @@ class TestModelForward:
         params = tiny_params()
         yhat, cache = model_forward(params, make_seq([], max_len=4))
         assert yhat == 0.5
-        assert cache.degenerate
+        assert cache is None
 
     def test_variant_widths(self):
         seq = make_seq([2, 3], max_len=4)
         for stack, width in [("hbgru_lstm", 4), ("gru_lstm", 2), ("lstm_only", 2)]:
             params = tiny_params(stack=stack, seed=1)
             _, cache = model_forward(params, seq)
-            assert cache.lstm_in.shape[1] == width
+            assert cache.lstm_in.shape == (2, 1, width)
 
     def test_cache_replays_output(self):
         params = tiny_params(seed=9)
         seq = make_seq([2, 4, 3], max_len=5)
         yhat, cache = model_forward(params, seq, mode="train", dropout_rate=0.25, seed=4)
         # dense head replay from the cached final state is bit-exact
-        assert dense_sigmoid(params.dense, cache.h_final) == yhat
+        assert dense_sigmoid(params.dense, cache.h_final[0]) == yhat
         # LSTM replay from the cached (post-dropout) input sequence
-        h = lstm_scan(params.lstm, *one_sequence(cache.lstm_in)).h[-1, 0]
+        h = lstm_scan(params.lstm, cache.lstm_in, cache.mask).h[-1]
         npt.assert_array_equal(h, cache.lstm.h[-1])
 
     def test_oracle_equivalence(self):
@@ -400,7 +403,8 @@ class TestHiddenStateBounds:
                 arr *= float(rng.uniform(0.5, 3.0))
             n = int(rng.integers(1, 7))
             seq = make_seq(list(rng.integers(1, 8, size=n)), max_len=8)
-            _, cache = model_forward(params, seq)
+            # train mode at rate 0 is the infer forward pass, gates kept
+            _, cache = model_forward(params, seq, mode="train", dropout_rate=0.0)
             assert len(cache.grus) == 2
             for trace in cache.grus:
                 assert np.all(np.abs(trace.h) < 1.0)
