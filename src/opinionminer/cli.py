@@ -24,6 +24,7 @@ from .layers import classify, init_model_params, predict_proba
 from .text_pipeline import (
     DEFAULT_WHITELIST,
     DataError,
+    _lines,
     balance_classes,
     build_vocabulary,
     clean_corpus,
@@ -109,14 +110,8 @@ def build_settings(file_values, overrides=None):
     extras = dict(_EXTRA_DEFAULTS)
     for key, raw in merged.items():
         if key in _TRAIN_FIELD_TYPES:
-            kind = _TRAIN_FIELD_TYPES[key]
             try:
-                if kind is int or kind == "int":
-                    config_kwargs[key] = int(raw)
-                elif kind is float or kind == "float":
-                    config_kwargs[key] = float(raw)
-                else:
-                    config_kwargs[key] = raw
+                config_kwargs[key] = _TRAIN_FIELD_TYPES[key](raw)  # int, float or str
             except ValueError as exc:
                 raise ConfigError(f"invalid value for {key}: {raw!r}") from exc
         elif key in _EXTRA_DEFAULTS:
@@ -145,7 +140,8 @@ def load_word2vec_text(path):
     except OSError as exc:
         raise DataError(f"cannot read embeddings {path}: {exc}") from exc
     with fh:
-        header = fh.readline().split()
+        lines = _lines(fh, path)
+        header = next(lines, "").split()
         if len(header) != 2:
             raise DataError(f"{path}: line 1: expected 'count dim' header")
         try:
@@ -153,7 +149,7 @@ def load_word2vec_text(path):
         except ValueError as exc:
             raise DataError(f"{path}: line 1: bad dimension {header[1]!r}") from exc
         vectors = {}
-        for line_num, line in enumerate(fh, start=2):
+        for line_num, line in enumerate(lines, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise DataError(
@@ -300,9 +296,12 @@ def run_compare(args):
         except UnicodeDecodeError as exc:
             raise DataError(f"report {path} is not valid UTF-8: {exc}") from exc
         try:
-            parsed.append((path, parse_report(text)))
+            values = parse_report(text)
+            if values["tp"] + values["tn"] + values["fp"] + values["fn"] != values["n"]:
+                raise ValueError(f"counts tp + tn + fp + fn do not add up to n = {values['n']}")
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
+        parsed.append((path, values))
     sizes = {values["n"] for _, values in parsed}
     if len(sizes) > 1:
         names = ", ".join(path for path, _ in parsed)

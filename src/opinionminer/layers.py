@@ -24,12 +24,13 @@ time-major (T, B, ...) arrays with a (T, B) mask of real tokens. On a
 padding step a scan holds its state, so the reverse GRU starts from zero at
 each sequence's last real token and the LSTM's final state is that of the
 last real token: a sequence's outputs do not depend on the padding around
-it. Per call, each layer stacks its stored per-gate tensors into one input
-and one recurrent matrix (the checkpoint keeps the per-gate form), and the
-input projection X W_x^T + b of the whole sequence is one matrix product
-before the time loop. The backward pass keeps every step's gate
-pre-activation gradients and forms each weight gradient with one matrix
-product after the loop; the embedding gradient is scattered with np.add.at.
+it. Each layer stores its gates stacked in one matrix, whose columns split
+into the recurrent and the input weights; the checkpoint tensors W_z, b_z,
+... are row views of it. The input projection X W_x^T + b of the whole
+sequence is one matrix product before the time loop. The backward pass
+keeps every step's gate pre-activation gradients and forms each weight
+gradient with one matrix product after the loop; the embedding gradient is
+scattered with np.add.at.
 `sub_batches` sorts sequences by length and cuts them into groups of at most
 ROW_BUDGET padded rows, which bounds the trace memory and keeps padding
 small. `model_forward` and `model_backward` are the engine at B = 1.
@@ -57,16 +58,25 @@ STACKS = {
     "gru_lstm": (("gru_fwd", False),),
 }
 
-# Gate order of the stacked matrices the scans build per call.
-GRU_GATES = ("z", "r", "h")
-LSTM_GATES = ("f", "i", "o", "c")
-
 # Most padded rows (T x B) one sub-batch may hold. At full size a train-mode
 # sub-batch of 1024 rows peaks near 48 MB of traces and temporaries (about
 # 47 KB a row); budgets of 512 or 768 rows trained 5-10% slower.
 ROW_BUDGET = 1024
+
+
+class _Block:
+    """A parameter block; TENSORS names its checkpoint tensors in order."""
+
+    def arrays(self):
+        return [getattr(self, tensor) for tensor in self.TENSORS]
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        return cls(*arrays)
+
+
 @dataclass
-class EmbeddingParams:
+class EmbeddingParams(_Block):
     E: np.ndarray  # (vocab_size, dim); row 0 is PAD, kept all-zero
     TENSORS: ClassVar = ("E",)
 
@@ -80,47 +90,45 @@ class EmbeddingParams:
 
 
 @dataclass
-class GruParams:
-    W_z: np.ndarray  # (k, k + in_dim)
-    W_r: np.ndarray
-    W_h: np.ndarray
-    b_z: np.ndarray  # (k,)
-    b_r: np.ndarray
-    b_h: np.ndarray
-    TENSORS: ClassVar = ("W_z", "b_z", "W_r", "b_r", "W_h", "b_h")
+class GatedParams(_Block):
+    """A recurrent layer with its G gates stacked in GATES order, k rows each.
+
+    W (G*k, k + in_dim) reads [h_prev, x], so W[:, :k] holds the recurrent
+    and W[:, k:] the input weights; b is (G*k,). The checkpoint stores each
+    gate's rows as the tensors W_<gate> and b_<gate>.
+    """
+    W: np.ndarray
+    b: np.ndarray
+    GATES: ClassVar = ()
+
+    def __init_subclass__(cls):
+        cls.TENSORS = tuple(f"{t}_{gate}" for gate in cls.GATES for t in ("W", "b"))
 
     @property
     def hidden_size(self):
-        return self.W_z.shape[0]
+        return self.W.shape[0] // len(self.GATES)
 
-    @property
-    def in_dim(self):
-        return self.W_z.shape[1] - self.W_z.shape[0]
+    def arrays(self):
+        """Each gate's W and b rows, as views, in TENSORS order."""
+        k = self.hidden_size
+        return [arr[g * k:(g + 1) * k] for g in range(len(self.GATES)) for arr in (self.W, self.b)]
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        """Stack per-gate tensors, given in TENSORS order, into W and b."""
+        return cls(W=np.concatenate(arrays[0::2]), b=np.concatenate(arrays[1::2]))
 
 
-@dataclass
-class LstmParams:
-    W_f: np.ndarray  # (m, m + in_dim)
-    W_i: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    b_f: np.ndarray  # (m,)
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-    TENSORS: ClassVar = ("W_f", "b_f", "W_i", "b_i", "W_o", "b_o", "W_c", "b_c")
+class GruParams(GatedParams):
+    GATES: ClassVar = ("z", "r", "h")
 
-    @property
-    def hidden_size(self):
-        return self.W_f.shape[0]
 
-    @property
-    def in_dim(self):
-        return self.W_f.shape[1] - self.W_f.shape[0]
+class LstmParams(GatedParams):
+    GATES: ClassVar = ("f", "i", "o", "c")
 
 
 @dataclass
-class DenseParams:
+class DenseParams(_Block):
     W: np.ndarray  # (1, m)
     b: np.ndarray  # (1,)
     TENSORS: ClassVar = ("W", "b")
@@ -172,10 +180,13 @@ class ModelParams:
     gru_bwd: Optional[GruParams] = None
 
     def named_arrays(self):
-        """Yield (name, array) for every parameter tensor, in checkpoint order."""
+        """Yield (name, array) for every parameter tensor, in checkpoint order.
+
+        Gate tensors are views: updating one in place updates its layer.
+        """
         for block, cls in _blocks(self.stack):
-            for tensor in cls.TENSORS:
-                yield f"{block}.{tensor}", getattr(getattr(self, block), tensor)
+            for tensor, arr in zip(cls.TENSORS, getattr(self, block).arrays()):
+                yield f"{block}.{tensor}", arr
 
     def clone(self):
         return model_params_from_arrays(
@@ -189,7 +200,7 @@ def zero_grads(params):
 
 def model_params_from_arrays(stack, arrays):
     """Rebuild ModelParams from a name -> array mapping (checkpoint loading)."""
-    blocks = {block: cls(**{t: arrays[f"{block}.{t}"] for t in cls.TENSORS})
+    blocks = {block: cls.from_arrays([arrays[f"{block}.{t}"] for t in cls.TENSORS])
               for block, cls in _blocks(stack)}
     return ModelParams(stack=stack, **blocks)
 
@@ -262,37 +273,27 @@ def gru_cell_forward(p, h_prev, x_t):
 
     The reset gate scales h_prev before the candidate concat.
     """
+    W_z, b_z, W_r, b_r, W_h, b_h = p.arrays()
     u = np.concatenate([h_prev, x_t])
-    z = sigmoid(affine(p.W_z, u, p.b_z))
-    r = sigmoid(affine(p.W_r, u, p.b_r))
+    z = sigmoid(affine(W_z, u, b_z))
+    r = sigmoid(affine(W_r, u, b_r))
     v = np.concatenate([r * h_prev, x_t])
-    h_cand = np.tanh(affine(p.W_h, v, p.b_h))
+    h_cand = np.tanh(affine(W_h, v, b_h))
     h = (1.0 - z) * h_prev + z * h_cand
     return h, GruGates(z=z, r=r, h_cand=h_cand)
 
 
 def lstm_step(p, h_prev, C_prev, x_t):
     """One unfused LSTM step, gate by gate: the reference the scans are tested against."""
+    W_f, b_f, W_i, b_i, W_o, b_o, W_c, b_c = p.arrays()
     u = np.concatenate([h_prev, x_t])
-    f = sigmoid(affine(p.W_f, u, p.b_f))
-    i = sigmoid(affine(p.W_i, u, p.b_i))
-    o = sigmoid(affine(p.W_o, u, p.b_o))
-    c_cand = np.tanh(affine(p.W_c, u, p.b_c))
+    f = sigmoid(affine(W_f, u, b_f))
+    i = sigmoid(affine(W_i, u, b_i))
+    o = sigmoid(affine(W_o, u, b_o))
+    c_cand = np.tanh(affine(W_c, u, b_c))
     C = f * C_prev + i * c_cand
     h = o * np.tanh(C)
     return h, C, LstmGates(f=f, i=i, o=o, c_cand=c_cand)
-
-
-def _stacked(p, gates):
-    """(input weights, bias, recurrent weights) with the gates' rows stacked in order.
-
-    Each stored W_g reads [h_prev, x], so its first hidden_size columns are
-    the recurrent weights; both returned weights are views of one copy.
-    """
-    k = p.hidden_size
-    W = np.concatenate([getattr(p, f"W_{g}") for g in gates])
-    b = np.concatenate([getattr(p, f"b_{g}") for g in gates])
-    return W[:, k:], b, W[:, :k]
 
 
 def gru_scan(p, X, mask, reverse=False, trace=True):
@@ -305,9 +306,8 @@ def gru_scan(p, X, mask, reverse=False, trace=True):
     """
     T, B, _ = X.shape
     k = p.hidden_size
-    W_x, b, W_h = _stacked(p, GRU_GATES)
-    W_zr, W_hh = W_h[:2 * k], W_h[2 * k:]
-    gx = affine(W_x, X, b)
+    W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
+    gx = affine(p.W[:, k:], X, p.b)
     real = mask[:, :, np.newaxis]
     gates = ("z", "r", "h_cand") if trace else ()
     out = GruTrace(h=np.empty((T, B, k)), **{g: np.empty((T, B, k)) for g in gates})
@@ -331,8 +331,8 @@ def lstm_scan(p, X, mask, trace=True):
     """
     T, B, _ = X.shape
     m = p.hidden_size
-    W_x, b, W_h = _stacked(p, LSTM_GATES)
-    gx = affine(W_x, X, b)
+    W_h = p.W[:, :m]
+    gx = affine(p.W[:, m:], X, p.b)
     real = mask[:, :, np.newaxis]
     gates = ("f", "i", "o", "c_cand", "c", "tanh_c") if trace else ()
     out = LstmTrace(h=np.empty((T if trace else 1, B, m)),
@@ -488,28 +488,23 @@ def predict_proba(params, seqs):
     return yhat
 
 
-def _add_gate_grads(grads, prefix, gates, da, X, dW_h):
-    """Add the weight and bias gradients of stacked gates to `grads`.
+def _add_gate_grads(grads, prefix, p, da, X, dW_h):
+    """Add the weight and bias gradients of layer p's stacked gates to `grads`.
 
     `da` (T, B, G*k) holds the gate pre-activation gradients, X the layer
     input and dW_h (G*k, k) the recurrent weight gradient.
     """
-    k = dW_h.shape[1]
     da2 = da.reshape(-1, da.shape[2])
     dW_x = da2.T @ X.reshape(-1, X.shape[2])
-    db = da2.sum(axis=0)
-    for g, gate in enumerate(gates):
-        rows = slice(g * k, (g + 1) * k)
-        W = grads[f"{prefix}.W_{gate}"]
-        W[:, :k] += dW_h[rows]
-        W[:, k:] += dW_x[rows]
-        grads[f"{prefix}.b_{gate}"] += db[rows]
+    step = type(p)(W=np.concatenate([dW_h, dW_x], axis=1), b=da2.sum(axis=0))
+    for tensor, g in zip(p.TENSORS, step.arrays()):
+        grads[f"{prefix}.{tensor}"] += g
 
 
 def _lstm_backward(p, trace, U, mask, dh_last, grads, prefix="lstm"):
     """BPTT through the LSTM; returns d(loss)/d(input sequence), (T, B, in_dim)."""
     T, B, m = trace.h.shape
-    W_x, _, W_h = _stacked(p, LSTM_GATES)
+    W_h = p.W[:, :m]
     # step t read state t-1; step 0 read the zero initial state
     zero = np.zeros((1, B, m))
     h_prev = np.concatenate([zero, trace.h[:-1]])
@@ -531,8 +526,8 @@ def _lstm_backward(p, trace, U, mask, dh_last, grads, prefix="lstm"):
         dh = np.where(real[t], 0.0, dh) + da[t] @ W_h
         dc = np.where(real[t], dc_new * f, dc)
     dW_h = da.reshape(-1, 4 * m).T @ h_prev.reshape(-1, m)
-    _add_gate_grads(grads, prefix, LSTM_GATES, da, U, dW_h)
-    return (da.reshape(-1, 4 * m) @ W_x).reshape(T, B, -1)
+    _add_gate_grads(grads, prefix, p, da, U, dW_h)
+    return (da.reshape(-1, 4 * m) @ p.W[:, m:]).reshape(T, B, -1)
 
 
 def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
@@ -542,8 +537,7 @@ def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
     gradient sweep runs t = 1..T instead of t = T..1.
     """
     T, B, k = trace.h.shape
-    W_x, _, W_h = _stacked(p, GRU_GATES)
-    W_zr, W_hh = W_h[:2 * k], W_h[2 * k:]
+    W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
     # the state step t read, zero where the scan started
     zero = np.zeros((1, B, k))
     h_prev = (np.concatenate([trace.h[1:], zero]) if reverse
@@ -564,8 +558,8 @@ def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
     da2 = da.reshape(-1, 3 * k)
     dW_h = np.concatenate([da2[:, :2 * k].T @ h_prev.reshape(-1, k),
                            da2[:, 2 * k:].T @ (trace.r * h_prev).reshape(-1, k)])
-    _add_gate_grads(grads, prefix, GRU_GATES, da, X, dW_h)
-    return (da2 @ W_x).reshape(T, B, -1)
+    _add_gate_grads(grads, prefix, p, da, X, dW_h)
+    return (da2 @ p.W[:, k:]).reshape(T, B, -1)
 
 
 def backward_batch(params, cache, dL_dyhat, grads):

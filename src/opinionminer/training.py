@@ -381,7 +381,8 @@ def load_checkpoint(path):
     """Read and verify a checkpoint.
 
     Raises CheckpointError on any corruption or malformed header, and
-    ModelMismatchError when the tensor names are not the stack's, in order.
+    ModelMismatchError when the tensor names are not the stack's, in order,
+    or a shape differs from param_shapes (checked before gates are stacked).
     """
     try:
         with open(path, "rb") as fh:
@@ -418,6 +419,13 @@ def load_checkpoint(path):
         if got != want:
             raise ModelMismatchError(
                 f"{path}: tensor {i} is {got!r} but stack {stack!r} stores {want!r} there")
+    shapes = param_shapes(stack, len(vocab_tokens), config.embedding_dim, config.gru_units,
+                          config.lstm_units)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ModelMismatchError(
+                f"{path}: tensor {name} has shape {arrays[name].shape} but the vocabulary "
+                f"({len(vocab_tokens)} tokens) and config give {shape}")
     params = model_params_from_arrays(stack, arrays)
     vocab = Vocabulary(
         token_to_index={t: i for i, t in enumerate(vocab_tokens)},
@@ -445,6 +453,11 @@ def _parse_header(raw, path):
         raise CheckpointError(f"{path}: unknown stack variant {header['stack']!r}")
     try:
         config = TrainConfig(**header["config"]).validate()
+        for f in dataclasses.fields(config):  # an int key takes no float, no key a bool
+            value = getattr(config, f.name)
+            if f.type in (int, float) and (type(value) is bool
+                                           or not isinstance(value, (int, f.type))):
+                raise ConfigError(f"invalid value for {f.name}: {value!r}")
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad config in header: {exc}") from exc
     lists = [header["vocab"]] + [header[k] for k in ("stopwords", "whitelist")
@@ -455,20 +468,13 @@ def _parse_header(raw, path):
 
 
 def validate_checkpoint(ckpt):
-    """Check every tensor's shape against the stored vocabulary and config
-    (ModelMismatchError) and its values for NaN and inf (CheckpointError)."""
-    config = ckpt.config
-    if ckpt.params.stack != config.stack:
+    """Check the stack against the config's (ModelMismatchError) and every
+    tensor's values for NaN and inf (CheckpointError)."""
+    if ckpt.params.stack != ckpt.config.stack:
         raise ModelMismatchError(
             f"checkpoint stack {ckpt.params.stack!r} does not match config "
-            f"stack {config.stack!r}")
-    expected = param_shapes(config.stack, ckpt.vocab.size, config.embedding_dim,
-                            config.gru_units, config.lstm_units)
+            f"stack {ckpt.config.stack!r}")
     for name, arr in ckpt.params.named_arrays():
-        if arr.shape != expected[name]:
-            raise ModelMismatchError(
-                f"tensor {name} has shape {arr.shape} but the vocabulary "
-                f"({ckpt.vocab.size} tokens) and config give {expected[name]}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name} holds a non-finite value")
     return ckpt

@@ -139,24 +139,24 @@ def _oracle(params, indices):
     E = params.embedding.E
     X = [E[i] for i in indices]
     n = len(X)
-    gf, gb, lp, dp = params.gru_fwd, params.gru_bwd, params.lstm, params.dense
-    k = gf.W_z.shape[0]
-    m = lp.W_f.shape[0]
+    w = dict(params.named_arrays())  # the per-gate tensors, by checkpoint name
+    k = w["gru_fwd.W_z"].shape[0]
+    m = w["lstm.W_f"].shape[0]
 
     hf = []
     h = np.zeros(k)
     for t in range(n):
-        z = sg(gf.W_z @ np.concatenate([h, X[t]]) + gf.b_z)
-        r = sg(gf.W_r @ np.concatenate([h, X[t]]) + gf.b_r)
-        cand = np.tanh(gf.W_h @ np.concatenate([r * h, X[t]]) + gf.b_h)
+        z = sg(w["gru_fwd.W_z"] @ np.concatenate([h, X[t]]) + w["gru_fwd.b_z"])
+        r = sg(w["gru_fwd.W_r"] @ np.concatenate([h, X[t]]) + w["gru_fwd.b_r"])
+        cand = np.tanh(w["gru_fwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_fwd.b_h"])
         h = (1.0 - z) * h + z * cand
         hf.append(h)
     hb = [None] * n
     h = np.zeros(k)
     for t in range(n - 1, -1, -1):
-        z = sg(gb.W_z @ np.concatenate([h, X[t]]) + gb.b_z)
-        r = sg(gb.W_r @ np.concatenate([h, X[t]]) + gb.b_r)
-        cand = np.tanh(gb.W_h @ np.concatenate([r * h, X[t]]) + gb.b_h)
+        z = sg(w["gru_bwd.W_z"] @ np.concatenate([h, X[t]]) + w["gru_bwd.b_z"])
+        r = sg(w["gru_bwd.W_r"] @ np.concatenate([h, X[t]]) + w["gru_bwd.b_r"])
+        cand = np.tanh(w["gru_bwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_bwd.b_h"])
         h = (1.0 - z) * h + z * cand
         hb[t] = h
 
@@ -164,13 +164,13 @@ def _oracle(params, indices):
     C = np.zeros(m)
     for t in range(n):
         u = np.concatenate([h, hf[t], hb[t]])
-        f = sg(lp.W_f @ u + lp.b_f)
-        i = sg(lp.W_i @ u + lp.b_i)
-        o = sg(lp.W_o @ u + lp.b_o)
-        cand = np.tanh(lp.W_c @ u + lp.b_c)
+        f = sg(w["lstm.W_f"] @ u + w["lstm.b_f"])
+        i = sg(w["lstm.W_i"] @ u + w["lstm.b_i"])
+        o = sg(w["lstm.W_o"] @ u + w["lstm.b_o"])
+        cand = np.tanh(w["lstm.W_c"] @ u + w["lstm.b_c"])
         C = f * C + i * cand
         h = o * np.tanh(C)
-    return float(sg(dp.W @ h + dp.b)[0])
+    return float(sg(w["dense.W"] @ h + w["dense.b"])[0])
 
 
 def test_criterion_4_forward_oracle_equivalence():

@@ -3,6 +3,7 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ class TestPretrainedEmbeddings:
         assert code == 3
         assert "w2v.txt: line 3: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_embeddings_not_utf8_exits_3(self, tmp_path, capsys, line):
+        rows = [b"2 3", b"good 0.1 0.2 0.3", b"bad 0.1 0.2 0.3"]
+        rows[line - 1] = rows[line - 1].replace(b" ", b"\xff ", 1)
+        (tmp_path / "w2v.txt").write_bytes(b"\n".join(rows) + b"\n")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "embedding_dim = 3\ngru_units = 4\nlstm_units = 3\nmax_epochs = 1\n"
+            f"embeddings = {tmp_path / 'w2v.txt'}\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"w2v.txt: line {line}: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_train_with_pretrained_runs(self, tmp_path):
         self.write_vectors(tmp_path / "w2v.txt", ["good", "bad"], 8)
         data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
@@ -421,9 +438,19 @@ CHECKPOINT_PROBES = {
     "unknown_stack": (None, lambda h: h.update(stack="foo"), 3, "foo"),
     "gru_units_disagree": (None, lambda h: h["config"].update(gru_units=3), 4,
                            "gru_fwd.W_z"),
-    "nan_weight": (lambda p: p.lstm.W_f.__setitem__((0, 0), np.nan), None, 3, "lstm.W_f"),
+    "nan_weight": (lambda p: dict(p.named_arrays())["lstm.W_f"].__setitem__((0, 0), np.nan),
+                   None, 3, "lstm.W_f"),
     "inf_embedding": (lambda p: p.embedding.E.__setitem__((2, 1), -np.inf), None, 3,
                       "embedding.E"),
+    # JSON keeps each value's type: an int key takes no float, no number key a bool
+    "max_len_float": (None, lambda h: h["config"].update(max_len=2.5), 3, "max_len"),
+    "max_len_bool": (None, lambda h: h["config"].update(max_len=True), 3, "max_len"),
+    "embedding_dim_whole_float": (None, lambda h: h["config"].update(embedding_dim=4.0), 3,
+                                  "embedding_dim"),
+    "seed_float": (None, lambda h: h["config"].update(seed=1.5), 3, "seed"),
+    "beta1_bool": (None, lambda h: h["config"].update(beta1=False), 3, "beta1"),
+    "learning_rate_bool": (None, lambda h: h["config"].update(learning_rate=True), 3,
+                           "learning_rate"),
 }
 
 
@@ -444,6 +471,23 @@ def test_inconsistent_checkpoint_named_error(tmp_path, capsys, probe):
     err = capsys.readouterr().err
     assert named in err
     assert err.startswith("model mismatch" if code == 4 else "data error")
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (2, 7), (12,)])
+def test_gate_tensor_of_another_shape_exits_4(tmp_path, capsys, shape):
+    # save_checkpoint reads only `stack` and `named_arrays`, so a stand-in can
+    # write one gate tensor whose shape differs from its layer's other gates
+    vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
+    config = TrainConfig(embedding_dim=4, gru_units=2, lstm_units=2,
+                         vocab_size=vocab.size, max_len=8)
+    arrays = dict(init_model_params(vocab.size, 4, 2, 2, seed=0).named_arrays())
+    arrays["gru_fwd.W_r"] = np.zeros(shape)
+    path = tmp_path / "probe.ckpt"
+    save_checkpoint(SimpleNamespace(stack="hbgru_lstm", named_arrays=arrays.items),
+                    config, vocab, path)
+    assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("model mismatch") and "gru_fwd.W_r" in err
 
 
 class TestCompareCommand:
@@ -482,6 +526,16 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(b)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error") and "latin1.txt" in err and "UTF-8" in err
+
+    def test_counts_not_adding_up_to_n_exits_3(self, tmp_path, capsys):
+        a = write_report(tmp_path / "a.txt", 40, 10, 10, 10)
+        b = write_report(tmp_path / "b.txt", 40, 10, 10, 10)
+        b.write_text(b.read_text(encoding="utf-8").replace("tp = 40\n", f"tp = {10 ** 20}\n"),
+                     encoding="utf-8")
+        assert main(["compare", str(a), str(b)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error") and "b.txt" in captured.err
+        assert "n = 70" in captured.err and "chi_square" not in captured.out
 
     def test_count_beyond_float_range_exits_3(self, tmp_path, capsys):
         a = write_report(tmp_path / "a.txt", 10 ** 400, 40, 10, 10)

@@ -11,8 +11,10 @@ import pytest
 from opinionminer.layers import (
     DenseParams,
     EmbeddingParams,
+    GatedParams,
     GruParams,
     LstmParams,
+    STACKS,
     classify,
     dense_sigmoid,
     embed_lookup,
@@ -21,25 +23,22 @@ from opinionminer.layers import (
     init_model_params,
     lstm_scan,
     lstm_step,
+    model_backward,
     model_forward,
     param_names,
     param_shapes,
 )
 from opinionminer.text_pipeline import TokenSequence
+from opinionminer.training import AdamState, TrainConfig, adam_step
 
 
 def scalar_gru(w_z, b_z, w_r, b_r, w_h, b_h):
-    return GruParams(
-        W_z=np.array([w_z]), W_r=np.array([w_r]), W_h=np.array([w_h]),
-        b_z=np.array([b_z]), b_r=np.array([b_r]), b_h=np.array([b_h]),
-    )
+    # one unit: each gate is one row of the stacked W and one entry of b
+    return GruParams(W=np.array([w_z, w_r, w_h]), b=np.array([b_z, b_r, b_h]))
 
 
 def scalar_lstm(w, b=0.0):
-    W = np.array([w])
-    return LstmParams(W_f=W.copy(), W_i=W.copy(), W_o=W.copy(), W_c=W.copy(),
-                      b_f=np.array([b]), b_i=np.array([b]),
-                      b_o=np.array([b]), b_c=np.array([b]))
+    return LstmParams(W=np.array([w] * 4), b=np.full(4, b))
 
 
 def one_sequence(X):
@@ -115,8 +114,9 @@ class TestGruCell:
 
 
 def random_gru(rng, k, in_dim, scale=1.0):
-    return GruParams(*(rng.normal(size=(k, k + in_dim)) * scale for _ in range(3)),
-                     *(rng.normal(size=k) * scale for _ in range(3)))
+    # the same draws, in the same order, as one (k, k + in_dim) block per gate
+    return GruParams(W=rng.normal(size=(3 * k, k + in_dim)) * scale,
+                     b=rng.normal(size=3 * k) * scale)
 
 
 class TestBgru:
@@ -144,8 +144,7 @@ class TestBgru:
             npt.assert_allclose(hf[t], hb[n - 1 - t], atol=1e-12)
 
     def test_zero_parameters_zero_output(self):
-        p = GruParams(W_z=np.zeros((2, 6)), W_r=np.zeros((2, 6)), W_h=np.zeros((2, 6)),
-                      b_z=np.zeros(2), b_r=np.zeros(2), b_h=np.zeros(2))
+        p = GruParams(W=np.zeros((6, 6)), b=np.zeros(6))
         X = np.random.default_rng(3).normal(size=(4, 4))
         for reverse in (False, True):
             npt.assert_array_equal(gru_scan(p, *one_sequence(X), reverse=reverse).h,
@@ -168,9 +167,7 @@ class TestBgru:
 
 class TestLstm:
     def test_zero_parameters(self):
-        p = LstmParams(W_f=np.zeros((1, 2)), W_i=np.zeros((1, 2)),
-                       W_o=np.zeros((1, 2)), W_c=np.zeros((1, 2)),
-                       b_f=np.zeros(1), b_i=np.zeros(1), b_o=np.zeros(1), b_c=np.zeros(1))
+        p = LstmParams(W=np.zeros((4, 2)), b=np.zeros(4))
         h, C, gates = lstm_step(p, np.zeros(1), np.array([1.0]), np.array([3.0]))
         assert gates.f[0] == gates.i[0] == gates.o[0] == 0.5
         npt.assert_allclose(C, [0.5], atol=1e-15)
@@ -178,8 +175,8 @@ class TestLstm:
 
     def test_gate_saturation_perfect_memory(self):
         p = scalar_lstm([0.0, 0.0])
-        p.b_f[0] = 20.0
-        p.b_i[0] = -20.0
+        p.b[0] = 20.0  # forget gate
+        p.b[1] = -20.0  # input gate
         h, C, _ = lstm_step(p, np.zeros(1), np.array([0.7]), np.array([1.0]))
         npt.assert_allclose(C, [0.7], atol=1e-7)
 
@@ -207,17 +204,14 @@ class TestLstm:
 
     def test_single_step_equals_sequence_of_one(self):
         rng = np.random.default_rng(5)
-        p = LstmParams(*(rng.normal(size=(3, 7)) for _ in range(4)),
-                       *(rng.normal(size=3) for _ in range(4)))
+        p = LstmParams(W=rng.normal(size=(12, 7)), b=rng.normal(size=12))
         x = rng.normal(size=(1, 4))
         h_step, _, _ = lstm_step(p, np.zeros(3), np.zeros(3), x[0])
         # the scan sums the stacked gates' products in another order
         npt.assert_allclose(lstm_scan(p, *one_sequence(x)).h[-1, 0], h_step, rtol=0, atol=1e-15)
 
     def test_zero_candidate_zero_trajectory(self):
-        p = LstmParams(W_f=np.zeros((2, 5)), W_i=np.zeros((2, 5)),
-                       W_o=np.zeros((2, 5)), W_c=np.zeros((2, 5)),
-                       b_f=np.zeros(2), b_i=np.zeros(2), b_o=np.zeros(2), b_c=np.zeros(2))
+        p = LstmParams(W=np.zeros((8, 5)), b=np.zeros(8))
         X = np.random.default_rng(6).normal(size=(2, 3))
         npt.assert_array_equal(lstm_scan(p, *one_sequence(X)).h[-1, 0], np.zeros(2))
 
@@ -354,40 +348,41 @@ def _straight_line_forward(params, indices):
     """Direct per-equation evaluation, no shared code with the layers module."""
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))
     X = [params.embedding.E[i] for i in indices]
+    w = dict(params.named_arrays())  # the per-gate tensors, by checkpoint name
     n = len(X)
-    k = params.gru_fwd.W_z.shape[0]
+    k = w["gru_fwd.W_z"].shape[0]
 
     hf = [None] * n
     h = np.zeros(k)
     for t in range(n):
         u = np.concatenate([h, X[t]])
-        z = sig(params.gru_fwd.W_z @ u + params.gru_fwd.b_z)
-        r = sig(params.gru_fwd.W_r @ u + params.gru_fwd.b_r)
-        cand = np.tanh(params.gru_fwd.W_h @ np.concatenate([r * h, X[t]]) + params.gru_fwd.b_h)
+        z = sig(w["gru_fwd.W_z"] @ u + w["gru_fwd.b_z"])
+        r = sig(w["gru_fwd.W_r"] @ u + w["gru_fwd.b_r"])
+        cand = np.tanh(w["gru_fwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_fwd.b_h"])
         h = (1 - z) * h + z * cand
         hf[t] = h
     hb = [None] * n
     h = np.zeros(k)
     for t in range(n - 1, -1, -1):
         u = np.concatenate([h, X[t]])
-        z = sig(params.gru_bwd.W_z @ u + params.gru_bwd.b_z)
-        r = sig(params.gru_bwd.W_r @ u + params.gru_bwd.b_r)
-        cand = np.tanh(params.gru_bwd.W_h @ np.concatenate([r * h, X[t]]) + params.gru_bwd.b_h)
+        z = sig(w["gru_bwd.W_z"] @ u + w["gru_bwd.b_z"])
+        r = sig(w["gru_bwd.W_r"] @ u + w["gru_bwd.b_r"])
+        cand = np.tanh(w["gru_bwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_bwd.b_h"])
         h = (1 - z) * h + z * cand
         hb[t] = h
 
-    m = params.lstm.W_f.shape[0]
+    m = w["lstm.W_f"].shape[0]
     hl = np.zeros(m)
     C = np.zeros(m)
     for t in range(n):
         u = np.concatenate([hl, hf[t], hb[t]])
-        f = sig(params.lstm.W_f @ u + params.lstm.b_f)
-        i = sig(params.lstm.W_i @ u + params.lstm.b_i)
-        o = sig(params.lstm.W_o @ u + params.lstm.b_o)
-        cand = np.tanh(params.lstm.W_c @ u + params.lstm.b_c)
+        f = sig(w["lstm.W_f"] @ u + w["lstm.b_f"])
+        i = sig(w["lstm.W_i"] @ u + w["lstm.b_i"])
+        o = sig(w["lstm.W_o"] @ u + w["lstm.b_o"])
+        cand = np.tanh(w["lstm.W_c"] @ u + w["lstm.b_c"])
         C = f * C + i * cand
         hl = o * np.tanh(C)
-    s = params.dense.W @ hl + params.dense.b
+    s = w["dense.W"] @ hl + w["dense.b"]
     return float(sig(s)[0])
 
 
@@ -446,6 +441,37 @@ class TestLayout:
         shapes = param_shapes(stack, 11, 3, 4, 5)
         assert shapes == {name: arr.shape for name, arr in params.named_arrays()}
         assert shapes["lstm.W_f"] == (5, 5 + lstm_in)
+
+    @pytest.mark.parametrize("stack", sorted(CHECKPOINT_ORDER))
+    def test_gate_tensors_are_views_of_the_stacked_layer(self, stack):
+        params = init_model_params(11, 3, 4, 5, stack=stack)
+        arrays = dict(params.named_arrays())
+        for block in [block for block, _ in STACKS[stack]] + ["lstm"]:
+            layer = getattr(params, block)
+            assert isinstance(layer, GatedParams)
+            Ws = [arrays[f"{block}.W_{gate}"] for gate in layer.GATES]
+            bs = [arrays[f"{block}.b_{gate}"] for gate in layer.GATES]
+            for W_g, b_g in zip(Ws, bs):
+                assert np.shares_memory(W_g, layer.W) and np.shares_memory(b_g, layer.b)
+            npt.assert_array_equal(np.concatenate(Ws), layer.W)
+            npt.assert_array_equal(np.concatenate(bs), layer.b)
+
+    def test_adam_step_moves_the_scans(self):
+        # Adam updates the named tensors in place, so the stacked weights
+        # the scans read must move with them
+        params = init_model_params(11, 3, 4, 5, seed=1)
+        rng = np.random.default_rng(9)
+        X, H = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 8))
+        mask = np.ones((4, 2), dtype=bool)
+        scans = lambda: (gru_scan(params.gru_fwd, X, mask).h,
+                         gru_scan(params.gru_bwd, X, mask, reverse=True).h,
+                         lstm_scan(params.lstm, H, mask).h)
+        before = scans()
+        _, cache = model_forward(params, make_seq([2, 5, 3]), mode="train")
+        adam_step(AdamState.for_params(params), params, model_backward(params, cache, 1.0),
+                  TrainConfig(learning_rate=0.01))
+        for old, new in zip(before, scans()):
+            assert np.all(np.abs(new - old).max(axis=2) > 0)
 
     def test_unknown_stack_rejected(self):
         with pytest.raises(ValueError, match="foo"):

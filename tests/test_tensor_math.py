@@ -44,9 +44,7 @@ class TestActivate:
 
     def test_tanh_zero(self):
         # a zero-parameter LSTM cell from a zero state has both tanh sites at 0
-        zeros = np.zeros((1, 2))
-        p = LstmParams(W_f=zeros, W_i=zeros, W_o=zeros, W_c=zeros, b_f=np.zeros(1),
-                       b_i=np.zeros(1), b_o=np.zeros(1), b_c=np.zeros(1))
+        p = LstmParams(W=np.zeros((4, 2)), b=np.zeros(4))
         h, C, gates = lstm_step(p, np.zeros(1), np.zeros(1), np.array([3.0]))
         assert gates.c_cand[0] == 0.0 and C[0] == 0.0 and h[0] == 0.0
 
