@@ -19,18 +19,23 @@ Cell math, spelled out once here and mirrored by the backward code:
             h = o * tanh(C)
 
 One engine runs every stack at any batch size. A batch of B encoded
-sequences is post-padded to the longest, T, and every scan works on
-time-major (T, B, ...) arrays with a (T, B) mask of real tokens. On a
-padding step a scan holds its state, so the reverse GRU starts from zero at
-each sequence's last real token and the LSTM's final state is that of the
-last real token: a sequence's outputs do not depend on the padding around
-it. Each layer stores its gates stacked in one matrix, whose columns split
-into the recurrent and the input weights; the checkpoint tensors W_z, b_z,
-... are row views of it. The input projection X W_x^T + b of the whole
-sequence is one matrix product before the time loop. The backward pass
-keeps every step's gate pre-activation gradients and forms each weight
-gradient with one matrix product after the loop; the embedding gradient is
-scattered with np.add.at.
+sequences is sorted shortest-first and post-padded to the longest, T, and
+every scan works on time-major (T, B, ...) arrays with a (T, B) mask of real
+tokens. So the rows still inside their sequence at step t are a suffix
+[first[t]:] of the batch, and each step of the four time loops (both scans
+and their backward passes) computes those rows only; the scans refuse any
+other batch layout. A finished or not yet started row is left untouched:
+the reverse GRU starts from zero at each sequence's last real token, the
+LSTM's final state is that of the last real token, and a padding position's
+gates are 0, so a sequence's outputs do not depend on the padding around
+it. Each step writes its products and gates straight into the trace arrays,
+with its temporaries allocated once per loop. Each layer stores its gates
+stacked in one matrix, whose columns split into the recurrent and the input
+weights; the checkpoint tensors W_z, b_z, ... are row views of it. The
+input projection X W_x^T + b of the whole sequence is one matrix product
+before the time loop. The backward pass keeps every step's gate
+pre-activation gradients and forms each weight gradient with one matrix
+product after the loop; the embedding gradient is scattered with np.add.at.
 `sub_batches` sorts sequences by length and cuts them into groups of at most
 ROW_BUDGET padded rows, which bounds the trace memory and keeps padding
 small. `model_forward` and `model_backward` are the engine at B = 1.
@@ -296,61 +301,97 @@ def lstm_step(p, h_prev, C_prev, x_t):
     return h, C, LstmGates(f=f, i=i, o=o, c_cand=c_cand)
 
 
+def _first_rows(mask):
+    """first[t]: the first batch row still inside its sequence at step t.
+
+    The (T, B) mask must be post-padded and sorted shortest-first, as
+    sub_batches yields it, so the rows a step computes are [first[t]:].
+    """
+    T, B = mask.shape
+    lengths = mask.sum(axis=0)
+    if (lengths[1:] < lengths[:-1]).any() or \
+            not (mask == (np.arange(T)[:, np.newaxis] < lengths)).all():
+        raise ValueError("a batch must be post-padded and sorted shortest-first, "
+                         "as sub_batches yields it")
+    return (B - mask.sum(axis=1)).tolist()
+
+
 def gru_scan(p, X, mask, reverse=False, trace=True):
     """Run a GRU over time-major (T, B, in_dim) inputs from a zero state.
 
-    `mask` (T, B) marks real tokens; a padding step holds the state.
+    `mask` (T, B) marks real tokens (see _first_rows); step t updates only
+    the rows still inside their sequence, so a padding position's h holds
+    the carried state (zero before the reverse scan starts) and its gates 0.
     reverse=True scans t = T..1, so position t's "previous" state is h_{t+1};
     trace arrays stay indexed by the original time axis either way.
     Without `trace` only h is kept.
     """
     T, B, _ = X.shape
     k = p.hidden_size
-    W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
+    W_zr, W_hh = p.W[:2 * k, :k].T, p.W[2 * k:, :k].T
+    first = _first_rows(mask)
     gx = affine(p.W[:, k:], X, p.b)
-    real = mask[:, :, np.newaxis]
-    gates = ("z", "r", "h_cand") if trace else ()
-    out = GruTrace(h=np.empty((T, B, k)), **{g: np.empty((T, B, k)) for g in gates})
+    out = GruTrace(h=np.empty((T, B, k)))
+    gates = np.zeros((T, B, 3 * k)) if trace else np.empty((1, B, 3 * k))
+    if trace:
+        out.z, out.r, out.h_cand = (gates[..., g * k:(g + 1) * k] for g in range(3))
     h = np.zeros((B, k))
+    tmp = np.empty((B, k))
     for t in range(T - 1, -1, -1) if reverse else range(T):
-        zr = sigmoid(gx[t, :, :2 * k] + h @ W_zr.T)
-        z, r = zr[:, :k], zr[:, k:]
-        h_cand = np.tanh(gx[t, :, 2 * k:] + (r * h) @ W_hh.T)
-        h = np.where(real[t], (1.0 - z) * h + z * h_cand, h)
+        s = first[t]
+        hs, v, g = h[s:], tmp[s:], gates[t if trace else 0, s:]
+        zr, z, r, h_cand = g[:, :2 * k], g[:, :k], g[:, k:2 * k], g[:, 2 * k:]
+        np.matmul(hs, W_zr, out=zr)
+        zr += gx[t, s:, :2 * k]
+        sigmoid(zr, out=zr)
+        np.multiply(r, hs, out=v)
+        np.matmul(v, W_hh, out=h_cand)
+        h_cand += gx[t, s:, 2 * k:]
+        np.tanh(h_cand, out=h_cand)
+        np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
+        v *= z
+        hs += v
         out.h[t] = h
-        if trace:
-            out.z[t], out.r[t], out.h_cand[t] = z, r, h_cand
     return out
 
 
 def lstm_scan(p, X, mask, trace=True):
     """Run the LSTM over time-major (T, B, in_dim) inputs from a zero state.
 
-    `mask` (T, B) marks real tokens; a padding step holds h and C.
+    `mask` (T, B) marks real tokens (see _first_rows); step t updates only
+    the rows still inside their sequence, so a padding position's h and C
+    hold the carried state and its gates and tanh_c are 0.
     Without `trace` only the final h is kept.
     """
     T, B, _ = X.shape
     m = p.hidden_size
-    W_h = p.W[:, :m]
+    W_h = p.W[:, :m].T
+    first = _first_rows(mask)
     gx = affine(p.W[:, m:], X, p.b)
-    real = mask[:, :, np.newaxis]
-    gates = ("f", "i", "o", "c_cand", "c", "tanh_c") if trace else ()
-    out = LstmTrace(h=np.empty((T if trace else 1, B, m)),
-                    **{g: np.empty((T, B, m)) for g in gates})
+    out = LstmTrace(h=np.empty((T if trace else 1, B, m)))
+    gates = np.zeros((T, B, 4 * m)) if trace else np.empty((1, B, 4 * m))
+    if trace:
+        out.f, out.i, out.o, out.c_cand = (gates[..., g * m:(g + 1) * m] for g in range(4))
+        out.c, out.tanh_c = np.empty((T, B, m)), np.zeros((T, B, m))
     h = np.zeros((B, m))
     C = np.zeros((B, m))
+    tmp = np.empty((B, m))
     for t in range(T):
-        a = gx[t] + h @ W_h.T
-        fio = sigmoid(a[:, :3 * m])
-        f, i, o = fio[:, :m], fio[:, m:2 * m], fio[:, 2 * m:]
-        c_cand = np.tanh(a[:, 3 * m:])
-        C_new = f * C + i * c_cand
-        tanh_c = np.tanh(C_new)
-        h = np.where(real[t], o * tanh_c, h)
-        C = np.where(real[t], C_new, C)
+        s = first[t]
+        hs, Cs, v, a = h[s:], C[s:], tmp[s:], gates[t if trace else 0, s:]
+        f, i, o, c_cand = (a[:, g * m:(g + 1) * m] for g in range(4))
+        np.matmul(hs, W_h, out=a)
+        a += gx[t, s:]
+        sigmoid(a[:, :3 * m], out=a[:, :3 * m])
+        np.tanh(c_cand, out=c_cand)
+        Cs *= f
+        np.multiply(i, c_cand, out=v)
+        Cs += v
+        tanh_c = out.tanh_c[t, s:] if trace else v
+        np.tanh(Cs, out=tanh_c)
+        np.multiply(o, tanh_c, out=hs)
         if trace:
-            out.f[t], out.i[t], out.o[t], out.c_cand[t] = f, i, o, c_cand
-            out.c[t], out.tanh_c[t], out.h[t] = C, tanh_c, h
+            out.c[t], out.h[t] = C, h
     if not trace:
         out.h[0] = h
     return out
@@ -398,10 +439,12 @@ def _check_mode(mode, dropout_rate):
 def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     """Forward pass over non-empty encoded sequences, padded to the longest.
 
-    Train mode with dropout draws sequence j's masks from a generator seeded
-    with seeds[j], the LSTM-input mask first, as model_forward does for one
-    sequence. Infer mode keeps only what each next layer reads, which is
-    enough for the probabilities but not for backward_batch.
+    The sequences must come sorted shortest-first, as sub_batches yields
+    them; the scans raise ValueError otherwise. Train mode with dropout
+    draws sequence j's masks from a generator seeded with seeds[j], the
+    LSTM-input mask first, as model_forward does for one sequence. Infer
+    mode keeps only what each next layer reads, which is enough for the
+    probabilities but not for backward_batch.
     """
     _check_mode(mode, dropout_rate)
     trace = mode == "train"
@@ -461,19 +504,20 @@ def sub_batches(seqs):
     """Index lists of length-sorted groups of at most ROW_BUDGET padded rows.
 
     Sorting by length keeps the padding of each group small (sequence
-    bucketing). All-PAD sequences are left out: they score 0.5 and have no
-    gradient. A sequence longer than the budget gets a group of its own.
+    bucketing). Groups are filled from the longest sequence down, so the
+    long tail shares as few time steps as the budget allows: each step
+    reads the whole recurrent weight block, however few rows it computes.
+    All-PAD sequences are left out: they score 0.5 and have no gradient. A
+    sequence longer than the budget gets a group of its own.
     """
     lengths = [seq.true_length for seq in seqs]
     order = [j for j in np.argsort(lengths, kind="stable") if lengths[j] > 0]
-    groups, start = [], 0
-    for end, j in enumerate(order):
-        if end > start and (end + 1 - start) * lengths[j] > ROW_BUDGET:
-            groups.append(order[start:end])
-            start = end
-    if order:
-        groups.append(order[start:])
-    return groups
+    groups, end = [], len(order)
+    while end:
+        start = max(0, end - max(1, ROW_BUDGET // lengths[order[end - 1]]))
+        groups.append(order[start:end])
+        end = start
+    return groups[::-1]
 
 
 def predict_proba(params, seqs):
@@ -501,31 +545,53 @@ def _add_gate_grads(grads, prefix, p, da, X, dW_h):
         grads[f"{prefix}.{tensor}"] += g
 
 
+def _times_dsigmoid(out, y, *factors):
+    """out = y * (1 - y) * factors, in place: the derivative of y = sigmoid(a)."""
+    np.subtract(1.0, y, out=out)
+    out *= y
+    for f in factors:
+        out *= f
+    return out
+
+
+def _times_dtanh(out, y, *factors):
+    """out = (1 - y^2) * factors, in place: the derivative of y = tanh(a)."""
+    np.multiply(y, y, out=out)
+    np.subtract(1.0, out, out=out)
+    for f in factors:
+        out *= f
+    return out
+
+
 def _lstm_backward(p, trace, U, mask, dh_last, grads, prefix="lstm"):
-    """BPTT through the LSTM; returns d(loss)/d(input sequence), (T, B, in_dim)."""
+    """BPTT through the LSTM; returns d(loss)/d(input sequence), (T, B, in_dim).
+
+    Step t updates only the rows the forward step t computed; the others
+    carry their gradient and get zero gate gradients.
+    """
     T, B, m = trace.h.shape
     W_h = p.W[:, :m]
-    # step t read state t-1; step 0 read the zero initial state
-    zero = np.zeros((1, B, m))
-    h_prev = np.concatenate([zero, trace.h[:-1]])
-    c_prev = np.concatenate([zero, trace.c[:-1]])
-    real = mask[:, :, np.newaxis]
-    da = np.empty((T, B, 4 * m))
-    dh = dh_last
+    first = _first_rows(mask)
+    da = np.zeros((T, B, 4 * m))
+    dh = np.array(dh_last, dtype=np.float64)
     dc = np.zeros((B, m))
+    tmp = np.empty((B, m))
     for t in range(T - 1, -1, -1):
-        f, i, o, cc = trace.f[t], trace.i[t], trace.o[t], trace.c_cand[t]
-        tc = trace.tanh_c[t]
-        # a padding step passed h and C through unchanged
-        dh_new = np.where(real[t], dh, 0.0)
-        dc_new = np.where(real[t], dc, 0.0) + dh_new * o * (1.0 - tc * tc)
-        da[t, :, :m] = dc_new * c_prev[t] * f * (1.0 - f)
-        da[t, :, m:2 * m] = dc_new * cc * i * (1.0 - i)
-        da[t, :, 2 * m:3 * m] = dh_new * tc * o * (1.0 - o)
-        da[t, :, 3 * m:] = dc_new * i * (1.0 - cc * cc)
-        dh = np.where(real[t], 0.0, dh) + da[t] @ W_h
-        dc = np.where(real[t], dc_new * f, dc)
-    dW_h = da.reshape(-1, 4 * m).T @ h_prev.reshape(-1, m)
+        s = first[t]
+        f, i, o, cc = (g[t, s:] for g in (trace.f, trace.i, trace.o, trace.c_cand))
+        tc = trace.tanh_c[t, s:]
+        dhs, dcs, v, d = dh[s:], dc[s:], tmp[s:], da[t, s:]
+        df, di, do, dcc = (d[:, g * m:(g + 1) * m] for g in range(4))
+        dcs += _times_dtanh(v, tc, o, dhs)
+        if t:  # the zero initial state gives df = 0
+            _times_dsigmoid(df, f, trace.c[t - 1, s:], dcs)
+        _times_dsigmoid(di, i, cc, dcs)
+        _times_dsigmoid(do, o, tc, dhs)
+        _times_dtanh(dcc, cc, i, dcs)
+        np.matmul(d, W_h, out=dhs)
+        dcs *= f
+    # step t read state t-1; step 0 read the zero initial state
+    dW_h = da[1:].reshape(-1, 4 * m).T @ trace.h[:-1].reshape(-1, m)
     _add_gate_grads(grads, prefix, p, da, U, dW_h)
     return (da.reshape(-1, 4 * m) @ p.W[:, m:]).reshape(T, B, -1)
 
@@ -534,32 +600,42 @@ def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
     """BPTT through one GRU direction; returns d(loss)/d(input sequence).
 
     For the reverse scan the recurrent neighbour of step t is t+1, so the
-    gradient sweep runs t = 1..T instead of t = T..1.
+    gradient sweep runs t = 1..T instead of t = T..1. Step t updates only
+    the rows the forward step t computed; dH at a padding position is not
+    read, since the LSTM reads none.
     """
     T, B, k = trace.h.shape
     W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
-    # the state step t read, zero where the scan started
-    zero = np.zeros((1, B, k))
-    h_prev = (np.concatenate([trace.h[1:], zero]) if reverse
-              else np.concatenate([zero, trace.h[:-1]]))
-    real = mask[:, :, np.newaxis]
-    da = np.empty((T, B, 3 * k))
-    dh_carry = np.zeros((B, k))
+    first = _first_rows(mask)
+    da = np.zeros((T, B, 3 * k))
+    dh = np.zeros((B, k))
+    zero = np.zeros((B, k))
+    tmp, tmp2 = np.empty((B, k)), np.empty((B, k))
     for t in range(T) if reverse else range(T - 1, -1, -1):
-        hp = h_prev[t]
-        z, r, hc = trace.z[t], trace.r[t], trace.h_cand[t]
-        dh = dH[t] + dh_carry
-        dh_new = np.where(real[t], dh, 0.0)
-        da[t, :, 2 * k:] = dh_new * z * (1.0 - hc * hc)
-        dv = da[t, :, 2 * k:] @ W_hh  # d(loss)/d(r * h_prev)
-        da[t, :, :k] = dh_new * (hc - hp) * z * (1.0 - z)
-        da[t, :, k:2 * k] = dv * hp * r * (1.0 - r)
-        dh_carry = np.where(real[t], dh_new * (1.0 - z) + dv * r, dh) + da[t, :, :2 * k] @ W_zr
-    da2 = da.reshape(-1, 3 * k)
-    dW_h = np.concatenate([da2[:, :2 * k].T @ h_prev.reshape(-1, k),
-                           da2[:, 2 * k:].T @ (trace.r * h_prev).reshape(-1, k)])
+        s = first[t]
+        z, r, hc = trace.z[t, s:], trace.r[t, s:], trace.h_cand[t, s:]
+        prev = t + 1 if reverse else t - 1
+        hp = trace.h[prev, s:] if 0 <= prev < T else zero[s:]  # the state step t read
+        dhs, dv, w, d = dh[s:], tmp[s:], tmp2[s:], da[t, s:]
+        dz, dr, dhc = (d[:, g * k:(g + 1) * k] for g in range(3))
+        dhs += dH[t, s:]
+        _times_dtanh(dhc, hc, z, dhs)
+        np.matmul(dhc, W_hh, out=dv)  # d(loss)/d(r * h_prev)
+        _times_dsigmoid(dz, z, dhs, np.subtract(hc, hp, out=w))
+        _times_dsigmoid(dr, r, hp, dv)
+        dhs *= np.subtract(1.0, z, out=w)  # d(loss)/d(h_prev)
+        dv *= r
+        dhs += dv
+        np.matmul(d[:, :2 * k], W_zr, out=dv)
+        dhs += dv
+    # the start step read the zero state, which adds nothing to dW_h
+    cur, prev = (slice(None, -1), slice(1, None)) if reverse else (slice(1, None), slice(None, -1))
+    da_c = da[cur].reshape(-1, 3 * k)
+    h_prev = trace.h[prev]
+    dW_h = np.concatenate([da_c[:, :2 * k].T @ h_prev.reshape(-1, k),
+                           da_c[:, 2 * k:].T @ (trace.r[cur] * h_prev).reshape(-1, k)])
     _add_gate_grads(grads, prefix, p, da, X, dW_h)
-    return (da2 @ p.W[:, k:]).reshape(T, B, -1)
+    return (da.reshape(-1, 3 * k) @ p.W[:, k:]).reshape(T, B, -1)
 
 
 def backward_batch(params, cache, dL_dyhat, grads):

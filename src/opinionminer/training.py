@@ -52,6 +52,14 @@ CHECKPOINT_VERSION = 1
 
 _CLAMP = 1e-12
 
+# Size bounds TrainConfig.validate checks before anything is allocated. A
+# review of MAX_LEN tokens gets a sub-batch of its own: at about 47 KB of
+# traces a row at full size that is under 200 MB. MAX_PARAMETERS floats take
+# 800 MB, and training holds five such copies (the parameters, the best
+# epoch's, Adam's m and v, and one gradient).
+MAX_LEN = 4096
+MAX_PARAMETERS = 10**8
+
 
 class ConfigError(Exception):
     """Invalid configuration value; the message names the offending key."""
@@ -101,7 +109,7 @@ class TrainConfig:
             ("max_epochs", self.max_epochs >= 1),
             ("patience", self.patience >= 1),
             ("min_delta", 0.0 <= self.min_delta < math.inf),
-            ("max_len", self.max_len >= 1),
+            ("max_len", 1 <= self.max_len <= MAX_LEN),
             ("vocab_size", self.vocab_size >= 3),
             ("min_freq", self.min_freq >= 1),
             ("test_fraction", 0.0 < self.test_fraction < 1.0),
@@ -112,6 +120,13 @@ class TrainConfig:
         for key, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {key}: {getattr(self, key)!r}")
+        sizes = ("vocab_size", "embedding_dim", "gru_units", "lstm_units")
+        shapes = param_shapes(self.stack, *(getattr(self, key) for key in sizes))
+        count = sum(math.prod(shape) for shape in shapes.values())
+        if count > MAX_PARAMETERS:
+            given = ", ".join(f"{key} = {getattr(self, key)!r}" for key in sizes)
+            raise ConfigError(f"invalid sizes: {given} give {count} parameters, "
+                              f"more than {MAX_PARAMETERS}")
         return self
 
 

@@ -4,6 +4,9 @@ Probabilities and summed gradients of the length-sorted sub-batches must
 equal the sums of per-sequence `model_forward` / `model_backward` results
 to 1e-12 relative to each tensor's largest entry, on every stack, with and
 without dropout, over reviews of mixed, truncated and all-PAD lengths.
+The scans step only the rows still inside their sequence, so they never
+read or write a padding position's gates, and they refuse a batch that is
+not post-padded and sorted shortest-first.
 """
 
 from unittest import mock
@@ -16,7 +19,10 @@ from hypothesis import strategies as st
 from opinionminer import layers
 from opinionminer.layers import (
     STACKS,
+    forward_batch,
+    gru_scan,
     init_model_params,
+    lstm_scan,
     model_backward,
     model_forward,
     predict_proba,
@@ -104,6 +110,17 @@ def test_sub_batches_match_batch_size_one(stack, dropout_rate, rows, budget, see
         assert len(group) == 1 or len(group) * lengths[group[-1]] <= budget
 
 
+def test_groups_fill_from_the_longest():
+    # the long tail shares time steps: 17 scan steps, where cutting from the
+    # shortest up ([2] * 10, [5, 9], [10]) takes 21
+    lengths = [9, 2, 2, 10, 2, 2, 5, 2, 2, 2, 2, 2, 2]
+    seqs = [TokenSequence(np.ones(10, dtype=np.int64), n) for n in lengths]
+    with mock.patch.object(layers, "ROW_BUDGET", 20):
+        groups = sub_batches(seqs)
+    assert [[lengths[j] for j in group] for group in groups] == \
+        [[2] * 7, [2, 2, 2, 5], [9, 10]]
+
+
 def test_full_row_budget_spans_several_sub_batches():
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(10)]
@@ -120,3 +137,68 @@ def test_all_pad_batch_scores_half():
     yhat, grads = batch_gradients(params, [(empty, 1)], 0.2, [0])
     assert yhat.tolist() == [0.5]
     assert not any(g.any() for g in grads.values())
+
+
+def padded_batch(rng, lengths, width, pad):
+    """Time-major (T, B, width) inputs of post-padded rows, `pad` past each length."""
+    mask = np.arange(max(lengths))[:, np.newaxis] < np.array(lengths)
+    X = rng.normal(size=mask.shape + (width,))
+    X[~mask] = pad
+    return X, mask
+
+
+def test_scans_never_touch_padding():
+    params = random_params("hbgru_lstm", 5)
+    lengths = [1, 2, 2, 4, 7, 7]
+    scans = [(gru_scan, params.gru_fwd, 3, {}),
+             (gru_scan, params.gru_bwd, 3, {"reverse": True}),
+             (lstm_scan, params.lstm, 8, {})]
+    for scan, p, width, kwargs in scans:
+        X, mask = padded_batch(np.random.default_rng(9), lengths, width, 0.0)
+        X_nan, _ = padded_batch(np.random.default_rng(9), lengths, width, np.nan)
+        clean = scan(p, X, mask, **kwargs)
+        dirty = scan(p, X_nan, mask, **kwargs)
+        np.testing.assert_array_equal(dirty.h[mask], clean.h[mask])
+        assert np.isfinite(dirty.h).all()
+        gates = {name: g for name, g in vars(dirty).items() if name not in ("h", "c")}
+        assert len(gates) == (3 if scan is gru_scan else 5)
+        for name, g in gates.items():
+            assert (g[~mask] == 0.0).all(), name
+        # a padding position holds the carried state: the last real one, or
+        # the zero state the reverse scan has not yet left
+        for j, n in enumerate(lengths):
+            carried = 0.0 if kwargs else dirty.h[n - 1, j]
+            assert (dirty.h[n:, j] == carried).all()
+            if scan is lstm_scan:
+                assert (dirty.c[n:, j] == dirty.c[n - 1, j]).all()
+
+
+def test_unsorted_batch_is_refused():
+    params = random_params("hbgru_lstm", 2)
+    longest_first = [encode(["w1", "w2", "w3"]), encode(["w4"])]
+    with pytest.raises(ValueError, match="post-padded and sorted shortest-first"):
+        forward_batch(params, longest_first)
+    X = np.zeros((3, 2, 3))
+    holed = np.array([[True, True], [False, True], [True, True]])
+    descending = np.array([[True, True], [True, False], [True, False]])
+    for mask in (holed, descending):
+        for scan in (lambda: gru_scan(params.gru_fwd, X, mask),
+                     lambda: gru_scan(params.gru_bwd, X, mask, reverse=True),
+                     lambda: lstm_scan(params.lstm, np.zeros((3, 2, 8)), mask, trace=False)):
+            with pytest.raises(ValueError, match="post-padded and sorted shortest-first"):
+                scan()
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_any_input_order_is_accepted(stack):
+    # predict_proba and batch_gradients sort through sub_batches
+    rng = np.random.default_rng(4)
+    data = [(encode([f"w{i}" for i in rng.integers(0, 10, size=n)]), int(n % 2))
+            for n in (9, 7, 7, 5, 3, 1, 0, 2)]
+    assert [seq.true_length for seq, _ in data] != sorted(seq.true_length for seq, _ in data)
+    params = random_params(stack, 4)
+    check_against_batch_size_one(params, data, 0.2)
+    seqs = [seq for seq, _ in data]
+    order = rng.permutation(len(data))
+    assert_close(predict_proba(params, [seqs[j] for j in order]),
+                 predict_proba(params, seqs)[order], "shuffled yhat")

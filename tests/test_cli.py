@@ -103,6 +103,17 @@ class TestConfigHandling:
         assert f"invalid value for {key}: inf" in capsys.readouterr().err
         assert not (out / "history.txt").exists()
 
+    @pytest.mark.parametrize("key, value", [("max_len", 10**15), ("max_len", 4097),
+                                            ("vocab_size", 10**30), ("gru_units", 10**6)])
+    def test_hostile_size_exits_2_before_data_is_read(self, tmp_path, capsys, key, value):
+        # the dataset does not exist: a config that passed would exit 3 on it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "absent.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"seed = 3\nstack = caf\xe9\n")

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import expit
 
 from opinionminer.layers import LstmParams, init_model_params, lstm_step
 from opinionminer.tensor_math import affine, sigmoid
@@ -41,6 +44,31 @@ class TestAffine:
 class TestActivate:
     def test_sigmoid_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_sigmoid_scalar_zero_is_exactly_half(self):
+        assert sigmoid(0.0) == 0.5
+
+    def test_sigmoid_matches_the_exp_form(self):
+        # the tanh form against scipy's expit, within 2 ulp of 1.0, over a
+        # dense grid reaching past both saturated ends
+        x = np.concatenate([np.linspace(-750.0, 750.0, 300_001), [-745.2, -38.0, 38.0]])
+        assert np.abs(sigmoid(x) - expit(x)).max() <= 4.5e-16
+
+    def test_sigmoid_extremes_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                s = sigmoid(np.array([-1e308, 1e308, -np.finfo(float).max]))
+        npt.assert_array_equal(s, [0.0, 1.0, 0.0])
+
+    def test_sigmoid_out_is_returned(self):
+        x = np.array([-3.0, 0.0, 2.0])
+        want = expit(x)
+        out = np.empty(3)
+        assert sigmoid(x, out=out) is out
+        npt.assert_allclose(out, want, rtol=0, atol=4.5e-16)
+        assert sigmoid(x, out=x) is x  # in place
+        npt.assert_array_equal(x, out)
 
     def test_tanh_zero(self):
         # a zero-parameter LSTM cell from a zero state has both tanh sites at 0

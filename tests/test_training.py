@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ from _toy import encode_toy, toy_config, toy_corpus
 from opinionminer.layers import init_model_params, model_backward, model_forward
 from opinionminer.text_pipeline import TokenSequence, Vocabulary
 from opinionminer.training import (
+    MAX_LEN,
+    MAX_PARAMETERS,
     AdamState,
     CheckpointError,
     ConfigError,
@@ -23,7 +27,7 @@ from opinionminer.training import (
     train_epoch,
     validate_checkpoint,
 )
-from opinionminer.training import _example_seed
+from opinionminer.training import _example_seed, _parse_header
 
 
 def make_seq(indices, max_len=6):
@@ -273,6 +277,41 @@ class TestConfig:
             TrainConfig(learning_rate=0.0).validate()
         with pytest.raises(ConfigError, match="stack"):
             TrainConfig(stack="cnn_lstm").validate()
+
+
+# sizes whose allocation would fail; only validate and the header parser see
+# them, so nothing here tries to allocate
+HOSTILE_SIZES = [
+    ("max_len", {"max_len": MAX_LEN + 1}),
+    ("max_len", {"max_len": 10**15}),
+    ("max_len", {"max_len": 10**30}),
+    ("vocab_size", {"vocab_size": 10**30}),
+    ("vocab_size", {"vocab_size": MAX_PARAMETERS // 128}),
+    ("gru_units", {"gru_units": 10**6}),
+    ("embedding_dim", {"embedding_dim": 10**6, "stack": "lstm_only"}),
+]
+
+
+class TestSizeBounds:
+    def test_stock_config_and_the_caps_themselves_pass(self):
+        TrainConfig(max_len=MAX_LEN).validate()
+        # the largest model the bound admits at the stock widths
+        TrainConfig(vocab_size=(MAX_PARAMETERS - 10**6) // 128).validate()
+
+    @pytest.mark.parametrize("key, sizes", HOSTILE_SIZES)
+    def test_validate_rejects_and_names_the_key(self, key, sizes):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**sizes).validate()
+
+    @pytest.mark.parametrize("key, sizes", HOSTILE_SIZES)
+    def test_checkpoint_header_rejects_and_names_the_key(self, key, sizes):
+        config = dataclasses.asdict(TrainConfig(vocab_size=6, max_len=8))
+        config.update(sizes)
+        header = {"stack": config["stack"], "config": config,
+                  "vocab": ["<pad>", "<unk>", "a", "b", "c", "d"],
+                  "stopwords": None, "whitelist": None}
+        with pytest.raises(CheckpointError, match=key):
+            _parse_header(json.dumps(header).encode("utf-8"), "hostile.ckpt")
 
 
 class TestCheckpoint:
