@@ -5,7 +5,7 @@ The package is organized as:
 - text_pipeline: ingestion, cleaning, vocabulary, encoding, balancing, splits
 - tensor_math: float64 kernels and seeded initialization
 - layers: the batched, masked GRU/LSTM engine: forward math, analytic BPTT,
-  predict_proba
+  predict_proba; its stacked scans are the only copy of the cell equations
 - training: BCE loss, Adam, epoch loop with early stopping, checkpoints
 - evaluation: confusion metrics, percent loss, chi-square model comparison
 - cli: `opinionminer train|evaluate|predict|compare`
@@ -25,9 +25,7 @@ from .layers import (
     classify,
     dense_sigmoid,
     embed_lookup,
-    gru_cell_forward,
     init_model_params,
-    lstm_step,
     model_backward,
     model_forward,
     predict_proba,

@@ -5,7 +5,9 @@ backward scans concatenated per timestep) -> LSTM -> single sigmoid unit.
 Two reduced stacks reuse the same cells: `lstm_only` feeds embeddings
 straight into the LSTM and `gru_lstm` uses only the forward GRU scan.
 
-Cell math, spelled out once here and mirrored by the backward code:
+Cell math, spelled out once here, run only by the stacked scans below and
+mirrored by the backward code (the tests keep a gate-by-gate transcription
+of it that shares no code with this module):
 
     GRU     z = sigmoid(W_z [h_prev, x] + b_z)
             r = sigmoid(W_r [h_prev, x] + b_r)
@@ -47,7 +49,7 @@ generator, so a batch reproduces the per-sequence passes.
 """
 
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -224,19 +226,6 @@ def init_model_params(vocab_size, embedding_dim, gru_units, lstm_units,
     return model_params_from_arrays(stack, arrays)
 
 
-class GruGates(NamedTuple):
-    z: np.ndarray
-    r: np.ndarray
-    h_cand: np.ndarray
-
-
-class LstmGates(NamedTuple):
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    c_cand: np.ndarray
-
-
 @dataclass
 class GruTrace:
     """Per-step GRU values, (T, B, k).
@@ -271,34 +260,6 @@ def embed_lookup(index, emb):
     if index.size and (index.min() < 0 or index.max() >= emb.vocab_size):
         raise IndexError("token index out of embedding range")
     return emb.E[index]
-
-
-def gru_cell_forward(p, h_prev, x_t):
-    """One unfused GRU step, gate by gate: the reference the scans are tested against.
-
-    The reset gate scales h_prev before the candidate concat.
-    """
-    W_z, b_z, W_r, b_r, W_h, b_h = p.arrays()
-    u = np.concatenate([h_prev, x_t])
-    z = sigmoid(affine(W_z, u, b_z))
-    r = sigmoid(affine(W_r, u, b_r))
-    v = np.concatenate([r * h_prev, x_t])
-    h_cand = np.tanh(affine(W_h, v, b_h))
-    h = (1.0 - z) * h_prev + z * h_cand
-    return h, GruGates(z=z, r=r, h_cand=h_cand)
-
-
-def lstm_step(p, h_prev, C_prev, x_t):
-    """One unfused LSTM step, gate by gate: the reference the scans are tested against."""
-    W_f, b_f, W_i, b_i, W_o, b_o, W_c, b_c = p.arrays()
-    u = np.concatenate([h_prev, x_t])
-    f = sigmoid(affine(W_f, u, b_f))
-    i = sigmoid(affine(W_i, u, b_i))
-    o = sigmoid(affine(W_o, u, b_o))
-    c_cand = np.tanh(affine(W_c, u, b_c))
-    C = f * C_prev + i * c_cand
-    h = o * np.tanh(C)
-    return h, C, LstmGates(f=f, i=i, o=o, c_cand=c_cand)
 
 
 def _first_rows(mask):
@@ -454,7 +415,7 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     T = max(lengths)
     index = np.zeros((T, len(seqs)), dtype=np.int64)
     for j, (seq, n) in enumerate(zip(seqs, lengths)):
-        index[:n, j] = seq.indices[:n]
+        index[:n, j] = seq.indices
     mask = np.arange(T)[:, np.newaxis] < np.array(lengths)
     x = embed_lookup(index, params.embedding)
 

@@ -63,10 +63,6 @@ class LabeledCorpus:
     def __len__(self):
         return len(self.reviews)
 
-    def counts_consistent(self):
-        pos = sum(1 for r in self.reviews if r.label == 1)
-        return pos == self.positive_count and len(self.reviews) - pos == self.negative_count
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -88,8 +84,11 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    indices: np.ndarray  # int64, fixed length max_len, PAD-filled tail
-    true_length: int
+    indices: np.ndarray  # int64, one index per kept token, no PAD
+
+    @property
+    def true_length(self):
+        return len(self.indices)
 
 
 @lru_cache(maxsize=1)
@@ -275,25 +274,16 @@ def build_vocabulary(corpus, max_size, min_freq=1):
 
 
 def encode_sequence(text, vocab, max_len):
-    """Map a cleaned string to a fixed-length index sequence.
+    """Map a cleaned string to the indices of its tokens.
 
     Unknown tokens become UNK; sequences longer than max_len keep their last
-    max_len tokens; shorter ones are post-padded with PAD.
+    max_len tokens. Nothing is padded: the batched engine pads each
+    sub-batch to its own longest sequence.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     mapped = [vocab.index_of(t) for t in text.split()]
-    if len(mapped) > max_len:
-        mapped = mapped[-max_len:]
-    true_length = len(mapped)
-    indices = np.zeros(max_len, dtype=np.int64)
-    indices[:true_length] = mapped
-    return TokenSequence(indices=indices, true_length=true_length)
-
-
-def decode_sequence(seq, vocab):
-    """Inverse of encode_sequence over the non-PAD prefix."""
-    return " ".join(vocab.index_to_token[i] for i in seq.indices[: seq.true_length])
+    return TokenSequence(indices=np.array(mapped[-max_len:], dtype=np.int64))
 
 
 def encode_corpus(corpus, vocab, max_len):

@@ -45,7 +45,7 @@ from .layers import (
     sub_batches,
     zero_grads,
 )
-from .text_pipeline import Vocabulary
+from .text_pipeline import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 CHECKPOINT_MAGIC = b"OMCK"
 CHECKPOINT_VERSION = 1
@@ -441,13 +441,9 @@ def load_checkpoint(path):
             raise ModelMismatchError(
                 f"{path}: tensor {name} has shape {arrays[name].shape} but the vocabulary "
                 f"({len(vocab_tokens)} tokens) and config give {shape}")
-    params = model_params_from_arrays(stack, arrays)
-    vocab = Vocabulary(
-        token_to_index={t: i for i, t in enumerate(vocab_tokens)},
-        index_to_token=tuple(vocab_tokens),
-    )
     return Checkpoint(
-        params=params, config=config, vocab=vocab,
+        params=model_params_from_arrays(stack, arrays), config=config,
+        vocab=Vocabulary.from_content_tokens(vocab_tokens[2:]),  # past PAD and UNK
         stopwords=frozenset(stopwords) if stopwords is not None else None,
         whitelist=frozenset(whitelist) if whitelist is not None else None,
     )
@@ -479,7 +475,11 @@ def _parse_header(raw, path):
                                  if header[k] is not None]
     if not all(isinstance(v, list) and all(isinstance(t, str) for t in v) for v in lists):
         raise CheckpointError(f"{path}: vocab and word lists must be lists of strings")
-    return header["stack"], config, header["vocab"], header["stopwords"], header["whitelist"]
+    vocab = header["vocab"]
+    if vocab[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(vocab)) != len(vocab):
+        raise CheckpointError(f"{path}: vocab must start with {PAD_TOKEN!r}, {UNK_TOKEN!r} "
+                              f"and hold no token twice")
+    return header["stack"], config, vocab, header["stopwords"], header["whitelist"]
 
 
 def validate_checkpoint(ckpt):

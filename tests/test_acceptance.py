@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import _reference as ref
 from _toy import toy_reviews
 from opinionminer.cli import main
 from opinionminer.evaluation import (
@@ -37,12 +38,6 @@ BENCHMARK_COUNTS = [
 ]
 
 
-def make_seq(indices, max_len):
-    padded = np.zeros(max_len, dtype=np.int64)
-    padded[: len(indices)] = indices
-    return TokenSequence(indices=padded, true_length=len(indices))
-
-
 def report_pass(criterion, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion}: PASS{suffix}")
@@ -61,8 +56,7 @@ def test_criterion_1_gradient_correctness():
         params = init_model_params(vocab_size=20, embedding_dim=4, gru_units=3,
                                    lstm_units=2, stack="hbgru_lstm", seed=seed)
         rng = np.random.default_rng(100 + seed)
-        idx = list(rng.integers(1, 20, size=5))
-        seq = make_seq(idx, max_len=5)
+        seq = TokenSequence(rng.integers(1, 20, size=5))
         label = int(rng.integers(0, 2))
 
         def loss():
@@ -130,48 +124,9 @@ def test_criterion_3_table_metrics():
 
 # -----------------------------------------------------------------------
 # Criterion 4: model_forward matches an independently written straight-line
-# evaluation of the stack to 1e-12 absolute for 10 seeded tiny models.
+# evaluation of the stack (tests/_reference.py) to 1e-12 absolute for 10
+# seeded tiny models.
 # -----------------------------------------------------------------------
-
-def _oracle(params, indices):
-    """Straight-line transcription of the forward equations, numpy only."""
-    sg = lambda a: 1.0 / (1.0 + np.exp(-a))
-    E = params.embedding.E
-    X = [E[i] for i in indices]
-    n = len(X)
-    w = dict(params.named_arrays())  # the per-gate tensors, by checkpoint name
-    k = w["gru_fwd.W_z"].shape[0]
-    m = w["lstm.W_f"].shape[0]
-
-    hf = []
-    h = np.zeros(k)
-    for t in range(n):
-        z = sg(w["gru_fwd.W_z"] @ np.concatenate([h, X[t]]) + w["gru_fwd.b_z"])
-        r = sg(w["gru_fwd.W_r"] @ np.concatenate([h, X[t]]) + w["gru_fwd.b_r"])
-        cand = np.tanh(w["gru_fwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_fwd.b_h"])
-        h = (1.0 - z) * h + z * cand
-        hf.append(h)
-    hb = [None] * n
-    h = np.zeros(k)
-    for t in range(n - 1, -1, -1):
-        z = sg(w["gru_bwd.W_z"] @ np.concatenate([h, X[t]]) + w["gru_bwd.b_z"])
-        r = sg(w["gru_bwd.W_r"] @ np.concatenate([h, X[t]]) + w["gru_bwd.b_r"])
-        cand = np.tanh(w["gru_bwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_bwd.b_h"])
-        h = (1.0 - z) * h + z * cand
-        hb[t] = h
-
-    h = np.zeros(m)
-    C = np.zeros(m)
-    for t in range(n):
-        u = np.concatenate([h, hf[t], hb[t]])
-        f = sg(w["lstm.W_f"] @ u + w["lstm.b_f"])
-        i = sg(w["lstm.W_i"] @ u + w["lstm.b_i"])
-        o = sg(w["lstm.W_o"] @ u + w["lstm.b_o"])
-        cand = np.tanh(w["lstm.W_c"] @ u + w["lstm.b_c"])
-        C = f * C + i * cand
-        h = o * np.tanh(C)
-    return float(sg(w["dense.W"] @ h + w["dense.b"])[0])
-
 
 def test_criterion_4_forward_oracle_equivalence():
     rng = np.random.default_rng(2024)
@@ -179,9 +134,9 @@ def test_criterion_4_forward_oracle_equivalence():
     for seed in range(10):
         params = init_model_params(vocab_size=12, embedding_dim=3, gru_units=3,
                                    lstm_units=2, stack="hbgru_lstm", seed=seed)
-        idx = list(rng.integers(1, 12, size=4))
-        yhat, _ = model_forward(params, make_seq(idx, max_len=6), mode="infer")
-        diff = abs(yhat - _oracle(params, idx))
+        idx = rng.integers(1, 12, size=4)
+        yhat, _ = model_forward(params, TokenSequence(idx), mode="infer")
+        diff = abs(yhat - ref.model_forward(params, idx))
         assert diff < 1e-12, f"seed {seed}: |diff| = {diff:.2e}"
         worst = max(worst, diff)
     report_pass(4, f"max |diff| {worst:.2e} over 10 models")
@@ -243,7 +198,7 @@ def test_criterion_6_hidden_state_bounds():
             arr *= scale
         for _ in range(10):
             n = int(rng.integers(1, 9))
-            seq = make_seq(list(rng.integers(1, 15, size=n)), max_len=10)
+            seq = TokenSequence(rng.integers(1, 15, size=n))
             # train mode at rate 0 is the infer forward pass, gates kept
             _, cache = model_forward(params, seq, mode="train", dropout_rate=0.0)
             assert len(cache.grus) == 2

@@ -78,7 +78,6 @@ def check_against_batch_size_one(params, data, dropout_rate):
     assert_close(yhat, np.array(want_yhat), "train yhat")
     for name in grads:
         assert_close(grads[name], want[name], name)
-    return yhat, grads
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
@@ -91,16 +90,7 @@ def test_sub_batches_match_batch_size_one(stack, dropout_rate, rows, budget, see
     data = [(encode(words), label) for words, label in rows]
     with mock.patch.object(layers, "ROW_BUDGET", budget):
         groups = sub_batches([seq for seq, _ in data])
-        yhat, grads = check_against_batch_size_one(params, data, dropout_rate)
-
-        # appending PAD changes no output
-        padded = [(TokenSequence(np.concatenate([seq.indices, np.zeros(5, np.int64)]),
-                                 seq.true_length), label) for seq, label in data]
-        yhat_padded, grads_padded = batch_gradients(params, padded, dropout_rate,
-                                                    list(range(100, 100 + len(data))))
-    np.testing.assert_array_equal(yhat_padded, yhat)
-    for name in grads:
-        np.testing.assert_array_equal(grads_padded[name], grads[name], err_msg=name)
+        check_against_batch_size_one(params, data, dropout_rate)
 
     lengths = [seq.true_length for seq, _ in data]
     assert sorted(j for group in groups for j in group) == \
@@ -114,7 +104,7 @@ def test_groups_fill_from_the_longest():
     # the long tail shares time steps: 17 scan steps, where cutting from the
     # shortest up ([2] * 10, [5, 9], [10]) takes 21
     lengths = [9, 2, 2, 10, 2, 2, 5, 2, 2, 2, 2, 2, 2]
-    seqs = [TokenSequence(np.ones(10, dtype=np.int64), n) for n in lengths]
+    seqs = [TokenSequence(np.ones(n, dtype=np.int64)) for n in lengths]
     with mock.patch.object(layers, "ROW_BUDGET", 20):
         groups = sub_batches(seqs)
     assert [[lengths[j] for j in group] for group in groups] == \
@@ -132,7 +122,7 @@ def test_full_row_budget_spans_several_sub_batches():
 
 def test_all_pad_batch_scores_half():
     params = init_model_params(VOCAB.size, 3, 4, 3, seed=0)
-    empty = TokenSequence(indices=np.zeros(MAX_LEN, dtype=np.int64), true_length=0)
+    empty = TokenSequence(np.zeros(0, dtype=np.int64))
     np.testing.assert_array_equal(predict_proba(params, [empty, empty]), [0.5, 0.5])
     yhat, grads = batch_gradients(params, [(empty, 1)], 0.2, [0])
     assert yhat.tolist() == [0.5]

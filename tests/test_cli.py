@@ -2,6 +2,7 @@ import json
 import struct
 import tempfile
 import zlib
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _toy import write_toy_csv
+from _toy import toy_reviews, write_toy_csv
 from opinionminer.cli import build_settings, main, parse_config_file
 from opinionminer.evaluation import parse_report
-from opinionminer.layers import init_model_params
+from opinionminer.layers import EmbeddingParams, init_model_params
 from opinionminer.text_pipeline import Vocabulary
 from opinionminer.training import ConfigError, TrainConfig, save_checkpoint
 
@@ -49,15 +50,23 @@ def trained_run(tmp_path_factory):
     return {"root": root, "data": data, "config": config, "out": out}
 
 
-def zero_checkpoint(tmp_path, vocab_tokens=("good", "bad", "film")):
-    vocab = Vocabulary.from_content_tokens(vocab_tokens)
-    config = TrainConfig(embedding_dim=4, gru_units=2, lstm_units=2,
-                         vocab_size=vocab.size, max_len=8, seed=0)
-    params = init_model_params(vocab.size, 4, 2, 2, seed=0)
+# the toy checkpoint: a 5-token hbgru_lstm model with embedding_dim 4 and 2
+# GRU and LSTM units
+VOCAB = Vocabulary.from_content_tokens(["good", "bad", "film"])
+CONFIG = TrainConfig(embedding_dim=4, gru_units=2, lstm_units=2, vocab_size=VOCAB.size,
+                     max_len=8)
+
+
+def toy_params():
+    return init_model_params(VOCAB.size, 4, 2, 2, seed=0)
+
+
+def zero_checkpoint(tmp_path):
+    params = toy_params()
     for _, arr in params.named_arrays():
         arr[...] = 0.0
     path = tmp_path / "zero.ckpt"
-    save_checkpoint(params, config, vocab, path,
+    save_checkpoint(params, CONFIG, VOCAB, path,
                     stopwords=frozenset({"the"}), whitelist=frozenset({"not"}))
     return path
 
@@ -283,15 +292,14 @@ class TestPretrainedEmbeddings:
 
     def test_vectors_applied_to_vocab_rows(self, tmp_path):
         from opinionminer.cli import _apply_pretrained
-        vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
-        params = init_model_params(vocab.size, 4, 2, 2, seed=0)
+        params = toy_params()
         vectors = self.write_vectors(tmp_path / "w2v.txt", ["good", "absent"], 4)
-        before_bad = params.embedding.E[vocab.index_of("bad")].copy()
-        _apply_pretrained(params, vocab, tmp_path / "w2v.txt")
-        np.testing.assert_allclose(params.embedding.E[vocab.index_of("good")],
+        before_bad = params.embedding.E[VOCAB.index_of("bad")].copy()
+        _apply_pretrained(params, VOCAB, tmp_path / "w2v.txt")
+        np.testing.assert_allclose(params.embedding.E[VOCAB.index_of("good")],
                                    vectors["good"])
         # tokens missing from the file keep their seeded initialization
-        np.testing.assert_array_equal(params.embedding.E[vocab.index_of("bad")],
+        np.testing.assert_array_equal(params.embedding.E[VOCAB.index_of("bad")],
                                       before_bad)
         np.testing.assert_array_equal(params.embedding.E[0], np.zeros(4))
 
@@ -438,9 +446,17 @@ def relabel_gru_lstm(header):
     header["stack"] = header["config"]["stack"] = "gru_lstm"
 
 
-# (edit of params before saving, edit of the header after, exit code, named
-# in the error); the checkpoint is a 5-token hbgru_lstm model with
-# embedding_dim 4 and 2 GRU and LSTM units
+def keep_embedding_rows(n):
+    """A params edit cutting the embedding table to its first n rows."""
+    return lambda p: setattr(p, "embedding", EmbeddingParams(p.embedding.E[:n]))
+
+
+def store_vocab(tokens):
+    return lambda h: h.update(vocab=tokens)
+
+
+# (edit of the toy params before saving, edit of the header after, exit
+# code, named in the error)
 CHECKPOINT_PROBES = {
     "lstm_width": (narrow_lstm, None, 4, "lstm.W_f"),
     "stray_gru_bwd": (None, relabel_gru_lstm, 4, "gru_bwd.W_z"),
@@ -462,20 +478,25 @@ CHECKPOINT_PROBES = {
     "beta1_bool": (None, lambda h: h["config"].update(beta1=False), 3, "beta1"),
     "learning_rate_bool": (None, lambda h: h["config"].update(learning_rate=True), 3,
                            "learning_rate"),
+    # the encoder needs <pad>, <unk> at rows 0 and 1 and one row a token; the
+    # embedding table has a row for every entry, so only the vocab check fails
+    "vocab_empty": (keep_embedding_rows(0), store_vocab([]), 3, "vocab"),
+    "vocab_pad_only": (keep_embedding_rows(1), store_vocab(["<pad>"]), 3, "vocab"),
+    "vocab_no_reserved_tokens": (None, store_vocab(["x", "y", "good", "bad", "film"]), 3,
+                                 "vocab"),
+    "vocab_duplicate_token": (None, store_vocab(["<pad>", "<unk>", "good", "good", "film"]),
+                              3, "vocab"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(CHECKPOINT_PROBES))
 def test_inconsistent_checkpoint_named_error(tmp_path, capsys, probe):
     edit_params, edit_header, code, named = CHECKPOINT_PROBES[probe]
-    vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
-    config = TrainConfig(embedding_dim=4, gru_units=2, lstm_units=2,
-                         vocab_size=vocab.size, max_len=8)
-    params = init_model_params(vocab.size, 4, 2, 2, seed=0)
+    params = toy_params()
     if edit_params:
         edit_params(params)
     path = tmp_path / "probe.ckpt"
-    save_checkpoint(params, config, vocab, path)
+    save_checkpoint(params, CONFIG, VOCAB, path)
     if edit_header:
         rewrite_header(path, edit_header)
     assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == code
@@ -488,14 +509,11 @@ def test_inconsistent_checkpoint_named_error(tmp_path, capsys, probe):
 def test_gate_tensor_of_another_shape_exits_4(tmp_path, capsys, shape):
     # save_checkpoint reads only `stack` and `named_arrays`, so a stand-in can
     # write one gate tensor whose shape differs from its layer's other gates
-    vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
-    config = TrainConfig(embedding_dim=4, gru_units=2, lstm_units=2,
-                         vocab_size=vocab.size, max_len=8)
-    arrays = dict(init_model_params(vocab.size, 4, 2, 2, seed=0).named_arrays())
+    arrays = dict(toy_params().named_arrays())
     arrays["gru_fwd.W_r"] = np.zeros(shape)
     path = tmp_path / "probe.ckpt"
     save_checkpoint(SimpleNamespace(stack="hbgru_lstm", named_arrays=arrays.items),
-                    config, vocab, path)
+                    CONFIG, VOCAB, path)
     assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("model mismatch") and "gru_fwd.W_r" in err
@@ -573,13 +591,15 @@ def _overwrite(doc, edits):
     return bytes(data)
 
 
-edits = st.lists(st.tuples(st.integers(0, 400), st.binary(min_size=1, max_size=4)),
-                 min_size=1, max_size=4)
+def edits(reach=400):
+    """Up to four chunks of 1-4 bytes, at positions taken modulo the document size."""
+    return st.lists(st.tuples(st.integers(0, reach), st.binary(min_size=1, max_size=4)),
+                    min_size=1, max_size=4)
 
 
 def hostile(valid):
     """Arbitrary bytes, or a valid document with a few bytes overwritten."""
-    return st.one_of(st.binary(max_size=300), st.builds(_overwrite, valid, edits))
+    return st.one_of(st.binary(max_size=300), st.builds(_overwrite, valid, edits()))
 
 
 def report_bytes(tp, tn, fp, fn):
@@ -590,9 +610,43 @@ def report_bytes(tp, tn, fp, fn):
 counts = st.integers(1, 60)
 
 
+@lru_cache(maxsize=1)
+def checkpoint_bytes():
+    """The toy checkpoint's bytes, and the (start, end) of each tensor payload."""
+    params = toy_params()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(params, CONFIG, VOCAB, path,
+                        stopwords=frozenset({"the"}), whitelist=frozenset({"not"}))
+        doc = path.read_bytes()
+    pos = 16 + struct.unpack_from("<I", doc, 8)[0]  # past the header and the tensor count
+    slots = []
+    for name, arr in params.named_arrays():
+        pos += 2 + len(name) + 8  # name length, name, rows, cols
+        slots.append((pos, pos + arr.nbytes))
+        pos += arr.nbytes + 4
+    return doc, slots
+
+
+def reseal(doc, slots):
+    """`doc` with the CRC after each payload slot and the file CRC recomputed."""
+    data = bytearray(doc)
+    for start, end in slots:
+        data[end:end + 4] = struct.pack("<I", zlib.crc32(data[start:end]))
+    body = bytes(data[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+DATASETS = {
+    "csv": "text,label\n" + "".join(f"{t},{y}\n" for t, y in toy_reviews(20, seed=3)),
+    "jsonl": "".join(json.dumps({"text": t, "label": y}) + "\n"
+                     for t, y in toy_reviews(20, seed=3)),
+}
+
+
 class TestArbitraryBytes:
-    """Whatever bytes a config file or a report holds, the CLI ends in a
-    documented exit code, never in an internal error."""
+    """Whatever bytes a config file, a report, a checkpoint or a dataset
+    holds, the CLI ends in a documented exit code, never in an internal error."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=hostile(st.just(TINY_CONFIG.encode("utf-8"))))
@@ -614,3 +668,27 @@ class TestArbitraryBytes:
             for path, data in zip(paths, (a, b)):
                 path.write_bytes(data)
             assert main(["compare"] + [str(p) for p in paths]) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunks=edits(reach=1 << 16))
+    def test_checkpoint(self, chunks):
+        # resealed, so the bytes reach the header and tensor parsers instead
+        # of stopping at a checksum
+        doc, slots = checkpoint_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            path.write_bytes(reseal(_overwrite(doc, chunks), slots))
+            assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) in \
+                (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("fmt", sorted(DATASETS))
+    @settings(max_examples=100, deadline=None)
+    @given(chunks=edits(reach=1 << 16))
+    def test_dataset(self, fmt, chunks):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, cfg = Path(tmp) / f"d.{fmt}", Path(tmp) / "c.cfg"
+            data.write_bytes(_overwrite(DATASETS[fmt].encode("utf-8"), chunks))
+            cfg.write_text(TINY_CONFIG + f"max_epochs = 1\ndata_format = {fmt}\n",
+                           encoding="utf-8")
+            assert main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)

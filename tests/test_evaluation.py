@@ -159,13 +159,8 @@ class TestChiSquare:
 
 
 class TestEvaluateModel:
-    def encoded(self, labels, max_len=4):
-        out = []
-        for i, y in enumerate(labels):
-            idx = np.zeros(max_len, dtype=np.int64)
-            idx[0] = 2 + (i % 3)
-            out.append((TokenSequence(indices=idx, true_length=1), y))
-        return out
+    def encoded(self, labels):
+        return [(TokenSequence(np.array([2 + i % 3])), y) for i, y in enumerate(labels)]
 
     def test_zero_model_is_constant_positive(self):
         params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
@@ -182,7 +177,7 @@ class TestEvaluateModel:
         params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                    lstm_units=2, seed=0)
         data = self.encoded([1, 0])
-        data.append((TokenSequence(indices=np.zeros(4, dtype=np.int64), true_length=0), 1))
+        data.append((TokenSequence(np.zeros(0, dtype=np.int64)), 1))
         report = evaluate_model(params, data)
         assert report.n == 3
 

@@ -18,12 +18,6 @@ EPS = 1e-5
 TOL = 1e-4
 
 
-def make_seq(indices, max_len=6):
-    padded = np.zeros(max_len, dtype=np.int64)
-    padded[: len(indices)] = indices
-    return TokenSequence(indices=padded, true_length=len(indices))
-
-
 def loss_of(params, seq, label, dropout_rate, seed):
     yhat, _ = model_forward(params, seq, mode="train",
                             dropout_rate=dropout_rate, seed=seed)
@@ -70,27 +64,28 @@ def check_all_blocks(params, seq, label, dropout_rate=0.0, seed=0):
 def test_all_blocks_match_finite_differences(stack):
     params = init_model_params(vocab_size=7, embedding_dim=2, gru_units=2,
                                lstm_units=2, stack=stack, seed=3)
-    check_all_blocks(params, make_seq([2, 5, 3, 6]), label=1)
+    check_all_blocks(params, TokenSequence(np.array([2, 5, 3, 6])), label=1)
 
 
 def test_gradcheck_with_dropout_masks():
     # fixed dropout seed keeps the masks constant across FD perturbations
     params = init_model_params(vocab_size=7, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=8)
-    check_all_blocks(params, make_seq([4, 2, 6]), label=0, dropout_rate=0.3, seed=21)
+    check_all_blocks(params, TokenSequence(np.array([4, 2, 6])), label=0, dropout_rate=0.3,
+                     seed=21)
 
 
 def test_gradcheck_repeated_token():
     # a repeated index exercises accumulation into one embedding row
     params = init_model_params(vocab_size=6, embedding_dim=3, gru_units=2,
                                lstm_units=2, seed=5)
-    check_all_blocks(params, make_seq([2, 2, 2, 4]), label=1)
+    check_all_blocks(params, TokenSequence(np.array([2, 2, 2, 4])), label=1)
 
 
 def test_zero_upstream_gradient_gives_zero():
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=0)
-    _, cache = model_forward(params, make_seq([2, 3]), mode="train",
+    _, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="train",
                              dropout_rate=0.0, seed=0)
     grads = model_backward(params, cache, 0.0)
     for name, g in grads.items():
@@ -101,7 +96,7 @@ def test_dense_bias_closed_form():
     # dL/db = dL/dyhat * yhat * (1 - yhat), exactly
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=2)
-    yhat, cache = model_forward(params, make_seq([3, 4, 5]), mode="train",
+    yhat, cache = model_forward(params, TokenSequence(np.array([3, 4, 5])), mode="train",
                                 dropout_rate=0.0, seed=0)
     for upstream in (1.0, -2.5, 0.3):
         grads = model_backward(params, cache, upstream)
@@ -111,7 +106,7 @@ def test_dense_bias_closed_form():
 def test_pad_row_gradient_forced_zero():
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=2)
-    yhat, cache = model_forward(params, make_seq([2, 3]), mode="train",
+    yhat, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="train",
                                 dropout_rate=0.0, seed=0)
     grads = model_backward(params, cache, bce_grad(1, yhat))
     npt.assert_array_equal(grads["embedding.E"][0], np.zeros(2))
@@ -120,7 +115,7 @@ def test_pad_row_gradient_forced_zero():
 def test_backward_rejects_infer_cache():
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=2)
-    _, cache = model_forward(params, make_seq([2, 3]), mode="infer")
+    _, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="infer")
     with pytest.raises(ValueError):
         model_backward(params, cache, 1.0)
 
@@ -130,7 +125,7 @@ def test_backward_rejects_mismatched_stack():
                                lstm_units=2, stack="hbgru_lstm", seed=2)
     other = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                               lstm_units=2, stack="lstm_only", seed=2)
-    _, cache = model_forward(params, make_seq([2, 3]), mode="train")
+    _, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="train")
     with pytest.raises(ValueError):
         model_backward(other, cache, 1.0)
 
@@ -138,7 +133,7 @@ def test_backward_rejects_mismatched_stack():
 def test_degenerate_cache_gives_zero_grads():
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=2)
-    yhat, cache = model_forward(params, make_seq([]), mode="train")
+    yhat, cache = model_forward(params, TokenSequence(np.zeros(0, dtype=np.int64)), mode="train")
     assert yhat == 0.5
     grads = model_backward(params, cache, 3.0)
     assert all(not g.any() for g in grads.values())

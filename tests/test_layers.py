@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import _reference as ref
 from opinionminer.layers import (
     DenseParams,
     EmbeddingParams,
@@ -18,11 +19,9 @@ from opinionminer.layers import (
     classify,
     dense_sigmoid,
     embed_lookup,
-    gru_cell_forward,
     gru_scan,
     init_model_params,
     lstm_scan,
-    lstm_step,
     model_backward,
     model_forward,
     param_names,
@@ -46,14 +45,6 @@ def one_sequence(X):
     return X[:, np.newaxis], np.ones((X.shape[0], 1), dtype=bool)
 
 
-def make_seq(indices, max_len=None):
-    idx = list(indices)
-    max_len = max_len or len(idx)
-    padded = np.zeros(max_len, dtype=np.int64)
-    padded[:len(idx)] = idx
-    return TokenSequence(indices=padded, true_length=len(idx))
-
-
 class TestEmbedLookup:
     def test_basic_lookup(self):
         E = np.arange(20, dtype=float).reshape(5, 4)
@@ -63,42 +54,44 @@ class TestEmbedLookup:
 
     def test_all_pad_gives_empty(self):
         E = np.zeros((5, 4))
-        x = embed_lookup(make_seq([], max_len=4).indices[:0], EmbeddingParams(E))
+        x = embed_lookup(np.zeros(0, dtype=np.int64), EmbeddingParams(E))
         assert x.shape == (0, 4)
 
     def test_basis_rows(self):
         E = np.eye(4)
-        x = embed_lookup(make_seq([1, 3]).indices, EmbeddingParams(E))
+        x = embed_lookup(np.array([1, 3]), EmbeddingParams(E))
         npt.assert_array_equal(x, np.eye(4)[[1, 3]])
 
     def test_out_of_range(self):
         E = np.zeros((3, 2))
         with pytest.raises(IndexError):
-            embed_lookup(make_seq([5]).indices, EmbeddingParams(E))
+            embed_lookup(np.array([5]), EmbeddingParams(E))
 
 
 class TestGruCell:
+    """Hand cases from a nonzero state, on the reference step the scans are tested against."""
+
     def test_zero_parameters(self):
         p = scalar_gru([0.0, 0.0], 0.0, [0.0, 0.0], 0.0, [0.0, 0.0], 0.0)
-        h, gates = gru_cell_forward(p, np.array([0.8]), np.array([1.7]))
-        assert gates.z[0] == 0.5 and gates.r[0] == 0.5
-        assert gates.h_cand[0] == 0.0
+        h, z, r, h_cand = ref.gru_step(ref.layer_tensors(p), [0.8], [1.7])
+        assert z[0] == 0.5 and r[0] == 0.5
+        assert h_cand[0] == 0.0
         npt.assert_allclose(h, [0.4], atol=1e-15)
 
     def test_saturated_update_gate(self):
         p = scalar_gru([0.0, 0.0], 20.0, [0.0, 0.0], 0.0, [1.0, 1.0], 0.0)
-        h, gates = gru_cell_forward(p, np.array([0.3]), np.array([0.5]))
-        npt.assert_allclose(h, gates.h_cand, atol=1e-8)
+        h, _, _, h_cand = ref.gru_step(ref.layer_tensors(p), [0.3], [0.5])
+        npt.assert_allclose(h, h_cand, atol=1e-8)
 
     def test_scalar_hand_case(self):
         # hand evaluation with h_prev=0.5, x=1:
         #   z = sigmoid(1.5), r = sigmoid(0.5),
         #   h_cand = tanh(r*0.5 + 1), h = (1-z)*0.5 + z*h_cand
         p = scalar_gru([1.0, 1.0], 0.0, [1.0, 0.0], 0.0, [1.0, 1.0], 0.0)
-        h, gates = gru_cell_forward(p, np.array([0.5]), np.array([1.0]))
-        npt.assert_allclose(gates.z, [0.81757447619364365], atol=1e-12)
-        npt.assert_allclose(gates.r, [0.62245933120185459], atol=1e-12)
-        npt.assert_allclose(gates.h_cand, [0.8645862222114552], atol=1e-12)
+        h, z, r, h_cand = ref.gru_step(ref.layer_tensors(p), [0.5], [1.0])
+        npt.assert_allclose(z, [0.81757447619364365], atol=1e-12)
+        npt.assert_allclose(r, [0.62245933120185459], atol=1e-12)
+        npt.assert_allclose(h_cand, [0.8645862222114552], atol=1e-12)
         npt.assert_allclose(h, [0.79807638965194982], atol=1e-12)
 
     def test_reset_gate_multiplies_h_prev_before_concat(self):
@@ -107,9 +100,9 @@ class TestGruCell:
         h_prev, x = 0.9, 0.0
         for b_r in (5.0, -5.0, 0.3):
             p = scalar_gru([0.0, 0.0], 0.0, [0.0, 0.0], b_r, [1.0, 0.0], 0.0)
-            h, gates = gru_cell_forward(p, np.array([h_prev]), np.array([x]))
+            h, _, _, h_cand = ref.gru_step(ref.layer_tensors(p), [h_prev], [x])
             r = 1.0 / (1.0 + np.exp(-b_r))
-            npt.assert_allclose(gates.h_cand, [np.tanh(r * h_prev)], atol=1e-12)
+            npt.assert_allclose(h_cand, [np.tanh(r * h_prev)], atol=1e-12)
             npt.assert_allclose(h, [0.5 * h_prev + 0.5 * np.tanh(r * h_prev)], atol=1e-12)
 
 
@@ -124,9 +117,10 @@ class TestBgru:
         rng = np.random.default_rng(1)
         fwd, bwd = random_gru(rng, 2, 3), random_gru(rng, 2, 3)
         x = rng.normal(size=(1, 3))
-        hf, _ = gru_cell_forward(fwd, np.zeros(2), x[0])
-        hb, _ = gru_cell_forward(bwd, np.zeros(2), x[0])
-        # the scan sums the stacked gates' products in another order
+        hf = ref.gru_step(ref.layer_tensors(fwd), np.zeros(2), x[0])[0]
+        hb = ref.gru_step(ref.layer_tensors(bwd), np.zeros(2), x[0])[0]
+        # the scan sums the stacked gates' products in another order and
+        # takes the sigmoid in tanh form
         npt.assert_allclose(gru_scan(fwd, *one_sequence(x)).h[0, 0], hf, rtol=0, atol=1e-15)
         npt.assert_allclose(gru_scan(bwd, *one_sequence(x), reverse=True).h[0, 0], hb,
                             rtol=0, atol=1e-15)
@@ -156,7 +150,7 @@ class TestBgru:
         params = tiny_params(seed=4)
         other = tiny_params(seed=4)
         other.gru_bwd = random_gru(np.random.default_rng(4), 2, 2)
-        seq = make_seq([2, 4, 3, 1, 2])
+        seq = TokenSequence(np.array([2, 4, 3, 1, 2]))
         _, c1 = model_forward(params, seq)
         _, c2 = model_forward(other, seq)
         npt.assert_array_equal(c1.lstm_in[:, :, :2], c2.lstm_in[:, :, :2])
@@ -167,9 +161,10 @@ class TestBgru:
 
 class TestLstm:
     def test_zero_parameters(self):
+        # from C_prev = 1, so on the reference step
         p = LstmParams(W=np.zeros((4, 2)), b=np.zeros(4))
-        h, C, gates = lstm_step(p, np.zeros(1), np.array([1.0]), np.array([3.0]))
-        assert gates.f[0] == gates.i[0] == gates.o[0] == 0.5
+        h, C, f, i, o, _ = ref.lstm_step(ref.layer_tensors(p), [0.0], [1.0], [3.0])
+        assert f[0] == i[0] == o[0] == 0.5
         npt.assert_allclose(C, [0.5], atol=1e-15)
         npt.assert_allclose(h, [0.23105857863000487], atol=1e-12)
 
@@ -177,17 +172,18 @@ class TestLstm:
         p = scalar_lstm([0.0, 0.0])
         p.b[0] = 20.0  # forget gate
         p.b[1] = -20.0  # input gate
-        h, C, _ = lstm_step(p, np.zeros(1), np.array([0.7]), np.array([1.0]))
+        _, C, *_ = ref.lstm_step(ref.layer_tensors(p), [0.0], [0.7], [1.0])
         npt.assert_allclose(C, [0.7], atol=1e-7)
 
     def test_scalar_hand_case(self):
-        # f = i = o = sigmoid(1), cand = tanh(1), C = i*cand, h = o*tanh(C)
+        # f = i = o = sigmoid(1), cand = tanh(1), C = i*cand, h = o*tanh(C),
+        # the first step of a scan from the zero state
         p = scalar_lstm([1.0, 1.0])
-        h, C, gates = lstm_step(p, np.zeros(1), np.zeros(1), np.array([1.0]))
-        npt.assert_allclose(gates.f, [0.7310585786300049], atol=1e-12)
-        npt.assert_allclose(gates.c_cand, [0.76159415595576485], atol=1e-12)
-        npt.assert_allclose(C, [0.5567699411459397], atol=1e-12)
-        npt.assert_allclose(h, [0.36960635293570576], atol=1e-12)
+        trace = lstm_scan(p, *one_sequence(np.ones((1, 1))))
+        npt.assert_allclose(trace.f[0, 0], [0.7310585786300049], atol=1e-12)
+        npt.assert_allclose(trace.c_cand[0, 0], [0.76159415595576485], atol=1e-12)
+        npt.assert_allclose(trace.c[0, 0], [0.5567699411459397], atol=1e-12)
+        npt.assert_allclose(trace.h[0, 0], [0.36960635293570576], atol=1e-12)
 
     def test_three_step_hand_chain(self):
         p = scalar_lstm([1.0, 1.0])
@@ -206,8 +202,9 @@ class TestLstm:
         rng = np.random.default_rng(5)
         p = LstmParams(W=rng.normal(size=(12, 7)), b=rng.normal(size=12))
         x = rng.normal(size=(1, 4))
-        h_step, _, _ = lstm_step(p, np.zeros(3), np.zeros(3), x[0])
-        # the scan sums the stacked gates' products in another order
+        h_step = ref.lstm_step(ref.layer_tensors(p), np.zeros(3), np.zeros(3), x[0])[0]
+        # the scan sums the stacked gates' products in another order and
+        # takes the sigmoid in tanh form
         npt.assert_allclose(lstm_scan(p, *one_sequence(x)).h[-1, 0], h_step, rtol=0, atol=1e-15)
 
     def test_zero_candidate_zero_trajectory(self):
@@ -241,7 +238,7 @@ class TestDropout:
 
     def test_rate_zero_train_unchanged(self):
         params = tiny_params(seed=2)
-        seq = make_seq([2, 3, 4])
+        seq = TokenSequence(np.array([2, 3, 4]))
         y_infer, _ = model_forward(params, seq)
         y_train, cache = model_forward(params, seq, mode="train", dropout_rate=0.0, seed=5)
         assert y_train == y_infer
@@ -249,7 +246,7 @@ class TestDropout:
 
     def test_infer_identity(self):
         params = tiny_params(seed=2)
-        seq = make_seq([2, 3, 4])
+        seq = TokenSequence(np.array([2, 3, 4]))
         y_plain, _ = model_forward(params, seq)
         y_rate, cache = model_forward(params, seq, mode="infer", dropout_rate=0.7, seed=5)
         assert y_rate == y_plain
@@ -263,7 +260,7 @@ class TestDropout:
         # sequence mask
         params = init_model_params(vocab_size=5, embedding_dim=2, gru_units=500,
                                    lstm_units=50, seed=3)
-        seq = make_seq([2, 3, 4, 1] * 25)
+        seq = TokenSequence(np.array([2, 3, 4, 1] * 25))
         _, cache = model_forward(params, seq, mode="train", dropout_rate=0.2, seed=99)
         H = np.concatenate([trace.h for trace in cache.grus], axis=2)
         assert cache.seq_mask.shape == H.shape == (100, 1, 1000)
@@ -276,7 +273,8 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            model_forward(tiny_params(), make_seq([2, 3]), mode="train", dropout_rate=1.0)
+            model_forward(tiny_params(), TokenSequence(np.array([2, 3])), mode="train",
+                          dropout_rate=1.0)
 
 
 def tiny_params(stack="hbgru_lstm", seed=0):
@@ -290,19 +288,19 @@ class TestModelForward:
         for _, arr in params.named_arrays():
             arr[...] = 0.0
         for idx in ([2], [2, 3, 4], [1, 1]):
-            yhat, _ = model_forward(params, make_seq(idx, max_len=4))
+            yhat, _ = model_forward(params, TokenSequence(np.array(idx)))
             assert yhat == 0.5
 
     def test_infer_determinism(self):
         params = tiny_params(seed=3)
-        seq = make_seq([2, 3, 4], max_len=6)
+        seq = TokenSequence(np.array([2, 3, 4]))
         y1, _ = model_forward(params, seq)
         y2, _ = model_forward(params, seq)
         assert y1 == y2
 
     def test_train_determinism_given_seed(self):
         params = tiny_params(seed=3)
-        seq = make_seq([2, 3, 4], max_len=6)
+        seq = TokenSequence(np.array([2, 3, 4]))
         y1, _ = model_forward(params, seq, mode="train", dropout_rate=0.3, seed=11)
         y2, _ = model_forward(params, seq, mode="train", dropout_rate=0.3, seed=11)
         y3, _ = model_forward(params, seq, mode="train", dropout_rate=0.3, seed=12)
@@ -311,12 +309,12 @@ class TestModelForward:
 
     def test_all_pad_degenerate(self):
         params = tiny_params()
-        yhat, cache = model_forward(params, make_seq([], max_len=4))
+        yhat, cache = model_forward(params, TokenSequence(np.zeros(0, dtype=np.int64)))
         assert yhat == 0.5
         assert cache is None
 
     def test_variant_widths(self):
-        seq = make_seq([2, 3], max_len=4)
+        seq = TokenSequence(np.array([2, 3]))
         for stack, width in [("hbgru_lstm", 4), ("gru_lstm", 2), ("lstm_only", 2)]:
             params = tiny_params(stack=stack, seed=1)
             _, cache = model_forward(params, seq)
@@ -324,7 +322,7 @@ class TestModelForward:
 
     def test_cache_replays_output(self):
         params = tiny_params(seed=9)
-        seq = make_seq([2, 4, 3], max_len=5)
+        seq = TokenSequence(np.array([2, 4, 3]))
         yhat, cache = model_forward(params, seq, mode="train", dropout_rate=0.25, seed=4)
         # dense head replay from the cached final state is bit-exact
         assert dense_sigmoid(params.dense, cache.h_final[0]) == yhat
@@ -332,58 +330,14 @@ class TestModelForward:
         h = lstm_scan(params.lstm, cache.lstm_in, cache.mask).h[-1]
         npt.assert_array_equal(h, cache.lstm.h[-1])
 
-    def test_oracle_equivalence(self):
-        # independent straight-line transcription of the forward equations
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_oracle_equivalence(self, stack):
         rng = np.random.default_rng(17)
         for trial in range(4):
-            params = tiny_params(seed=trial)
+            params = tiny_params(stack=stack, seed=trial)
             idx = rng.integers(1, 5, size=3)
-            seq = make_seq(list(idx), max_len=5)
-            yhat, _ = model_forward(params, seq)
-            expect = _straight_line_forward(params, idx)
-            assert abs(yhat - expect) < 1e-12
-
-
-def _straight_line_forward(params, indices):
-    """Direct per-equation evaluation, no shared code with the layers module."""
-    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
-    X = [params.embedding.E[i] for i in indices]
-    w = dict(params.named_arrays())  # the per-gate tensors, by checkpoint name
-    n = len(X)
-    k = w["gru_fwd.W_z"].shape[0]
-
-    hf = [None] * n
-    h = np.zeros(k)
-    for t in range(n):
-        u = np.concatenate([h, X[t]])
-        z = sig(w["gru_fwd.W_z"] @ u + w["gru_fwd.b_z"])
-        r = sig(w["gru_fwd.W_r"] @ u + w["gru_fwd.b_r"])
-        cand = np.tanh(w["gru_fwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_fwd.b_h"])
-        h = (1 - z) * h + z * cand
-        hf[t] = h
-    hb = [None] * n
-    h = np.zeros(k)
-    for t in range(n - 1, -1, -1):
-        u = np.concatenate([h, X[t]])
-        z = sig(w["gru_bwd.W_z"] @ u + w["gru_bwd.b_z"])
-        r = sig(w["gru_bwd.W_r"] @ u + w["gru_bwd.b_r"])
-        cand = np.tanh(w["gru_bwd.W_h"] @ np.concatenate([r * h, X[t]]) + w["gru_bwd.b_h"])
-        h = (1 - z) * h + z * cand
-        hb[t] = h
-
-    m = w["lstm.W_f"].shape[0]
-    hl = np.zeros(m)
-    C = np.zeros(m)
-    for t in range(n):
-        u = np.concatenate([hl, hf[t], hb[t]])
-        f = sig(w["lstm.W_f"] @ u + w["lstm.b_f"])
-        i = sig(w["lstm.W_i"] @ u + w["lstm.b_i"])
-        o = sig(w["lstm.W_o"] @ u + w["lstm.b_o"])
-        cand = np.tanh(w["lstm.W_c"] @ u + w["lstm.b_c"])
-        C = f * C + i * cand
-        hl = o * np.tanh(C)
-    s = w["dense.W"] @ hl + w["dense.b"]
-    return float(sig(s)[0])
+            yhat, _ = model_forward(params, TokenSequence(idx))
+            assert abs(yhat - ref.model_forward(params, idx)) < 1e-12
 
 
 class TestHiddenStateBounds:
@@ -397,7 +351,7 @@ class TestHiddenStateBounds:
             for _, arr in params.named_arrays():
                 arr *= float(rng.uniform(0.5, 3.0))
             n = int(rng.integers(1, 7))
-            seq = make_seq(list(rng.integers(1, 8, size=n)), max_len=8)
+            seq = TokenSequence(rng.integers(1, 8, size=n))
             # train mode at rate 0 is the infer forward pass, gates kept
             _, cache = model_forward(params, seq, mode="train", dropout_rate=0.0)
             assert len(cache.grus) == 2
@@ -467,7 +421,7 @@ class TestLayout:
                          gru_scan(params.gru_bwd, X, mask, reverse=True).h,
                          lstm_scan(params.lstm, H, mask).h)
         before = scans()
-        _, cache = model_forward(params, make_seq([2, 5, 3]), mode="train")
+        _, cache = model_forward(params, TokenSequence(np.array([2, 5, 3])), mode="train")
         adam_step(AdamState.for_params(params), params, model_backward(params, cache, 1.0),
                   TrainConfig(learning_rate=0.01))
         for old, new in zip(before, scans()):
@@ -495,7 +449,7 @@ params = layers.init_model_params(9, 3, 4, 2, stack="hbgru_lstm", seed=0)
 recorder = spans.Recorder()
 recorder.install()
 recorder.enabled = True
-seq = TokenSequence(indices=np.array([2, 5, 3, 0]), true_length=3)
+seq = TokenSequence(indices=np.array([2, 5, 3]))
 yhat, cache = layers.model_forward(params, seq, mode="train", dropout_rate=0.2, seed=1)
 layers.model_backward(params, cache, 1.0)
 print(json.dumps(recorder.counts))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from opinionminer.text_pipeline import (
     DEFAULT_WHITELIST,
-    PAD_INDEX,
     UNK_INDEX,
     DataError,
     LabeledCorpus,
@@ -15,7 +14,6 @@ from opinionminer.text_pipeline import (
     balance_classes,
     build_vocabulary,
     clean_text,
-    decode_sequence,
     default_stopwords,
     encode_sequence,
     load_dataset,
@@ -114,7 +112,8 @@ class TestLoadDataset:
         path = tmp_path / "mini.csv"
         path.write_text("text,label\na,1\nb,0\nc,1\n", encoding="utf-8")
         corpus = load_dataset(path, "csv")
-        assert corpus.counts_consistent()
+        assert (corpus.positive_count, corpus.negative_count) == (2, 1)
+        assert [r.label for r in corpus.reviews] == [1, 0, 1]
 
 
 class TestCleanText:
@@ -205,13 +204,20 @@ class TestEncodeSequence:
         return build_vocabulary(corpus_of(("a a a b b c", 1)), max_size=10, min_freq=1)
 
     def test_padding(self, vocab):
+        # nothing is padded: the batched engine pads each sub-batch
         seq = encode_sequence("a b", vocab, max_len=4)
-        assert seq.indices.tolist() == [2, 3, 0, 0]
+        assert seq.indices.tolist() == [2, 3]
+        assert seq.indices.dtype == np.int64
         assert seq.true_length == 2
+
+    def test_short_review_stores_only_its_tokens(self, vocab):
+        seq = encode_sequence(" ".join(["a", "b"] * 10), vocab, max_len=4096)
+        assert seq.indices.shape == (20,) and seq.true_length == 20
+        assert encode_sequence("", vocab, max_len=5).indices.shape == (0,)
 
     def test_unknown_token(self, vocab):
         seq = encode_sequence("a z", vocab, max_len=4)
-        assert seq.indices.tolist() == [2, UNK_INDEX, 0, 0]
+        assert seq.indices.tolist() == [2, UNK_INDEX]
 
     def test_front_truncation_keeps_tail(self, vocab):
         seq = encode_sequence("a a b b c", vocab, max_len=3)
@@ -222,11 +228,7 @@ class TestEncodeSequence:
         for text, max_len in [("a b c", 5), ("a a b b c", 3), ("c", 2)]:
             seq = encode_sequence(text, vocab, max_len)
             expect = " ".join(text.split()[-max_len:])
-            assert decode_sequence(seq, vocab) == expect
-
-    def test_pad_tail_invariant(self, vocab):
-        seq = encode_sequence("a", vocab, max_len=5)
-        assert all(i == PAD_INDEX for i in seq.indices[seq.true_length:])
+            assert " ".join(vocab.index_to_token[i] for i in seq.indices) == expect
 
 
 class TestBalanceClasses:

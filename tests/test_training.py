@@ -30,12 +30,6 @@ from opinionminer.training import (
 from opinionminer.training import _example_seed, _parse_header
 
 
-def make_seq(indices, max_len=6):
-    padded = np.zeros(max_len, dtype=np.int64)
-    padded[: len(indices)] = indices
-    return TokenSequence(indices=padded, true_length=len(indices))
-
-
 class TestBce:
     def test_perfect_prediction(self):
         assert bce_loss(1, 1.0) == pytest.approx(0.0, abs=1e-10)
@@ -131,20 +125,20 @@ class TestAdam:
 
 class TestMakeBatches:
     def data(self, n):
-        return [(make_seq([2]), i % 2) for i in range(n)]
+        return [(TokenSequence(np.array([2])), i % 2) for i in range(n)]
 
     def test_sizes(self):
         batches = make_batches(self.data(10), 4, seed=0, epoch=1)
         assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_deterministic(self):
-        data = [(make_seq([2]), i) for i in range(20)]
+        data = [(TokenSequence(np.array([2])), i) for i in range(20)]
         a = make_batches(data, 6, seed=9, epoch=3)
         b = make_batches(data, 6, seed=9, epoch=3)
         assert [[x[1] for x in batch] for batch in a] == [[x[1] for x in batch] for batch in b]
 
     def test_epochs_permute_differently(self):
-        data = [(make_seq([2]), i) for i in range(100)]
+        data = [(TokenSequence(np.array([2])), i) for i in range(100)]
         order1 = [x[1] for b in make_batches(data, 10, seed=4, epoch=1) for x in b]
         order2 = [x[1] for b in make_batches(data, 10, seed=4, epoch=2) for x in b]
         assert order1 != order2
@@ -161,7 +155,7 @@ class TestTrainEpoch:
         params = tiny_model(seed=1)
         before = {n: a.copy() for n, a in params.named_arrays()}
         config = TrainConfig(learning_rate=0.0, dropout_rate=0.0, seed=0)
-        data = [(make_seq([2, 3]), 1), (make_seq([4]), 0)]
+        data = [(TokenSequence(np.array([2, 3])), 1), (TokenSequence(np.array([4])), 0)]
         batches = make_batches(data, 2, seed=0, epoch=1)
         _, _, (loss, acc) = train_epoch(params, AdamState.for_params(params),
                                         batches, config, epoch=1)
@@ -172,7 +166,7 @@ class TestTrainEpoch:
     def test_batch_of_one_matches_per_example_gradient(self):
         params = tiny_model(seed=2)
         config = TrainConfig(dropout_rate=0.0, seed=5)
-        seq, label = make_seq([2, 4, 3]), 1
+        seq, label = TokenSequence(np.array([2, 4, 3])), 1
 
         manual = params.clone()
         yhat, cache = model_forward(manual, seq, mode="train", dropout_rate=0.0,
@@ -190,8 +184,9 @@ class TestTrainEpoch:
         vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
         data = []
         for i in range(10):
-            data.append((make_seq([vocab.index_of("good"), vocab.index_of("film")]), 1))
-            data.append((make_seq([vocab.index_of("bad"), vocab.index_of("film")]), 0))
+            for word, label in (("good", 1), ("bad", 0)):
+                indices = np.array([vocab.index_of(word), vocab.index_of("film")])
+                data.append((TokenSequence(indices), label))
         config = TrainConfig(embedding_dim=6, gru_units=4, lstm_units=3,
                              dropout_rate=0.0, batch_size=4, learning_rate=0.01,
                              vocab_size=vocab.size, seed=3)
@@ -210,7 +205,7 @@ class TestFit:
     def test_forced_early_stop_returns_best_epoch(self):
         # train and validation share the text but disagree on the label, so
         # every training epoch strictly worsens validation loss
-        seq = make_seq([2, 3])
+        seq = TokenSequence(np.array([2, 3]))
         train = [(seq, 1)]
         validation = [(seq, 0)]
         config = toy_config(max_epochs=10, patience=1, learning_rate=0.05,
@@ -245,12 +240,12 @@ class TestFit:
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
-            fit(toy_config(), [], [(make_seq([2]), 1)])
+            fit(toy_config(), [], [(TokenSequence(np.array([2])), 1)])
 
     def test_dropout_zero_matches_disabled(self):
         # rate 0 draws no masks: train-mode forward is bit-identical to infer
         params = tiny_model(seed=6)
-        seq = make_seq([2, 3, 4])
+        seq = TokenSequence(np.array([2, 3, 4]))
         y_train, _ = model_forward(params, seq, mode="train", dropout_rate=0.0, seed=9)
         y_infer, _ = model_forward(params, seq, mode="infer")
         assert y_train == y_infer
@@ -337,7 +332,7 @@ class TestCheckpoint:
         assert ckpt.whitelist == {"not"}
         rng = np.random.default_rng(0)
         for _ in range(10):
-            seq = make_seq(list(rng.integers(1, vocab.size, size=4)), max_len=6)
+            seq = TokenSequence(rng.integers(1, vocab.size, size=4))
             y1, _ = model_forward(params, seq)
             y2, _ = model_forward(ckpt.params, seq)
             assert y1 == y2
