@@ -4,7 +4,7 @@ The package is organized as:
 
 - text_pipeline: ingestion, cleaning, vocabulary, encoding, balancing, splits
 - tensor_math: float64 kernels and seeded initialization
-- layers: the batched, masked GRU/LSTM engine: forward math, analytic BPTT,
+- layers: the batched, packed GRU/LSTM engine: forward math, analytic BPTT,
   predict_proba; its stacked scans are the only copy of the cell equations
 - training: BCE loss, Adam, epoch loop with early stopping, checkpoints
 - evaluation: confusion metrics, percent loss, chi-square model comparison

@@ -21,26 +21,26 @@ of it that shares no code with this module):
             h = o * tanh(C)
 
 One engine runs every stack at any batch size. A batch of B encoded
-sequences is sorted shortest-first and post-padded to the longest, T, and
-every scan works on time-major (T, B, ...) arrays with a (T, B) mask of real
-tokens. So the rows still inside their sequence at step t are a suffix
-[first[t]:] of the batch, and each step of the four time loops (both scans
-and their backward passes) computes those rows only; the scans refuse any
-other batch layout. A finished or not yet started row is left untouched:
-the reverse GRU starts from zero at each sequence's last real token, the
-LSTM's final state is that of the last real token, and a padding position's
-gates are 0, so a sequence's outputs do not depend on the padding around
-it. Each step writes its products and gates straight into the trace arrays,
-with its temporaries allocated once per loop. Each layer stores its gates
-stacked in one matrix, whose columns split into the recurrent and the input
-weights; the checkpoint tensors W_z, b_z, ... are row views of it. The
-input projection X W_x^T + b of the whole sequence is one matrix product
-before the time loop. The backward pass keeps every step's gate
-pre-activation gradients and forms each weight gradient with one matrix
-product after the loop; the embedding gradient is scattered with np.add.at.
-`sub_batches` sorts sequences by length and cuts them into groups of at most
-ROW_BUDGET padded rows, which bounds the trace memory and keeps padding
-small. `model_forward` and `model_backward` are the engine at B = 1.
+sequences is sorted shortest-first and packed (see Packing): every
+per-token array holds only the N real tokens, as (N, ...) rows in
+time-major order, so the rows of step t are one contiguous block, those of
+the batch rows [first[t]:] still inside their sequence. Each step of the
+four time loops (both scans and their backward passes) computes that block
+only. Each sequence starts from the zero state, the reverse GRU at its last
+token, and the LSTM's final state is that of its last token, so a
+sequence's outputs do not depend on the others in its batch. The input
+projection X W_x^T + b of all N rows is one matrix product before the time
+loop, and each step adds its recurrent products into its block of it in
+place, which leaves the gates there; temporaries are allocated once per
+loop. Each layer stores its gates stacked in one matrix, whose columns
+split into the recurrent and the input weights; the checkpoint tensors
+W_z, b_z, ... are row views of it. The backward pass keeps every row's gate
+pre-activation gradients, gathers the state each row's step read
+(Packing.previous) and forms each weight gradient with one matrix product
+after the loop; the embedding gradient is scattered with np.add.at.
+`sub_batches` sorts sequences by length and cuts them into groups of at
+most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
+`model_backward` are the engine at B = 1.
 
 Dropout is inverted (train-time scaling by 1/(1-rate)), applied to the
 recurrent output sequence and to the final hidden state in train mode only.
@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .tensor_math import affine, glorot_uniform, sigmoid
 
@@ -65,10 +66,12 @@ STACKS = {
     "gru_lstm": (("gru_fwd", False),),
 }
 
-# Most padded rows (T x B) one sub-batch may hold. At full size a train-mode
-# sub-batch of 1024 rows peaks near 48 MB of traces and temporaries (about
-# 47 KB a row); budgets of 512 or 768 rows trained 5-10% slower.
-ROW_BUDGET = 1024
+# Most real tokens one sub-batch may hold. At full size a train-mode
+# sub-batch peaks at about 45 KB a token of traces and backward temporaries,
+# 68 MB at 1536 tokens. On the train_reviews benchmark, budgets of 1024 to
+# 3072 tokens trained at the same speed within the run-to-run noise, and
+# 2048 and 3072 raised the peak RSS by 23 and 77 MB over 1536.
+ROW_BUDGET = 1536
 
 
 class _Block:
@@ -226,9 +229,51 @@ def init_model_params(vocab_size, embedding_dim, gru_units, lstm_units,
     return model_params_from_arrays(stack, arrays)
 
 
+class Packing:
+    """The packed layout of B sequences sorted shortest-first.
+
+    Every per-token array of a batch holds its N = sum(lengths) real tokens
+    as rows in time-major order, which is padded[mask] of the post-padded
+    (T, B) batch. So the rows of step t are one block off[t]:off[t+1], and
+    they belong to the batch rows first[t]: still inside their sequence.
+    order[r] is row r's position in the sequences concatenated whole.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+            raise ValueError("a batch needs sequences with at least one token")
+        if (lengths[1:] < lengths[:-1]).any():
+            raise ValueError("a batch must be sorted shortest-first, as sub_batches yields it")
+        steps = np.arange(lengths[-1])[:, np.newaxis]
+        self.lengths = lengths
+        self.mask = steps < lengths
+        counts = self.mask.sum(axis=1)
+        self.first = (len(lengths) - counts).tolist()
+        self.off = [0] + np.cumsum(counts).tolist()
+        self.order = (steps + (np.cumsum(lengths) - lengths))[self.mask]
+
+    def previous(self, reverse=False):
+        """Row of the state each row's step read, or -1 where it read the zero state.
+
+        That is the same sequence's row one step earlier in scan order: t-1,
+        or t+1 for a reverse scan, which starts at each sequence's last token.
+        """
+        T, B = self.mask.shape
+        row = np.full((T + 1, B), -1)  # row[T] stays -1: the zero state
+        row[:T][self.mask] = np.arange(self.off[-1])
+        return (row[1:] if reverse else row[np.arange(-1, T - 1)])[self.mask]
+
+
+def _check_rows(X, packing):
+    if len(X) != packing.off[-1]:
+        raise ValueError(f"{len(X)} input rows do not match a packing of "
+                         f"{packing.off[-1]} tokens")
+
+
 @dataclass
 class GruTrace:
-    """Per-step GRU values, (T, B, k).
+    """Per-token GRU values, (N, k) in the packed order.
 
     The gates are None when the scan kept only h, the part the LSTM reads.
     """
@@ -240,12 +285,13 @@ class GruTrace:
 
 @dataclass
 class LstmTrace:
-    """Per-step LSTM values, (T, B, m).
+    """The final state of each sequence, (B, m), and per-token values, (N, m).
 
-    When the scan kept only what the dense head reads, h is the final state
-    alone, (1, B, m), and the rest is None; h[-1] is the final state either way.
+    When the scan kept only what the dense head reads, the per-token values
+    are None.
     """
-    h: np.ndarray
+    h_last: np.ndarray
+    h: Optional[np.ndarray] = None
     f: Optional[np.ndarray] = None
     i: Optional[np.ndarray] = None
     o: Optional[np.ndarray] = None
@@ -262,105 +308,88 @@ def embed_lookup(index, emb):
     return emb.E[index]
 
 
-def _first_rows(mask):
-    """first[t]: the first batch row still inside its sequence at step t.
+def gru_scan(p, X, packing, reverse=False, trace=True):
+    """Run a GRU over packed (N, in_dim) inputs, each sequence from a zero state.
 
-    The (T, B) mask must be post-padded and sorted shortest-first, as
-    sub_batches yields it, so the rows a step computes are [first[t]:].
+    Step t computes the rows of `packing`'s block t only. reverse=True scans
+    t = T..1, so row (t, j)'s previous state is that of (t+1, j), and the
+    zero state at the sequence's last token; the rows keep their packed
+    order either way. Without `trace` only h is kept.
     """
-    T, B = mask.shape
-    lengths = mask.sum(axis=0)
-    if (lengths[1:] < lengths[:-1]).any() or \
-            not (mask == (np.arange(T)[:, np.newaxis] < lengths)).all():
-        raise ValueError("a batch must be post-padded and sorted shortest-first, "
-                         "as sub_batches yields it")
-    return (B - mask.sum(axis=1)).tolist()
-
-
-def gru_scan(p, X, mask, reverse=False, trace=True):
-    """Run a GRU over time-major (T, B, in_dim) inputs from a zero state.
-
-    `mask` (T, B) marks real tokens (see _first_rows); step t updates only
-    the rows still inside their sequence, so a padding position's h holds
-    the carried state (zero before the reverse scan starts) and its gates 0.
-    reverse=True scans t = T..1, so position t's "previous" state is h_{t+1};
-    trace arrays stay indexed by the original time axis either way.
-    Without `trace` only h is kept.
-    """
-    T, B, _ = X.shape
+    _check_rows(X, packing)
     k = p.hidden_size
+    B = len(packing.lengths)
     W_zr, W_hh = p.W[:2 * k, :k].T, p.W[2 * k:, :k].T
-    first = _first_rows(mask)
-    gx = affine(p.W[:, k:], X, p.b)
-    out = GruTrace(h=np.empty((T, B, k)))
-    gates = np.zeros((T, B, 3 * k)) if trace else np.empty((1, B, 3 * k))
+    # the input projections; each step adds its recurrent products in place
+    gates = affine(p.W[:, k:], X, p.b)
+    out = GruTrace(h=np.empty((len(X), k)))
     if trace:
-        out.z, out.r, out.h_cand = (gates[..., g * k:(g + 1) * k] for g in range(3))
+        out.z, out.r, out.h_cand = (gates[:, g * k:(g + 1) * k] for g in range(3))
     h = np.zeros((B, k))
-    tmp = np.empty((B, k))
+    tmp_zr, tmp, tmp2 = np.empty((B, 2 * k)), np.empty((B, k)), np.empty((B, k))
+    T = len(packing.first)
     for t in range(T - 1, -1, -1) if reverse else range(T):
-        s = first[t]
-        hs, v, g = h[s:], tmp[s:], gates[t if trace else 0, s:]
+        s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
+        hs, v, w, g = h[s:], tmp[s:], tmp2[s:], gates[a:e]
         zr, z, r, h_cand = g[:, :2 * k], g[:, :k], g[:, k:2 * k], g[:, 2 * k:]
-        np.matmul(hs, W_zr, out=zr)
-        zr += gx[t, s:, :2 * k]
+        zr += np.matmul(hs, W_zr, out=tmp_zr[s:])
         sigmoid(zr, out=zr)
         np.multiply(r, hs, out=v)
-        np.matmul(v, W_hh, out=h_cand)
-        h_cand += gx[t, s:, 2 * k:]
+        h_cand += np.matmul(v, W_hh, out=w)
         np.tanh(h_cand, out=h_cand)
         np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
         v *= z
         hs += v
-        out.h[t] = h
+        out.h[a:e] = hs
     return out
 
 
-def lstm_scan(p, X, mask, trace=True):
-    """Run the LSTM over time-major (T, B, in_dim) inputs from a zero state.
+def lstm_scan(p, X, packing, trace=True):
+    """Run the LSTM over packed (N, in_dim) inputs, each sequence from a zero state.
 
-    `mask` (T, B) marks real tokens (see _first_rows); step t updates only
-    the rows still inside their sequence, so a padding position's h and C
-    hold the carried state and its gates and tanh_c are 0.
-    Without `trace` only the final h is kept.
+    Step t computes the rows of `packing`'s block t only, so each sequence's
+    final state is that of its last token. Without `trace` only the final
+    states are kept.
     """
-    T, B, _ = X.shape
+    _check_rows(X, packing)
     m = p.hidden_size
+    B = len(packing.lengths)
     W_h = p.W[:, :m].T
-    first = _first_rows(mask)
-    gx = affine(p.W[:, m:], X, p.b)
-    out = LstmTrace(h=np.empty((T if trace else 1, B, m)))
-    gates = np.zeros((T, B, 4 * m)) if trace else np.empty((1, B, 4 * m))
+    # the input projections; each step adds its recurrent product in place
+    gates = affine(p.W[:, m:], X, p.b)
+    out = LstmTrace(h_last=np.zeros((B, m)))
     if trace:
-        out.f, out.i, out.o, out.c_cand = (gates[..., g * m:(g + 1) * m] for g in range(4))
-        out.c, out.tanh_c = np.empty((T, B, m)), np.zeros((T, B, m))
-    h = np.zeros((B, m))
+        out.f, out.i, out.o, out.c_cand = (gates[:, g * m:(g + 1) * m] for g in range(4))
+        out.h, out.c, out.tanh_c = (np.empty((len(X), m)) for _ in range(3))
+    h = out.h_last
     C = np.zeros((B, m))
-    tmp = np.empty((B, m))
-    for t in range(T):
-        s = first[t]
-        hs, Cs, v, a = h[s:], C[s:], tmp[s:], gates[t if trace else 0, s:]
-        f, i, o, c_cand = (a[:, g * m:(g + 1) * m] for g in range(4))
-        np.matmul(hs, W_h, out=a)
-        a += gx[t, s:]
-        sigmoid(a[:, :3 * m], out=a[:, :3 * m])
+    tmp_a, tmp = np.empty((B, 4 * m)), np.empty((B, m))
+    for t in range(len(packing.first)):
+        s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
+        hs, Cs, v, g = h[s:], C[s:], tmp[s:], gates[a:e]
+        f, i, o, c_cand = (g[:, j * m:(j + 1) * m] for j in range(4))
+        g += np.matmul(hs, W_h, out=tmp_a[s:])
+        sigmoid(g[:, :3 * m], out=g[:, :3 * m])
         np.tanh(c_cand, out=c_cand)
         Cs *= f
         np.multiply(i, c_cand, out=v)
         Cs += v
-        tanh_c = out.tanh_c[t, s:] if trace else v
+        tanh_c = out.tanh_c[a:e] if trace else v
         np.tanh(Cs, out=tanh_c)
         np.multiply(o, tanh_c, out=hs)
         if trace:
-            out.c[t], out.h[t] = C, h
-    if not trace:
-        out.h[0] = h
+            out.c[a:e], out.h[a:e] = Cs, hs
     return out
 
 
 def dense_sigmoid(p, h):
-    """Probability from the single-unit sigmoid head, one per row of h (..., m)."""
-    return sigmoid(affine(p.W, h, p.b))[..., 0]
+    """Probability from the single-unit sigmoid head, one per row of h (..., m).
+
+    The head takes the sigmoid in exp form: unlike the gates' tanh form, it
+    keeps its relative precision for very negative logits, which the loss of
+    a confidently wrong review reads.
+    """
+    return expit(affine(p.W, h, p.b))[..., 0]
 
 
 def classify(yhat):
@@ -370,7 +399,7 @@ def classify(yhat):
 
 @dataclass
 class BatchCache:
-    """A forward_batch call: time-major arrays over T steps and B sequences.
+    """A forward_batch call: per-token arrays in the packed order of `packing`.
 
     The GRU and LSTM traces hold their gates only in train mode, the one
     mode whose caches backward_batch accepts.
@@ -378,12 +407,12 @@ class BatchCache:
     stack: str
     mode: str
     dropout_rate: float
-    index: np.ndarray            # (T, B) token indices, PAD past each length
-    mask: np.ndarray             # (T, B), True on real tokens
-    x: np.ndarray                # (T, B, d) embedded inputs
+    packing: Packing
+    index: np.ndarray            # (N,) token indices
+    x: np.ndarray                # (N, d) embedded inputs
     grus: tuple                  # one GruTrace per STACKS direction, in order
-    seq_mask: Optional[np.ndarray]   # (T, B, in_dim) dropout mask, LSTM input
-    lstm_in: np.ndarray          # (T, B, in_dim) sequence the LSTM consumed
+    seq_mask: Optional[np.ndarray]   # (N, in_dim) dropout mask, LSTM input
+    lstm_in: np.ndarray          # (N, in_dim) sequence the LSTM consumed
     lstm: LstmTrace
     out_mask: Optional[np.ndarray]   # (B, m) dropout mask, final hidden state
     h_final: np.ndarray          # (B, m) rows the dense head consumed
@@ -398,10 +427,10 @@ def _check_mode(mode, dropout_rate):
 
 
 def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
-    """Forward pass over non-empty encoded sequences, padded to the longest.
+    """Forward pass over non-empty encoded sequences, packed (see Packing).
 
     The sequences must come sorted shortest-first, as sub_batches yields
-    them; the scans raise ValueError otherwise. Train mode with dropout
+    them; Packing raises ValueError otherwise. Train mode with dropout
     draws sequence j's masks from a generator seeded with seeds[j], the
     LSTM-input mask first, as model_forward does for one sequence. Infer
     mode keeps only what each next layer reads, which is enough for the
@@ -409,19 +438,13 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     """
     _check_mode(mode, dropout_rate)
     trace = mode == "train"
-    lengths = [seq.true_length for seq in seqs]
-    if min(lengths) < 1:
-        raise ValueError("forward_batch needs sequences with at least one token")
-    T = max(lengths)
-    index = np.zeros((T, len(seqs)), dtype=np.int64)
-    for j, (seq, n) in enumerate(zip(seqs, lengths)):
-        index[:n, j] = seq.indices
-    mask = np.arange(T)[:, np.newaxis] < np.array(lengths)
+    packing = Packing([seq.true_length for seq in seqs])
+    index = np.concatenate([seq.indices for seq in seqs])[packing.order]
     x = embed_lookup(index, params.embedding)
 
-    grus = tuple(gru_scan(getattr(params, block), x, mask, reverse, trace)
+    grus = tuple(gru_scan(getattr(params, block), x, packing, reverse, trace)
                  for block, reverse in STACKS[params.stack])
-    H = np.concatenate([g.h for g in grus], axis=2) if grus else x
+    H = np.concatenate([g.h for g in grus], axis=1) if grus else x
 
     # inverted dropout; raw embeddings are not dropped, so the sequence
     # mask is drawn only after a GRU and always before the final-state mask
@@ -429,21 +452,20 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     rngs = [np.random.default_rng(seed) for seed in seeds] if train else []
     seq_mask = out_mask = None
     if train and grus:
-        seq_mask = np.zeros(H.shape, dtype=bool)
-        for j, (rng, n) in enumerate(zip(rngs, lengths)):
-            seq_mask[:n, j] = rng.random((n, H.shape[2])) >= dropout_rate
+        seq_mask = np.concatenate([rng.random((n, H.shape[1])) >= dropout_rate
+                                   for rng, n in zip(rngs, packing.lengths)])[packing.order]
         H *= seq_mask
         H /= 1.0 - dropout_rate
 
-    lt = lstm_scan(params.lstm, H, mask, trace)
-    h_final = lt.h[-1]
+    lt = lstm_scan(params.lstm, H, packing, trace)
+    h_final = lt.h_last
     if train:
         out_mask = np.stack([rng.random(h_final.shape[1]) >= dropout_rate for rng in rngs])
         h_final = h_final * out_mask / (1.0 - dropout_rate)
     return BatchCache(
-        stack=params.stack, mode=mode, dropout_rate=dropout_rate, index=index, mask=mask,
-        x=x, grus=grus, seq_mask=seq_mask, lstm_in=H, lstm=lt, out_mask=out_mask,
-        h_final=h_final, yhat=dense_sigmoid(params.dense, h_final),
+        stack=params.stack, mode=mode, dropout_rate=dropout_rate, packing=packing,
+        index=index, x=x, grus=grus, seq_mask=seq_mask, lstm_in=H, lstm=lt,
+        out_mask=out_mask, h_final=h_final, yhat=dense_sigmoid(params.dense, h_final),
     )
 
 
@@ -462,20 +484,24 @@ def model_forward(params, seq, mode="infer", dropout_rate=0.0, seed=0):
 
 
 def sub_batches(seqs):
-    """Index lists of length-sorted groups of at most ROW_BUDGET padded rows.
+    """Index lists of length-sorted groups of at most ROW_BUDGET tokens.
 
-    Sorting by length keeps the padding of each group small (sequence
-    bucketing). Groups are filled from the longest sequence down, so the
-    long tail shares as few time steps as the budget allows: each step
-    reads the whole recurrent weight block, however few rows it computes.
-    All-PAD sequences are left out: they score 0.5 and have no gradient. A
-    sequence longer than the budget gets a group of its own.
+    Sorting by length lets a group's scans step only the rows still inside
+    their sequence (sequence bucketing). Groups are filled from the longest
+    sequence down, so the long tail shares as few time steps as the budget
+    allows: each step reads the whole recurrent weight block, however few
+    rows it computes. All-PAD sequences are left out: they score 0.5 and
+    have no gradient. A sequence longer than the budget gets a group of its
+    own.
     """
     lengths = [seq.true_length for seq in seqs]
     order = [j for j in np.argsort(lengths, kind="stable") if lengths[j] > 0]
     groups, end = [], len(order)
     while end:
-        start = max(0, end - max(1, ROW_BUDGET // lengths[order[end - 1]]))
+        start, tokens = end - 1, lengths[order[end - 1]]
+        while start and tokens + lengths[order[start - 1]] <= ROW_BUDGET:
+            start -= 1
+            tokens += lengths[order[start]]
         groups.append(order[start:end])
         end = start
     return groups[::-1]
@@ -496,14 +522,19 @@ def predict_proba(params, seqs):
 def _add_gate_grads(grads, prefix, p, da, X, dW_h):
     """Add the weight and bias gradients of layer p's stacked gates to `grads`.
 
-    `da` (T, B, G*k) holds the gate pre-activation gradients, X the layer
-    input and dW_h (G*k, k) the recurrent weight gradient.
+    `da` (N, G*k) holds the gate pre-activation gradients, X (N, in_dim) the
+    layer input and dW_h (G*k, k) the recurrent weight gradient.
     """
-    da2 = da.reshape(-1, da.shape[2])
-    dW_x = da2.T @ X.reshape(-1, X.shape[2])
-    step = type(p)(W=np.concatenate([dW_h, dW_x], axis=1), b=da2.sum(axis=0))
+    step = type(p)(W=np.concatenate([dW_h, da.T @ X], axis=1), b=da.sum(axis=0))
     for tensor, g in zip(p.TENSORS, step.arrays()):
         grads[f"{prefix}.{tensor}"] += g
+
+
+def _previous_states(H, prev):
+    """H[prev]: the state each packed row's step read, zero where prev is -1."""
+    out = H[prev]
+    out[prev < 0] = 0.0
+    return out
 
 
 def _times_dsigmoid(out, y, *factors):
@@ -524,62 +555,59 @@ def _times_dtanh(out, y, *factors):
     return out
 
 
-def _lstm_backward(p, trace, U, mask, dh_last, grads, prefix="lstm"):
-    """BPTT through the LSTM; returns d(loss)/d(input sequence), (T, B, in_dim).
+def _lstm_backward(p, trace, U, packing, prev, dh_last, grads, prefix="lstm"):
+    """BPTT through the LSTM; returns d(loss)/d(input sequence), (N, in_dim).
 
-    Step t updates only the rows the forward step t computed; the others
-    carry their gradient and get zero gate gradients.
+    `prev` is packing.previous(). Step t updates only the rows of block t;
+    the other batch rows carry their gradient.
     """
-    T, B, m = trace.h.shape
+    m = p.hidden_size
     W_h = p.W[:, :m]
-    first = _first_rows(mask)
-    da = np.zeros((T, B, 4 * m))
+    da = np.empty((len(U), 4 * m))
     dh = np.array(dh_last, dtype=np.float64)
-    dc = np.zeros((B, m))
-    tmp = np.empty((B, m))
-    for t in range(T - 1, -1, -1):
-        s = first[t]
-        f, i, o, cc = (g[t, s:] for g in (trace.f, trace.i, trace.o, trace.c_cand))
-        tc = trace.tanh_c[t, s:]
-        dhs, dcs, v, d = dh[s:], dc[s:], tmp[s:], da[t, s:]
+    dc = np.zeros_like(dh)
+    tmp = np.empty_like(dh)
+    for t in range(len(packing.first) - 1, -1, -1):
+        s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
+        f, i, o, cc = (g[a:e] for g in (trace.f, trace.i, trace.o, trace.c_cand))
+        tc = trace.tanh_c[a:e]
+        dhs, dcs, v, d = dh[s:], dc[s:], tmp[s:], da[a:e]
         df, di, do, dcc = (d[:, g * m:(g + 1) * m] for g in range(4))
         dcs += _times_dtanh(v, tc, o, dhs)
-        if t:  # the zero initial state gives df = 0
-            _times_dsigmoid(df, f, trace.c[t - 1, s:], dcs)
+        if t:  # block t's rows are the last rows of block t - 1
+            _times_dsigmoid(df, f, trace.c[2 * a - e:a], dcs)
+        else:  # the zero initial state
+            df.fill(0.0)
         _times_dsigmoid(di, i, cc, dcs)
         _times_dsigmoid(do, o, tc, dhs)
         _times_dtanh(dcc, cc, i, dcs)
         np.matmul(d, W_h, out=dhs)
         dcs *= f
-    # step t read state t-1; step 0 read the zero initial state
-    dW_h = da[1:].reshape(-1, 4 * m).T @ trace.h[:-1].reshape(-1, m)
-    _add_gate_grads(grads, prefix, p, da, U, dW_h)
-    return (da.reshape(-1, 4 * m) @ p.W[:, m:]).reshape(T, B, -1)
+    _add_gate_grads(grads, prefix, p, da, U, da.T @ _previous_states(trace.h, prev))
+    return da @ p.W[:, m:]
 
 
-def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
-    """BPTT through one GRU direction; returns d(loss)/d(input sequence).
+def _gru_backward(p, trace, X, packing, prev, dH, grads, prefix, reverse=False):
+    """BPTT through one GRU direction; returns d(loss)/d(input sequence), (N, in_dim).
 
-    For the reverse scan the recurrent neighbour of step t is t+1, so the
-    gradient sweep runs t = 1..T instead of t = T..1. Step t updates only
-    the rows the forward step t computed; dH at a padding position is not
-    read, since the LSTM reads none.
+    `prev` is packing.previous(reverse). For the reverse scan the recurrent
+    neighbour of step t is t+1, so the gradient sweep runs t = 1..T instead
+    of t = T..1. Step t updates only the rows of block t.
     """
-    T, B, k = trace.h.shape
+    k = p.hidden_size
     W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
-    first = _first_rows(mask)
-    da = np.zeros((T, B, 3 * k))
+    da = np.empty((len(X), 3 * k))
+    h_prev = _previous_states(trace.h, prev)
+    B = len(packing.lengths)
     dh = np.zeros((B, k))
-    zero = np.zeros((B, k))
     tmp, tmp2 = np.empty((B, k)), np.empty((B, k))
+    T = len(packing.first)
     for t in range(T) if reverse else range(T - 1, -1, -1):
-        s = first[t]
-        z, r, hc = trace.z[t, s:], trace.r[t, s:], trace.h_cand[t, s:]
-        prev = t + 1 if reverse else t - 1
-        hp = trace.h[prev, s:] if 0 <= prev < T else zero[s:]  # the state step t read
-        dhs, dv, w, d = dh[s:], tmp[s:], tmp2[s:], da[t, s:]
+        s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
+        z, r, hc, hp = trace.z[a:e], trace.r[a:e], trace.h_cand[a:e], h_prev[a:e]
+        dhs, dv, w, d = dh[s:], tmp[s:], tmp2[s:], da[a:e]
         dz, dr, dhc = (d[:, g * k:(g + 1) * k] for g in range(3))
-        dhs += dH[t, s:]
+        dhs += dH[a:e]
         _times_dtanh(dhc, hc, z, dhs)
         np.matmul(dhc, W_hh, out=dv)  # d(loss)/d(r * h_prev)
         _times_dsigmoid(dz, z, dhs, np.subtract(hc, hp, out=w))
@@ -589,14 +617,11 @@ def _gru_backward(p, trace, X, mask, dH, grads, prefix, reverse=False):
         dhs += dv
         np.matmul(d[:, :2 * k], W_zr, out=dv)
         dhs += dv
-    # the start step read the zero state, which adds nothing to dW_h
-    cur, prev = (slice(None, -1), slice(1, None)) if reverse else (slice(1, None), slice(None, -1))
-    da_c = da[cur].reshape(-1, 3 * k)
-    h_prev = trace.h[prev]
-    dW_h = np.concatenate([da_c[:, :2 * k].T @ h_prev.reshape(-1, k),
-                           da_c[:, 2 * k:].T @ (trace.r[cur] * h_prev).reshape(-1, k)])
-    _add_gate_grads(grads, prefix, p, da, X, dW_h)
-    return (da.reshape(-1, 3 * k) @ p.W[:, k:]).reshape(T, B, -1)
+    dW_zr = da[:, :2 * k].T @ h_prev
+    h_prev *= trace.r  # the candidate read r * h_prev
+    _add_gate_grads(grads, prefix, p, da, X,
+                    np.concatenate([dW_zr, da[:, 2 * k:].T @ h_prev]))
+    return da @ p.W[:, k:]
 
 
 def backward_batch(params, cache, dL_dyhat, grads):
@@ -612,8 +637,8 @@ def backward_batch(params, cache, dL_dyhat, grads):
         raise ValueError(
             f"cache stack {cache.stack!r} does not match params stack {params.stack!r}"
         )
-    if cache.x.shape[2] != params.embedding.dim or \
-            cache.lstm.h.shape[2] != params.lstm.hidden_size:
+    if cache.x.shape[1] != params.embedding.dim or \
+            cache.lstm.h.shape[1] != params.lstm.hidden_size:
         raise ValueError("stale cache: shapes do not match params")
 
     # dense head: yhat = sigmoid(W h + b)
@@ -625,7 +650,10 @@ def backward_batch(params, cache, dL_dyhat, grads):
     if cache.out_mask is not None:
         dh_final = dh_final * cache.out_mask / (1.0 - cache.dropout_rate)
 
-    dU = _lstm_backward(params.lstm, cache.lstm, cache.lstm_in, cache.mask, dh_final, grads)
+    packing = cache.packing
+    prev = packing.previous()
+    dU = _lstm_backward(params.lstm, cache.lstm, cache.lstm_in, packing, prev, dh_final,
+                        grads)
 
     if cache.seq_mask is not None:
         dU *= cache.seq_mask
@@ -634,15 +662,16 @@ def backward_batch(params, cache, dL_dyhat, grads):
     # each GRU direction owns an equal slice of the LSTM input columns
     dX = dU
     if cache.grus:
-        k = dU.shape[2] // len(cache.grus)
-        dX = sum(_gru_backward(getattr(params, block), trace, cache.x, cache.mask,
-                               dU[:, :, j * k:(j + 1) * k], grads, block, reverse=reverse)
+        k = dU.shape[1] // len(cache.grus)
+        dX = sum(_gru_backward(getattr(params, block), trace, cache.x, packing,
+                               packing.previous(True) if reverse else prev,
+                               dU[:, j * k:(j + 1) * k], grads, block, reverse=reverse)
                  for j, ((block, reverse), trace)
                  in enumerate(zip(STACKS[params.stack], cache.grus)))
 
-    # padding steps carry a zero gradient into the PAD row, zeroed here too
+    # a PAD index inside a sequence adds nothing to the frozen PAD row
     dE = grads["embedding.E"]
-    np.add.at(dE, cache.index.reshape(-1), dX.reshape(-1, dX.shape[2]))
+    np.add.at(dE, cache.index, dX)
     dE[0, :] = 0.0
 
 

@@ -16,8 +16,9 @@ __all__ = [
 def affine(W, v, b):
     """v @ W.T + b: a (rows, cols) matrix applied along the last axis of v.
 
-    v is one length-cols vector or any stack of them, such as a (T, B, cols)
-    sequence batch, which goes through one matrix product; b has length rows.
+    v is one length-cols vector or any stack of them, such as the (N, cols)
+    rows of a packed batch, which go through one matrix product; b has
+    length rows.
     """
     W = np.asarray(W, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -277,8 +277,8 @@ def encode_sequence(text, vocab, max_len):
     """Map a cleaned string to the indices of its tokens.
 
     Unknown tokens become UNK; sequences longer than max_len keep their last
-    max_len tokens. Nothing is padded: the batched engine pads each
-    sub-batch to its own longest sequence.
+    max_len tokens. Nothing is padded, here or in the batched engine, which
+    packs the real tokens of a sub-batch.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")

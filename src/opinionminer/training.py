@@ -13,7 +13,7 @@ Checkpoint layout (all integers little-endian, versioned, checksummed):
     file crc32 over everything above
 
 Each mini-batch is sorted by length and run through the batched engine in
-sub-batches of at most `layers.ROW_BUDGET` padded rows; the gradients of
+sub-batches of at most `layers.ROW_BUDGET` real tokens; the gradients of
 every sub-batch add into one accumulator before the Adam step. Batch
 composition, the shuffle and the per-example dropout seeds do not depend on
 the sub-batching. Nothing depends on timing or scheduling, so identical
@@ -53,10 +53,10 @@ CHECKPOINT_VERSION = 1
 _CLAMP = 1e-12
 
 # Size bounds TrainConfig.validate checks before anything is allocated. A
-# review of MAX_LEN tokens gets a sub-batch of its own: at about 47 KB of
-# traces a row at full size that is under 200 MB. MAX_PARAMETERS floats take
-# 800 MB, and training holds five such copies (the parameters, the best
-# epoch's, Adam's m and v, and one gradient).
+# review of MAX_LEN tokens gets a sub-batch of its own: at about 43 KB of
+# traces and temporaries a token at full size that is under 200 MB.
+# MAX_PARAMETERS floats take 800 MB, and training holds five such copies
+# (the parameters, the best epoch's, Adam's m and v, and one gradient).
 MAX_LEN = 4096
 MAX_PARAMETERS = 10**8
 
@@ -228,6 +228,7 @@ def batch_gradients(params, batch, dropout_rate, seeds):
         yhat[rows] = cache.yhat
         upstream = np.array([bce_grad(batch[j][1], yhat[j]) for j in rows])
         backward_batch(params, cache, upstream, grads)
+        del cache  # else its traces stay alive through the next group's forward pass
     return yhat, grads
 
 
@@ -297,8 +298,7 @@ def fit(config, train, validation, params=None, on_epoch=None):
         )
     adam = AdamState.for_params(params)
     history = TrainingHistory()
-    best_loss = math.inf
-    best_params = params.clone()
+    best_loss = math.inf  # epoch 1 always improves on it, or _check_finite raises
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         batches = make_batches(train, config.batch_size, config.seed, epoch)

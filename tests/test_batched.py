@@ -4,9 +4,9 @@ Probabilities and summed gradients of the length-sorted sub-batches must
 equal the sums of per-sequence `model_forward` / `model_backward` results
 to 1e-12 relative to each tensor's largest entry, on every stack, with and
 without dropout, over reviews of mixed, truncated and all-PAD lengths.
-The scans step only the rows still inside their sequence, so they never
-read or write a padding position's gates, and they refuse a batch that is
-not post-padded and sorted shortest-first.
+A batch is packed: its per-token arrays hold the real tokens only, no
+review's rows reach another's outputs, and a batch that is not sorted
+shortest-first is refused.
 """
 
 from unittest import mock
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from opinionminer import layers
 from opinionminer.layers import (
     STACKS,
+    Packing,
     forward_batch,
     gru_scan,
     init_model_params,
@@ -97,7 +98,7 @@ def test_sub_batches_match_batch_size_one(stack, dropout_rate, rows, budget, see
         [j for j, n in enumerate(lengths) if n > 0]
     for group in groups:
         assert [lengths[j] for j in group] == sorted(lengths[j] for j in group)
-        assert len(group) == 1 or len(group) * lengths[group[-1]] <= budget
+        assert len(group) == 1 or sum(lengths[j] for j in group) <= budget
 
 
 def test_groups_fill_from_the_longest():
@@ -108,7 +109,7 @@ def test_groups_fill_from_the_longest():
     with mock.patch.object(layers, "ROW_BUDGET", 20):
         groups = sub_batches(seqs)
     assert [[lengths[j] for j in group] for group in groups] == \
-        [[2] * 7, [2, 2, 2, 5], [9, 10]]
+        [[2] * 3, [2] * 7 + [5], [9, 10]]
 
 
 def test_full_row_budget_spans_several_sub_batches():
@@ -129,54 +130,81 @@ def test_all_pad_batch_scores_half():
     assert not any(g.any() for g in grads.values())
 
 
-def padded_batch(rng, lengths, width, pad):
-    """Time-major (T, B, width) inputs of post-padded rows, `pad` past each length."""
-    mask = np.arange(max(lengths))[:, np.newaxis] < np.array(lengths)
-    X = rng.normal(size=mask.shape + (width,))
-    X[~mask] = pad
-    return X, mask
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_per_token_arrays_hold_the_real_tokens_only(stack):
+    lengths = [1, 3, 3, 8]
+    seqs = [TokenSequence(np.arange(n) % 9 + 1) for n in lengths]
+    cache = forward_batch(random_params(stack, 3), seqs, mode="train", dropout_rate=0.2,
+                          seeds=[1, 2, 3, 4])
+    arrays = {"index": cache.index, "x": cache.x, "lstm_in": cache.lstm_in}
+    if cache.seq_mask is not None:
+        arrays["seq_mask"] = cache.seq_mask
+    for i, trace in enumerate(cache.grus + (cache.lstm,)):
+        arrays.update((f"{i}.{name}", a) for name, a in vars(trace).items() if name != "h_last")
+    for name, a in arrays.items():
+        assert len(a) == sum(lengths), name  # a train-mode trace keeps every array
+    assert cache.lstm.h_last.shape == (len(lengths), 3)
+    # the rows are padded[mask] of the time-major padded batch
+    padded = np.zeros((max(lengths), len(lengths)), dtype=np.int64)
+    for j, seq in enumerate(seqs):
+        padded[:len(seq.indices), j] = seq.indices
+    np.testing.assert_array_equal(cache.index, padded[cache.packing.mask])
 
 
-def test_scans_never_touch_padding():
+def test_sequences_are_isolated():
+    # NaN in one review's rows reaches none of the other reviews' outputs
     params = random_params("hbgru_lstm", 5)
     lengths = [1, 2, 2, 4, 7, 7]
+    packing = Packing(lengths)
+    # packed rows of each review, from its position in the concatenation
+    rows_of = np.split(np.argsort(packing.order), np.cumsum(lengths)[:-1])
     scans = [(gru_scan, params.gru_fwd, 3, {}),
              (gru_scan, params.gru_bwd, 3, {"reverse": True}),
              (lstm_scan, params.lstm, 8, {})]
     for scan, p, width, kwargs in scans:
-        X, mask = padded_batch(np.random.default_rng(9), lengths, width, 0.0)
-        X_nan, _ = padded_batch(np.random.default_rng(9), lengths, width, np.nan)
-        clean = scan(p, X, mask, **kwargs)
-        dirty = scan(p, X_nan, mask, **kwargs)
-        np.testing.assert_array_equal(dirty.h[mask], clean.h[mask])
-        assert np.isfinite(dirty.h).all()
-        gates = {name: g for name, g in vars(dirty).items() if name not in ("h", "c")}
-        assert len(gates) == (3 if scan is gru_scan else 5)
-        for name, g in gates.items():
-            assert (g[~mask] == 0.0).all(), name
-        # a padding position holds the carried state: the last real one, or
-        # the zero state the reverse scan has not yet left
-        for j, n in enumerate(lengths):
-            carried = 0.0 if kwargs else dirty.h[n - 1, j]
-            assert (dirty.h[n:, j] == carried).all()
+        X = np.random.default_rng(9).normal(size=(sum(lengths), width))
+        clean = scan(p, X, packing, **kwargs)
+        for j, rows in enumerate(rows_of):
+            X_nan = X.copy()
+            X_nan[rows] = np.nan
+            dirty = scan(p, X_nan, packing, **kwargs)
+            others = np.delete(np.arange(len(X)), rows)
+            np.testing.assert_array_equal(dirty.h[others], clean.h[others])
+            assert np.isnan(dirty.h[rows]).all()
             if scan is lstm_scan:
-                assert (dirty.c[n:, j] == dirty.c[n - 1, j]).all()
+                np.testing.assert_array_equal(np.delete(dirty.h_last, j, axis=0),
+                                              np.delete(clean.h_last, j, axis=0))
+    # and through the whole model: token 9's embedding is NaN
+    params.embedding.E[9] = np.nan
+    seqs = [TokenSequence(np.arange(n) % 8 + 1) for n in lengths]
+    seeds = list(range(len(lengths)))
+    clean = forward_batch(params, seqs, mode="train", dropout_rate=0.2, seeds=seeds).yhat
+    for j, n in enumerate(lengths):
+        dirty_seqs = list(seqs)
+        dirty_seqs[j] = TokenSequence(np.full(n, 9))
+        dirty = forward_batch(params, dirty_seqs, mode="train", dropout_rate=0.2,
+                              seeds=seeds).yhat
+        np.testing.assert_array_equal(np.delete(dirty, j), np.delete(clean, j))
+        assert np.isnan(dirty[j])
 
 
 def test_unsorted_batch_is_refused():
     params = random_params("hbgru_lstm", 2)
     longest_first = [encode(["w1", "w2", "w3"]), encode(["w4"])]
-    with pytest.raises(ValueError, match="post-padded and sorted shortest-first"):
+    with pytest.raises(ValueError, match="sorted shortest-first"):
         forward_batch(params, longest_first)
-    X = np.zeros((3, 2, 3))
-    holed = np.array([[True, True], [False, True], [True, True]])
-    descending = np.array([[True, True], [True, False], [True, False]])
-    for mask in (holed, descending):
-        for scan in (lambda: gru_scan(params.gru_fwd, X, mask),
-                     lambda: gru_scan(params.gru_bwd, X, mask, reverse=True),
-                     lambda: lstm_scan(params.lstm, np.zeros((3, 2, 8)), mask, trace=False)):
-            with pytest.raises(ValueError, match="post-padded and sorted shortest-first"):
-                scan()
+    for lengths in ([3, 1], [2, 3, 2]):
+        with pytest.raises(ValueError, match="sorted shortest-first"):
+            Packing(lengths)
+    with pytest.raises(ValueError, match="at least one token"):
+        Packing([0, 2])
+    # inputs must hold one row per token of the packing
+    packing = Packing([1, 3])
+    for scan in (lambda: gru_scan(params.gru_fwd, np.zeros((3, 3)), packing),
+                 lambda: gru_scan(params.gru_bwd, np.zeros((5, 3)), packing, reverse=True),
+                 lambda: lstm_scan(params.lstm, np.zeros((3, 8)), packing, trace=False)):
+        with pytest.raises(ValueError, match="input rows do not match"):
+            scan()
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from opinionminer.layers import (
     GatedParams,
     GruParams,
     LstmParams,
+    Packing,
     STACKS,
     classify,
     dense_sigmoid,
@@ -41,8 +44,8 @@ def scalar_lstm(w, b=0.0):
 
 
 def one_sequence(X):
-    """An (n, d) sequence as a time-major batch of one, with its all-real mask."""
-    return X[:, np.newaxis], np.ones((X.shape[0], 1), dtype=bool)
+    """An (n, d) sequence as a packed batch of one: its rows and their packing."""
+    return X, Packing([X.shape[0]])
 
 
 class TestEmbedLookup:
@@ -121,8 +124,8 @@ class TestBgru:
         hb = ref.gru_step(ref.layer_tensors(bwd), np.zeros(2), x[0])[0]
         # the scan sums the stacked gates' products in another order and
         # takes the sigmoid in tanh form
-        npt.assert_allclose(gru_scan(fwd, *one_sequence(x)).h[0, 0], hf, rtol=0, atol=1e-15)
-        npt.assert_allclose(gru_scan(bwd, *one_sequence(x), reverse=True).h[0, 0], hb,
+        npt.assert_allclose(gru_scan(fwd, *one_sequence(x)).h[0], hf, rtol=0, atol=1e-15)
+        npt.assert_allclose(gru_scan(bwd, *one_sequence(x), reverse=True).h[0], hb,
                             rtol=0, atol=1e-15)
 
     def test_palindrome_symmetry(self):
@@ -131,8 +134,8 @@ class TestBgru:
         p = random_gru(rng, 3, 4, scale=0.4)
         a, b = rng.normal(size=4), rng.normal(size=4)
         X = np.stack([a, b, a])
-        hf = gru_scan(p, *one_sequence(X)).h[:, 0]
-        hb = gru_scan(p, *one_sequence(X), reverse=True).h[:, 0]
+        hf = gru_scan(p, *one_sequence(X)).h
+        hb = gru_scan(p, *one_sequence(X), reverse=True).h
         n = 3
         for t in range(n):
             npt.assert_allclose(hf[t], hb[n - 1 - t], atol=1e-12)
@@ -142,7 +145,7 @@ class TestBgru:
         X = np.random.default_rng(3).normal(size=(4, 4))
         for reverse in (False, True):
             npt.assert_array_equal(gru_scan(p, *one_sequence(X), reverse=reverse).h,
-                                   np.zeros((4, 1, 2)))
+                                   np.zeros((4, 2)))
 
     def test_direction_independence(self):
         # the model's backward direction is gru_scan(reverse=True) and leaves
@@ -153,10 +156,10 @@ class TestBgru:
         seq = TokenSequence(np.array([2, 4, 3, 1, 2]))
         _, c1 = model_forward(params, seq)
         _, c2 = model_forward(other, seq)
-        npt.assert_array_equal(c1.lstm_in[:, :, :2], c2.lstm_in[:, :, :2])
-        assert np.any(c1.lstm_in[:, :, 2:] != c2.lstm_in[:, :, 2:])
-        npt.assert_array_equal(c2.lstm_in[:, :, 2:],
-                               gru_scan(other.gru_bwd, c2.x, c2.mask, reverse=True).h)
+        npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
+        assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
+        npt.assert_array_equal(c2.lstm_in[:, 2:],
+                               gru_scan(other.gru_bwd, c2.x, c2.packing, reverse=True).h)
 
 
 class TestLstm:
@@ -180,22 +183,23 @@ class TestLstm:
         # the first step of a scan from the zero state
         p = scalar_lstm([1.0, 1.0])
         trace = lstm_scan(p, *one_sequence(np.ones((1, 1))))
-        npt.assert_allclose(trace.f[0, 0], [0.7310585786300049], atol=1e-12)
-        npt.assert_allclose(trace.c_cand[0, 0], [0.76159415595576485], atol=1e-12)
-        npt.assert_allclose(trace.c[0, 0], [0.5567699411459397], atol=1e-12)
-        npt.assert_allclose(trace.h[0, 0], [0.36960635293570576], atol=1e-12)
+        npt.assert_allclose(trace.f[0], [0.7310585786300049], atol=1e-12)
+        npt.assert_allclose(trace.c_cand[0], [0.76159415595576485], atol=1e-12)
+        npt.assert_allclose(trace.c[0], [0.5567699411459397], atol=1e-12)
+        npt.assert_allclose(trace.h[0], [0.36960635293570576], atol=1e-12)
 
     def test_three_step_hand_chain(self):
         p = scalar_lstm([1.0, 1.0])
         X = np.ones((3, 1))
         trace = lstm_scan(p, *one_sequence(X))
-        npt.assert_allclose(trace.c[:, 0, 0],
+        npt.assert_allclose(trace.c[:, 0],
                             [0.5567699411459397, 1.1444461579991028, 1.7394875218692438],
                             atol=1e-12)
-        npt.assert_allclose(trace.h[:, 0, 0],
+        npt.assert_allclose(trace.h[:, 0],
                             [0.36960635293570576, 0.65053522320081336, 0.78876582774045945],
                             atol=1e-12)
-        npt.assert_allclose(lstm_scan(p, *one_sequence(X)).h[-1, 0], [0.78876582774045945],
+        npt.assert_allclose(lstm_scan(p, *one_sequence(X), trace=False).h_last[0],
+                            [0.78876582774045945],
                             atol=1e-12)
 
     def test_single_step_equals_sequence_of_one(self):
@@ -205,12 +209,12 @@ class TestLstm:
         h_step = ref.lstm_step(ref.layer_tensors(p), np.zeros(3), np.zeros(3), x[0])[0]
         # the scan sums the stacked gates' products in another order and
         # takes the sigmoid in tanh form
-        npt.assert_allclose(lstm_scan(p, *one_sequence(x)).h[-1, 0], h_step, rtol=0, atol=1e-15)
+        npt.assert_allclose(lstm_scan(p, *one_sequence(x)).h_last[0], h_step, rtol=0, atol=1e-15)
 
     def test_zero_candidate_zero_trajectory(self):
         p = LstmParams(W=np.zeros((8, 5)), b=np.zeros(8))
         X = np.random.default_rng(6).normal(size=(2, 3))
-        npt.assert_array_equal(lstm_scan(p, *one_sequence(X)).h[-1, 0], np.zeros(2))
+        npt.assert_array_equal(lstm_scan(p, *one_sequence(X)).h_last[0], np.zeros(2))
 
 
 class TestDenseAndClassify:
@@ -226,6 +230,21 @@ class TestDenseAndClassify:
     def test_saturation(self):
         p = DenseParams(W=np.array([[0.01]]), b=np.array([20.0]))
         assert dense_sigmoid(p, np.array([0.5])) > 0.999
+
+    def test_probability_keeps_its_relative_precision(self):
+        # the loss of a confidently wrong review reads these small values
+        for logit in (-20.0, -25.0, -30.0):
+            p = DenseParams(W=np.zeros((1, 1)), b=np.array([logit]))
+            want = 1.0 / (1.0 + math.exp(-logit))
+            assert abs(dense_sigmoid(p, np.zeros(1)) - want) <= 1e-15 * want, logit
+
+    def test_extreme_logits_raise_no_warning(self):
+        p = DenseParams(W=np.ones((1, 1)), b=np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = dense_sigmoid(p, np.array([[-1e308], [1e308]]))
+        npt.assert_array_equal(got, [0.0, 1.0])
 
     def test_classify_boundary_is_positive(self):
         assert classify(0.5) == 1
@@ -253,7 +272,8 @@ class TestDropout:
         assert cache.seq_mask is None and cache.out_mask is None
         # infer mode keeps no gates, only what each next layer reads
         assert all(trace.z is None for trace in cache.grus)
-        assert cache.lstm.f is None and cache.lstm.h.shape == (1, 1, 2)
+        assert cache.lstm.h is None and cache.lstm.f is None
+        assert cache.lstm.h_last.shape == (1, 2)
 
     def test_statistics_and_scaling(self):
         # 100 tokens x 2 x 500 GRU units put 100,000 entries under the
@@ -262,11 +282,11 @@ class TestDropout:
                                    lstm_units=50, seed=3)
         seq = TokenSequence(np.array([2, 3, 4, 1] * 25))
         _, cache = model_forward(params, seq, mode="train", dropout_rate=0.2, seed=99)
-        H = np.concatenate([trace.h for trace in cache.grus], axis=2)
-        assert cache.seq_mask.shape == H.shape == (100, 1, 1000)
+        H = np.concatenate([trace.h for trace in cache.grus], axis=1)
+        assert cache.seq_mask.shape == H.shape == (100, 1000)
         assert abs(cache.seq_mask.mean() - 0.8) < 0.01
         for mask, raw, out in ((cache.seq_mask, H, cache.lstm_in),
-                               (cache.out_mask, cache.lstm.h[-1], cache.h_final)):
+                               (cache.out_mask, cache.lstm.h_last, cache.h_final)):
             assert mask.any() and not mask.all()
             npt.assert_array_equal(out[~mask], 0.0)
             npt.assert_allclose(out[mask], raw[mask] * 1.25, rtol=1e-15)
@@ -318,7 +338,7 @@ class TestModelForward:
         for stack, width in [("hbgru_lstm", 4), ("gru_lstm", 2), ("lstm_only", 2)]:
             params = tiny_params(stack=stack, seed=1)
             _, cache = model_forward(params, seq)
-            assert cache.lstm_in.shape == (2, 1, width)
+            assert cache.lstm_in.shape == (2, width)
 
     def test_cache_replays_output(self):
         params = tiny_params(seed=9)
@@ -327,8 +347,8 @@ class TestModelForward:
         # dense head replay from the cached final state is bit-exact
         assert dense_sigmoid(params.dense, cache.h_final[0]) == yhat
         # LSTM replay from the cached (post-dropout) input sequence
-        h = lstm_scan(params.lstm, cache.lstm_in, cache.mask).h[-1]
-        npt.assert_array_equal(h, cache.lstm.h[-1])
+        h = lstm_scan(params.lstm, cache.lstm_in, cache.packing).h_last
+        npt.assert_array_equal(h, cache.lstm.h_last)
 
     @pytest.mark.parametrize("stack", sorted(STACKS))
     def test_oracle_equivalence(self, stack):
@@ -415,17 +435,17 @@ class TestLayout:
         # the scans read must move with them
         params = init_model_params(11, 3, 4, 5, seed=1)
         rng = np.random.default_rng(9)
-        X, H = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 8))
-        mask = np.ones((4, 2), dtype=bool)
-        scans = lambda: (gru_scan(params.gru_fwd, X, mask).h,
-                         gru_scan(params.gru_bwd, X, mask, reverse=True).h,
-                         lstm_scan(params.lstm, H, mask).h)
+        X, H = rng.normal(size=(8, 3)), rng.normal(size=(8, 8))
+        packing = Packing([4, 4])
+        scans = lambda: (gru_scan(params.gru_fwd, X, packing).h,
+                         gru_scan(params.gru_bwd, X, packing, reverse=True).h,
+                         lstm_scan(params.lstm, H, packing).h)
         before = scans()
         _, cache = model_forward(params, TokenSequence(np.array([2, 5, 3])), mode="train")
         adam_step(AdamState.for_params(params), params, model_backward(params, cache, 1.0),
                   TrainConfig(learning_rate=0.01))
         for old, new in zip(before, scans()):
-            assert np.all(np.abs(new - old).max(axis=2) > 0)
+            assert np.all(np.abs(new - old).max(axis=1) > 0)
 
     def test_unknown_stack_rejected(self):
         with pytest.raises(ValueError, match="foo"):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import expit
 
-from opinionminer.layers import LstmParams, init_model_params, lstm_scan
+from opinionminer.layers import LstmParams, Packing, init_model_params, lstm_scan
 from opinionminer.tensor_math import affine, sigmoid
 
 
@@ -73,9 +73,9 @@ class TestActivate:
     def test_tanh_zero(self):
         # a zero-parameter LSTM from the zero state has both tanh sites at 0
         p = LstmParams(W=np.zeros((4, 2)), b=np.zeros(4))
-        trace = lstm_scan(p, np.full((1, 1, 1), 3.0), np.ones((1, 1), dtype=bool))
-        assert trace.c_cand[0, 0, 0] == 0.0 and trace.c[0, 0, 0] == 0.0
-        assert trace.tanh_c[0, 0, 0] == 0.0 and trace.h[0, 0, 0] == 0.0
+        trace = lstm_scan(p, np.full((1, 1), 3.0), Packing([1]))
+        assert trace.c_cand[0, 0] == 0.0 and trace.c[0, 0] == 0.0
+        assert trace.tanh_c[0, 0] == 0.0 and trace.h[0, 0] == 0.0
 
     def test_sigmoid_symmetry(self):
         for x in (0.5, 2.0, 10.0):

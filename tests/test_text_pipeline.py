@@ -204,7 +204,7 @@ class TestEncodeSequence:
         return build_vocabulary(corpus_of(("a a a b b c", 1)), max_size=10, min_freq=1)
 
     def test_padding(self, vocab):
-        # nothing is padded: the batched engine pads each sub-batch
+        # nothing is padded: the batched engine packs the real tokens only
         seq = encode_sequence("a b", vocab, max_len=4)
         assert seq.indices.tolist() == [2, 3]
         assert seq.indices.dtype == np.int64

@@ -238,6 +238,20 @@ class TestFit:
         val_loss, _ = evaluate_loss(params, encoded[30:])
         assert val_loss == pytest.approx(best, abs=1e-12)
 
+    def test_one_epoch_returns_the_trained_params(self):
+        corpus = toy_corpus(24, seed=2)
+        config = toy_config(max_epochs=1, batch_size=8)
+        encoded, _ = encode_toy(corpus, config)
+        params = init_model_params(config.vocab_size, config.embedding_dim, config.gru_units,
+                                   config.lstm_units, seed=config.seed)
+        initial = dict(params.clone().named_arrays())
+        best, history = fit(config, encoded[:16], encoded[16:], params=params)
+        assert history.stop_epoch == 1
+        for (name, got), (_, trained) in zip(best.named_arrays(), params.named_arrays()):
+            npt.assert_array_equal(got, trained, err_msg=name)
+            assert got is not trained
+        assert any((arr != initial[name]).any() for name, arr in params.named_arrays())
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             fit(toy_config(), [], [(TokenSequence(np.array([2])), 1)])
