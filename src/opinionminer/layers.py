@@ -34,10 +34,13 @@ loop, and each step adds its recurrent products into its block of it in
 place, which leaves the gates there; temporaries are allocated once per
 loop. Each layer stores its gates stacked in one matrix, whose columns
 split into the recurrent and the input weights; the checkpoint tensors
-W_z, b_z, ... are row views of it. The backward pass keeps every row's gate
-pre-activation gradients, gathers the state each row's step read
-(Packing.previous) and forms each weight gradient with one matrix product
-after the loop; the embedding gradient is scattered with np.add.at.
+W_z, b_z, ... are row views of it. All block arrays are slices of one
+vector, ModelParams.flat; gradients, Adam's moments and the best epoch's
+copy lay the same blocks over vectors of their own (ModelParams.like).
+The backward pass keeps every row's gate pre-activation gradients, gathers
+the state each row's step read (Packing.previous) and adds each weight
+gradient into its block with one matrix product after the loop; the
+embedding gradient is scattered with np.add.at.
 `sub_batches` sorts sequences by length and cuts them into groups of at
 most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
 `model_backward` are the engine at B = 1.
@@ -48,7 +51,8 @@ Each sequence draws its two masks, in that order, from its own seeded
 generator, so a batch reproduces the per-sequence passes.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -74,19 +78,8 @@ STACKS = {
 ROW_BUDGET = 1536
 
 
-class _Block:
-    """A parameter block; TENSORS names its checkpoint tensors in order."""
-
-    def arrays(self):
-        return [getattr(self, tensor) for tensor in self.TENSORS]
-
-    @classmethod
-    def from_arrays(cls, arrays):
-        return cls(*arrays)
-
-
 @dataclass
-class EmbeddingParams(_Block):
+class EmbeddingParams:
     E: np.ndarray  # (vocab_size, dim); row 0 is PAD, kept all-zero
     TENSORS: ClassVar = ("E",)
 
@@ -100,7 +93,7 @@ class EmbeddingParams(_Block):
 
 
 @dataclass
-class GatedParams(_Block):
+class GatedParams:
     """A recurrent layer with its G gates stacked in GATES order, k rows each.
 
     W (G*k, k + in_dim) reads [h_prev, x], so W[:, :k] holds the recurrent
@@ -118,16 +111,6 @@ class GatedParams(_Block):
     def hidden_size(self):
         return self.W.shape[0] // len(self.GATES)
 
-    def arrays(self):
-        """Each gate's W and b rows, as views, in TENSORS order."""
-        k = self.hidden_size
-        return [arr[g * k:(g + 1) * k] for g in range(len(self.GATES)) for arr in (self.W, self.b)]
-
-    @classmethod
-    def from_arrays(cls, arrays):
-        """Stack per-gate tensors, given in TENSORS order, into W and b."""
-        return cls(W=np.concatenate(arrays[0::2]), b=np.concatenate(arrays[1::2]))
-
 
 class GruParams(GatedParams):
     GATES: ClassVar = ("z", "r", "h")
@@ -138,7 +121,7 @@ class LstmParams(GatedParams):
 
 
 @dataclass
-class DenseParams(_Block):
+class DenseParams:
     W: np.ndarray  # (1, m)
     b: np.ndarray  # (1,)
     TENSORS: ClassVar = ("W", "b")
@@ -182,7 +165,9 @@ def param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units):
 
 @dataclass
 class ModelParams:
+    """Every parameter, each block array a reshaped slice of one vector, flat."""
     stack: str
+    flat: np.ndarray
     embedding: EmbeddingParams
     lstm: LstmParams
     dense: DenseParams
@@ -190,29 +175,46 @@ class ModelParams:
     gru_bwd: Optional[GruParams] = None
 
     def named_arrays(self):
-        """Yield (name, array) for every parameter tensor, in checkpoint order.
-
-        Gate tensors are views: updating one in place updates its layer.
-        """
+        """Yield (name, row view of its block array) for every tensor, in checkpoint order."""
         for block, cls in _blocks(self.stack):
-            for tensor, arr in zip(cls.TENSORS, getattr(self, block).arrays()):
-                yield f"{block}.{tensor}", arr
+            # with n fields, field j stacks the rows of TENSORS j, j + n, ... (a gate's W, b)
+            arrays = [getattr(getattr(self, block), f.name) for f in fields(cls)]
+            parts = zip(*(np.split(a, len(cls.TENSORS) // len(arrays)) for a in arrays))
+            yield from zip((f"{block}.{t}" for t in cls.TENSORS), sum(parts, ()))
+
+    def like(self, flat):
+        """The same layout over another vector of flat's size."""
+        blocks = [getattr(self, block) for block, _ in _blocks(self.stack)]
+        return _over(self.stack, [getattr(b, f.name).shape for b in blocks for f in fields(b)], flat)
 
     def clone(self):
-        return model_params_from_arrays(
-            self.stack, {name: arr.copy() for name, arr in self.named_arrays()}
-        )
+        return self.like(self.flat.copy())
+
+
+def _over(stack, shapes, flat):
+    """ModelParams whose block arrays are consecutive slices of flat, reshaped."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    views = iter(part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes))
+    return ModelParams(stack, flat, **{block: cls(*(next(views) for _ in fields(cls)))
+                                       for block, cls in _blocks(stack)})
 
 
 def zero_grads(params):
-    return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    return params.like(np.zeros_like(params.flat))
 
 
 def model_params_from_arrays(stack, arrays):
-    """Rebuild ModelParams from a name -> array mapping (checkpoint loading)."""
-    blocks = {block: cls.from_arrays([arrays[f"{block}.{t}"] for t in cls.TENSORS])
-              for block, cls in _blocks(stack)}
-    return ModelParams(stack=stack, **blocks)
+    """Copy a name -> array mapping (checkpoint loading) into one new vector."""
+    shapes = []
+    for block, cls in _blocks(stack):
+        n = len(fields(cls))
+        for j in range(n):  # see named_arrays
+            parts = [arrays[f"{block}.{t}"] for t in cls.TENSORS[j::n]]
+            shapes.append((sum(len(part) for part in parts), *parts[0].shape[1:]))
+    params = _over(stack, shapes, np.empty(sum(math.prod(shape) for shape in shapes)))
+    for name, view in params.named_arrays():
+        view[...] = arrays[name]
+    return params
 
 
 def init_model_params(vocab_size, embedding_dim, gru_units, lstm_units,
@@ -519,17 +521,6 @@ def predict_proba(params, seqs):
     return yhat
 
 
-def _add_gate_grads(grads, prefix, p, da, X, dW_h):
-    """Add the weight and bias gradients of layer p's stacked gates to `grads`.
-
-    `da` (N, G*k) holds the gate pre-activation gradients, X (N, in_dim) the
-    layer input and dW_h (G*k, k) the recurrent weight gradient.
-    """
-    step = type(p)(W=np.concatenate([dW_h, da.T @ X], axis=1), b=da.sum(axis=0))
-    for tensor, g in zip(p.TENSORS, step.arrays()):
-        grads[f"{prefix}.{tensor}"] += g
-
-
 def _previous_states(H, prev):
     """H[prev]: the state each packed row's step read, zero where prev is -1."""
     out = H[prev]
@@ -555,8 +546,8 @@ def _times_dtanh(out, y, *factors):
     return out
 
 
-def _lstm_backward(p, trace, U, packing, prev, dh_last, grads, prefix="lstm"):
-    """BPTT through the LSTM; returns d(loss)/d(input sequence), (N, in_dim).
+def _lstm_backward(p, trace, U, packing, prev, dh_last, grad):
+    """BPTT through the LSTM, adding to `grad`; returns d(loss)/d(input), (N, in_dim).
 
     `prev` is packing.previous(). Step t updates only the rows of block t;
     the other batch rows carry their gradient.
@@ -583,12 +574,14 @@ def _lstm_backward(p, trace, U, packing, prev, dh_last, grads, prefix="lstm"):
         _times_dtanh(dcc, cc, i, dcs)
         np.matmul(d, W_h, out=dhs)
         dcs *= f
-    _add_gate_grads(grads, prefix, p, da, U, da.T @ _previous_states(trace.h, prev))
+    grad.W[:, :m] += da.T @ _previous_states(trace.h, prev)
+    grad.W[:, m:] += da.T @ U
+    grad.b += da.sum(axis=0)
     return da @ p.W[:, m:]
 
 
-def _gru_backward(p, trace, X, packing, prev, dH, grads, prefix, reverse=False):
-    """BPTT through one GRU direction; returns d(loss)/d(input sequence), (N, in_dim).
+def _gru_backward(p, trace, X, packing, prev, dH, grad, reverse=False):
+    """BPTT through one GRU direction, adding to `grad`; returns d(loss)/d(input), (N, in_dim).
 
     `prev` is packing.previous(reverse). For the reverse scan the recurrent
     neighbour of step t is t+1, so the gradient sweep runs t = 1..T instead
@@ -617,15 +610,16 @@ def _gru_backward(p, trace, X, packing, prev, dH, grads, prefix, reverse=False):
         dhs += dv
         np.matmul(d[:, :2 * k], W_zr, out=dv)
         dhs += dv
-    dW_zr = da[:, :2 * k].T @ h_prev
+    grad.W[:2 * k, :k] += da[:, :2 * k].T @ h_prev
     h_prev *= trace.r  # the candidate read r * h_prev
-    _add_gate_grads(grads, prefix, p, da, X,
-                    np.concatenate([dW_zr, da[:, 2 * k:].T @ h_prev]))
+    grad.W[2 * k:, :k] += da[:, 2 * k:].T @ h_prev
+    grad.W[:, k:] += da.T @ X
+    grad.b += da.sum(axis=0)
     return da @ p.W[:, k:]
 
 
 def backward_batch(params, cache, dL_dyhat, grads):
-    """Add the exact gradients of sum_j loss_j to `grads` (a zero_grads dict).
+    """Add the exact gradients of sum_j loss_j to `grads` (from zero_grads).
 
     `cache` comes from a train-mode forward_batch call on the same params
     and dL_dyhat (B,) holds each d(loss_j)/d(yhat_j). The embedding gradient
@@ -643,8 +637,8 @@ def backward_batch(params, cache, dL_dyhat, grads):
 
     # dense head: yhat = sigmoid(W h + b)
     ds = dL_dyhat * cache.yhat * (1.0 - cache.yhat)
-    grads["dense.W"] += ds @ cache.h_final
-    grads["dense.b"] += ds.sum()
+    grads.dense.W += ds @ cache.h_final
+    grads.dense.b += ds.sum()
     dh_final = params.dense.W[0] * ds[:, np.newaxis]
 
     if cache.out_mask is not None:
@@ -653,7 +647,7 @@ def backward_batch(params, cache, dL_dyhat, grads):
     packing = cache.packing
     prev = packing.previous()
     dU = _lstm_backward(params.lstm, cache.lstm, cache.lstm_in, packing, prev, dh_final,
-                        grads)
+                        grads.lstm)
 
     if cache.seq_mask is not None:
         dU *= cache.seq_mask
@@ -665,18 +659,17 @@ def backward_batch(params, cache, dL_dyhat, grads):
         k = dU.shape[1] // len(cache.grus)
         dX = sum(_gru_backward(getattr(params, block), trace, cache.x, packing,
                                packing.previous(True) if reverse else prev,
-                               dU[:, j * k:(j + 1) * k], grads, block, reverse=reverse)
+                               dU[:, j * k:(j + 1) * k], getattr(grads, block), reverse)
                  for j, ((block, reverse), trace)
                  in enumerate(zip(STACKS[params.stack], cache.grus)))
 
     # a PAD index inside a sequence adds nothing to the frozen PAD row
-    dE = grads["embedding.E"]
-    np.add.at(dE, cache.index, dX)
-    dE[0, :] = 0.0
+    np.add.at(grads.embedding.E, cache.index, dX)
+    grads.embedding.E[0] = 0.0
 
 
 def model_backward(params, cache, dL_dyhat):
-    """Exact gradients of a scalar loss with respect to every parameter.
+    """Exact gradients of a scalar loss, in the layout of params (see zero_grads).
 
     `cache` must come from a train-mode model_forward call on the same
     params; this is backward_batch at B = 1. The None cache of an all-PAD

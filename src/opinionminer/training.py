@@ -55,8 +55,9 @@ _CLAMP = 1e-12
 # Size bounds TrainConfig.validate checks before anything is allocated. A
 # review of MAX_LEN tokens gets a sub-batch of its own: at about 43 KB of
 # traces and temporaries a token at full size that is under 200 MB.
-# MAX_PARAMETERS floats take 800 MB, and training holds five such copies
-# (the parameters, the best epoch's, Adam's m and v, and one gradient).
+# MAX_PARAMETERS floats take 800 MB. Training holds five vectors that long
+# (the parameters, the best epoch's, Adam's m and v, and the batch gradient)
+# and, during each Adam step, two more for Adam's scratch.
 MAX_LEN = 4096
 MAX_PARAMETERS = 10**8
 
@@ -96,6 +97,11 @@ class TrainConfig:
     stack: str = "hbgru_lstm"
 
     def validate(self):
+        for f in dataclasses.fields(self):  # an int key takes no float, no key a bool
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type is float else f.type
+            if type(value) is bool or not isinstance(value, allowed):
+                raise ConfigError(f"invalid value for {f.name}: {value!r}")
         checks = [
             ("embedding_dim", self.embedding_dim >= 1),
             ("gru_units", self.gru_units >= 1),
@@ -132,13 +138,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray  # the moments, in the layout of ModelParams.flat
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(m=zero_grads(params), v=zero_grads(params), t=0)
+        return cls(m=zero_grads(params).flat, v=zero_grads(params).flat, t=0)
 
 
 @dataclass
@@ -170,28 +176,33 @@ def bce_grad(y, yhat):
 
 
 def adam_step(state, params, grads, config):
-    """One Adam update with bias correction; the PAD embedding row is frozen."""
+    """One Adam update with bias correction; the PAD embedding row is frozen.
+
+    `grads` comes from zero_grads. The update runs in place over the whole
+    vector with two scratch vectors, each element as in the textbook
+    flat -= lr * (m / mc) / (sqrt(v / vc) + eps).
+    """
+    g, m, v = grads.flat, state.m, state.v
+    if g.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match the parameters' "
+                         f"{params.flat.shape}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     eps, lr = config.epsilon, config.learning_rate
     mc = 1.0 - b1 ** state.t
     vc = 1.0 - b2 ** state.t
-    for name, arr in params.named_arrays():
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {name} {arr.shape}")
-        pad_row = arr[0].copy() if name == "embedding.E" else None
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        arr -= lr * (m / mc) / (np.sqrt(v / vc) + eps)
-        if pad_row is not None:
-            arr[0] = pad_row
-            m[0] = 0.0
-            v[0] = 0.0
+    step, denom = np.empty_like(g), np.empty_like(g)
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=step)
+    v *= b2
+    v += np.multiply(1.0 - b2, np.multiply(g, g, out=step), out=step)
+    np.sqrt(np.divide(v, vc, out=denom), out=denom)
+    denom += eps
+    np.multiply(lr, np.divide(m, mc, out=step), out=step)
+    step /= denom
+    for vector in (step, m, v):  # the PAD row stays as it is
+        params.like(vector).embedding.E[0] = 0.0
+    params.flat -= step
     return state, params
 
 
@@ -217,7 +228,7 @@ def batch_gradients(params, batch, dropout_rate, seeds):
 
     Runs the length-sorted sub-batches of `sub_batches`; example j draws its
     dropout masks from seeds[j]. An all-PAD example scores 0.5 and adds no
-    gradient. Returns (yhat in batch order, {tensor name: gradient sum}).
+    gradient. Returns (yhat in batch order, the gradient sum as a ModelParams).
     """
     seqs = [seq for seq, _ in batch]
     yhat = np.full(len(batch), 0.5)
@@ -249,9 +260,7 @@ def train_epoch(params, adam, batches, config, epoch=0):
             total_loss += bce_loss(label, p)
             correct += int(classify(p) == label)
         count += len(batch)
-        inv = 1.0 / len(batch)
-        for name in grad_sum:
-            grad_sum[name] *= inv
+        grad_sum.flat *= 1.0 / len(batch)
         adam_step(adam, params, grad_sum, config)
     return params, adam, (total_loss / count, correct / count)
 
@@ -272,7 +281,8 @@ def evaluate_loss(params, data):
 def _check_finite(epoch, params, train_loss, val_loss):
     """ConfigError naming the first non-finite loss or tensor of a diverged epoch."""
     values = [("train loss", train_loss), ("validation loss", val_loss)]
-    values += [(f"tensor {name}", arr) for name, arr in params.named_arrays()]
+    if not np.isfinite(params.flat).all():
+        values += [(f"tensor {name}", arr) for name, arr in params.named_arrays()]
     for what, value in values:
         if not np.isfinite(value).all():
             raise ConfigError(f"training diverged in epoch {epoch}: {what} is not finite "
@@ -312,7 +322,10 @@ def fit(config, train, validation, params=None, on_epoch=None):
             on_epoch(record)
         if val_loss < best_loss - config.min_delta:
             best_loss = val_loss
-            best_params = params.clone()
+            if epoch == 1:
+                best_params = params.clone()
+            else:  # into the one copy, not a second one
+                np.copyto(best_params.flat, params.flat)
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -334,14 +347,10 @@ class Checkpoint:
 
 
 def _pack_tensor(name, arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        rows, cols = arr.shape[0], 0
-    elif arr.ndim == 2:
-        rows, cols = arr.shape
-    else:
+    if arr.ndim not in (1, 2):
         raise ValueError(f"tensor {name} has unsupported rank {arr.ndim}")
-    payload = arr.astype("<f8").tobytes(order="C")
+    rows, cols = arr.shape if arr.ndim == 2 else (len(arr), 0)
+    payload = np.asarray(arr, dtype="<f8").tobytes()
     name_b = name.encode("utf-8")
     return b"".join([
         struct.pack("<H", len(name_b)), name_b,
@@ -397,7 +406,7 @@ def load_checkpoint(path):
 
     Raises CheckpointError on any corruption or malformed header, and
     ModelMismatchError when the tensor names are not the stack's, in order,
-    or a shape differs from param_shapes (checked before gates are stacked).
+    or a shape differs from param_shapes (checked before anything is copied).
     """
     try:
         with open(path, "rb") as fh:
@@ -425,7 +434,7 @@ def load_checkpoint(path):
         payload = r.take(count * 8)
         if struct.unpack("<I", r.take(4))[0] != zlib.crc32(payload):
             raise CheckpointError(f"{path}: checksum failure in tensor {name}")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f8")
         names.append(name)
         arrays[name] = arr if cols == 0 else arr.reshape(rows, cols)
     if r.pos != len(body):
@@ -464,11 +473,6 @@ def _parse_header(raw, path):
         raise CheckpointError(f"{path}: unknown stack variant {header['stack']!r}")
     try:
         config = TrainConfig(**header["config"]).validate()
-        for f in dataclasses.fields(config):  # an int key takes no float, no key a bool
-            value = getattr(config, f.name)
-            if f.type in (int, float) and (type(value) is bool
-                                           or not isinstance(value, (int, f.type))):
-                raise ConfigError(f"invalid value for {f.name}: {value!r}")
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad config in header: {exc}") from exc
     lists = [header["vocab"]] + [header[k] for k in ("stopwords", "whitelist")
@@ -489,7 +493,8 @@ def validate_checkpoint(ckpt):
         raise ModelMismatchError(
             f"checkpoint stack {ckpt.params.stack!r} does not match config "
             f"stack {ckpt.config.stack!r}")
-    for name, arr in ckpt.params.named_arrays():
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {name} holds a non-finite value")
+    if not np.isfinite(ckpt.params.flat).all():
+        for name, arr in ckpt.params.named_arrays():
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"tensor {name} holds a non-finite value")
     return ckpt

@@ -34,8 +34,10 @@ def lstm_step(w, h_prev, C_prev, x):
 
 
 def layer_tensors(layer):
-    """{tensor name: array} of one GRU or LSTM layer."""
-    return dict(zip(layer.TENSORS, layer.arrays()))
+    """{tensor name: array} of one GRU or LSTM layer; gate g holds rows g*k:(g+1)*k."""
+    k = len(layer.b) // len(layer.GATES)
+    return {f"{t}_{gate}": getattr(layer, t)[g * k:(g + 1) * k]
+            for g, gate in enumerate(layer.GATES) for t in ("W", "b")}
 
 
 def model_forward(params, indices):

@@ -66,7 +66,7 @@ def test_criterion_1_gradient_correctness():
 
         yhat, cache = model_forward(params, seq, mode="train",
                                     dropout_rate=0.0, seed=0)
-        analytic = model_backward(params, cache, bce_grad(label, yhat))
+        analytic = dict(model_backward(params, cache, bce_grad(label, yhat)).named_arrays())
         for name, arr in params.named_arrays():
             flat = arr.reshape(-1)
             a_flat = analytic[name].reshape(-1)

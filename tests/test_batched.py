@@ -69,16 +69,16 @@ def check_against_batch_size_one(params, data, dropout_rate):
     assert_close(predict_proba(params, seqs), np.array(single), "infer yhat")
 
     yhat, grads = batch_gradients(params, data, dropout_rate, seeds)
-    want_yhat, want = [], {name: np.zeros_like(g) for name, g in grads.items()}
+    want_yhat, want = [], {name: np.zeros_like(g) for name, g in grads.named_arrays()}
     for (seq, label), seed in zip(data, seeds):
         y, cache = model_forward(params, seq, mode="train", dropout_rate=dropout_rate,
                                  seed=seed)
         want_yhat.append(y)
-        for name, g in model_backward(params, cache, bce_grad(label, y)).items():
+        for name, g in model_backward(params, cache, bce_grad(label, y)).named_arrays():
             want[name] += g
     assert_close(yhat, np.array(want_yhat), "train yhat")
-    for name in grads:
-        assert_close(grads[name], want[name], name)
+    for name, g in grads.named_arrays():
+        assert_close(g, want[name], name)
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
@@ -127,7 +127,7 @@ def test_all_pad_batch_scores_half():
     np.testing.assert_array_equal(predict_proba(params, [empty, empty]), [0.5, 0.5])
     yhat, grads = batch_gradients(params, [(empty, 1)], 0.2, [0])
     assert yhat.tolist() == [0.5]
-    assert not any(g.any() for g in grads.values())
+    assert not any(g.any() for _, g in grads.named_arrays())
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))

@@ -52,7 +52,7 @@ def rel_error(a, b):
 
 
 def check_all_blocks(params, seq, label, dropout_rate=0.0, seed=0):
-    analytic = analytic_gradients(params, seq, label, dropout_rate, seed)
+    analytic = dict(analytic_gradients(params, seq, label, dropout_rate, seed).named_arrays())
     numeric = fd_gradients(params, seq, label, dropout_rate, seed)
     for name in numeric:
         err = rel_error(analytic[name], numeric[name])
@@ -88,7 +88,7 @@ def test_zero_upstream_gradient_gives_zero():
     _, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="train",
                              dropout_rate=0.0, seed=0)
     grads = model_backward(params, cache, 0.0)
-    for name, g in grads.items():
+    for name, g in grads.named_arrays():
         npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
 
@@ -99,7 +99,7 @@ def test_dense_bias_closed_form():
     yhat, cache = model_forward(params, TokenSequence(np.array([3, 4, 5])), mode="train",
                                 dropout_rate=0.0, seed=0)
     for upstream in (1.0, -2.5, 0.3):
-        grads = model_backward(params, cache, upstream)
+        grads = dict(model_backward(params, cache, upstream).named_arrays())
         assert grads["dense.b"][0] == upstream * yhat * (1.0 - yhat)
 
 
@@ -108,7 +108,7 @@ def test_pad_row_gradient_forced_zero():
                                lstm_units=2, seed=2)
     yhat, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="train",
                                 dropout_rate=0.0, seed=0)
-    grads = model_backward(params, cache, bce_grad(1, yhat))
+    grads = dict(model_backward(params, cache, bce_grad(1, yhat)).named_arrays())
     npt.assert_array_equal(grads["embedding.E"][0], np.zeros(2))
 
 
@@ -136,4 +136,4 @@ def test_degenerate_cache_gives_zero_grads():
     yhat, cache = model_forward(params, TokenSequence(np.zeros(0, dtype=np.int64)), mode="train")
     assert yhat == 0.5
     grads = model_backward(params, cache, 3.0)
-    assert all(not g.any() for g in grads.values())
+    assert all(not g.any() for _, g in grads.named_arrays())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from opinionminer.layers import (
     model_forward,
     param_names,
     param_shapes,
+    zero_grads,
 )
 from opinionminer.text_pipeline import TokenSequence
 from opinionminer.training import AdamState, TrainConfig, adam_step
@@ -429,6 +431,24 @@ class TestLayout:
                 assert np.shares_memory(W_g, layer.W) and np.shares_memory(b_g, layer.b)
             npt.assert_array_equal(np.concatenate(Ws), layer.W)
             npt.assert_array_equal(np.concatenate(bs), layer.b)
+
+    @pytest.mark.parametrize("stack", sorted(CHECKPOINT_ORDER))
+    def test_every_block_array_is_a_slice_of_one_vector(self, stack):
+        params = init_model_params(11, 3, 4, 5, stack=stack, seed=1)
+        _, cache = model_forward(params, TokenSequence(np.array([2, 5, 3])), mode="train")
+        copy = params.clone()
+        layouts = [params, zero_grads(params), model_backward(params, cache, 1.0), copy]
+        for p in layouts:
+            assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+            blocks = [getattr(p, block) for block in ["embedding", "lstm", "dense"]
+                      + [block for block, _ in STACKS[stack]]]
+            arrays = [getattr(b, f.name) for b in blocks for f in dataclasses.fields(b)]
+            assert sum(a.size for a in arrays) == p.flat.size
+            for a in arrays:
+                assert np.shares_memory(a, p.flat)
+                assert not any(np.shares_memory(a, q.flat) for q in layouts if q is not p)
+        assert [(n, a.tobytes()) for n, a in copy.named_arrays()] == \
+            [(n, a.tobytes()) for n, a in params.named_arrays()]
 
     def test_adam_step_moves_the_scans(self):
         # Adam updates the named tensors in place, so the stacked weights

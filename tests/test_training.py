@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from _toy import encode_toy, toy_config, toy_corpus
-from opinionminer.layers import init_model_params, model_backward, model_forward
+from opinionminer.layers import STACKS, init_model_params, model_backward, model_forward
 from opinionminer.text_pipeline import TokenSequence, Vocabulary
 from opinionminer.training import (
     MAX_LEN,
@@ -67,12 +68,55 @@ def tiny_model(seed=0):
                              lstm_units=2, seed=seed)
 
 
+def reference_adam_step(params, m, v, grads, t, config):
+    """Adam as one loop over name -> array dicts, with the PAD row frozen."""
+    b1, b2 = config.beta1, config.beta2
+    eps, lr = config.epsilon, config.learning_rate
+    mc = 1.0 - b1 ** t
+    vc = 1.0 - b2 ** t
+    for name, arr in params.items():
+        g = grads[name]
+        pad_row = arr[0].copy() if name == "embedding.E" else None
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        arr -= lr * (m[name] / mc) / (np.sqrt(v[name] / vc) + eps)
+        if pad_row is not None:
+            arr[0] = pad_row
+            m[name][0] = 0.0
+            v[name][0] = 0.0
+
+
 class TestAdam:
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_vector_update_matches_the_per_tensor_loop_bit_for_bit(self, stack):
+        params = init_model_params(vocab_size=9, embedding_dim=3, gru_units=4,
+                                   lstm_units=3, stack=stack, seed=1)
+        want = {n: a.copy() for n, a in params.named_arrays()}
+        m = {n: np.zeros_like(a) for n, a in want.items()}
+        v = {n: np.zeros_like(a) for n, a in want.items()}
+        state = AdamState.for_params(params)
+        config = TrainConfig(learning_rate=0.01)
+        rng = np.random.default_rng(7)
+        size = params.flat.size
+        for t in range(1, 6):
+            # signed gradients from 1e-8 to 1e2
+            grads = params.like(rng.choice([-1.0, 1.0], size=size)
+                                * 10.0 ** rng.uniform(-8.0, 2.0, size=size))
+            reference_adam_step(want, m, v, dict(grads.named_arrays()), t, config)
+            adam_step(state, params, grads, config)
+            assert state.t == t
+            for got, ref in ((params, want), (params.like(state.m), m),
+                             (params.like(state.v), v)):
+                for name, arr in got.named_arrays():
+                    assert arr.tobytes() == ref[name].tobytes(), (t, name)
+
     def test_zero_gradient_is_noop(self):
         params = tiny_model()
         before = {n: a.copy() for n, a in params.named_arrays()}
         state = AdamState.for_params(params)
-        grads = {n: np.zeros_like(a) for n, a in params.named_arrays()}
+        grads = params.like(np.zeros_like(params.flat))
         adam_step(state, params, grads, TrainConfig())
         for name, arr in params.named_arrays():
             npt.assert_array_equal(arr, before[name])
@@ -84,7 +128,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         config = TrainConfig(learning_rate=0.001, epsilon=1e-7)
         g = 0.3
-        grads = {n: np.full_like(a, g) for n, a in params.named_arrays()}
+        grads = params.like(np.full_like(params.flat, g))
         before = {n: a.copy() for n, a in params.named_arrays()}
         adam_step(state, params, grads, config)
         expected = -0.001 * g / (g + 1e-7)  # = -0.0009999996666667783
@@ -99,7 +143,7 @@ class TestAdam:
         params = tiny_model()
         state = AdamState.for_params(params)
         config = TrainConfig()
-        grads = {n: np.full_like(a, 0.5) for n, a in params.named_arrays()}
+        grads = params.like(np.full_like(params.flat, 0.5))
         w = params.dense.W.copy()
         for _ in range(3):
             adam_step(state, params, grads, config)
@@ -109,7 +153,7 @@ class TestAdam:
     def test_pad_row_never_updated(self):
         params = tiny_model()
         state = AdamState.for_params(params)
-        grads = {n: np.ones_like(a) for n, a in params.named_arrays()}
+        grads = params.like(np.ones_like(params.flat))
         for _ in range(3):
             adam_step(state, params, grads, TrainConfig())
         npt.assert_array_equal(params.embedding.E[0], np.zeros(2))
@@ -117,10 +161,13 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         params = tiny_model()
         state = AdamState.for_params(params)
-        grads = {n: np.zeros_like(a) for n, a in params.named_arrays()}
-        grads["dense.W"] = np.zeros((1, 5))
-        with pytest.raises(ValueError):
+        before = params.flat.copy()
+        # the gradients of a model with one more vocabulary row
+        grads = init_model_params(vocab_size=7, embedding_dim=2, gru_units=2, lstm_units=2)
+        with pytest.raises(ValueError, match="does not match"):
             adam_step(state, params, grads, TrainConfig())
+        assert state.t == 0
+        npt.assert_array_equal(params.flat, before)
 
 
 class TestMakeBatches:
@@ -252,6 +299,51 @@ class TestFit:
             assert got is not trained
         assert any((arr != initial[name]).any() for name, arr in params.named_arrays())
 
+    def test_a_later_improving_epoch_copies_into_the_best_vector(self):
+        # a model of about 1 MB, its embedding 2000 x 64 floats
+        corpus = toy_corpus(24, seed=2)
+        config = toy_config(vocab_size=2000, embedding_dim=64, gru_units=4, lstm_units=4,
+                            batch_size=8)
+        encoded, _ = encode_toy(corpus, config)
+
+        def traced_fit(max_epochs):
+            """fit's whole peak, and its growth after the last epoch's record."""
+            params = init_model_params(config.vocab_size, config.embedding_dim,
+                                       config.gru_units, config.lstm_units, seed=config.seed)
+            peaks, base = [], []
+
+            def on_epoch(record):
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak)
+                base.append(current)
+                tracemalloc.reset_peak()
+
+            tracemalloc.start()
+            try:
+                best, history = fit(dataclasses.replace(config, max_epochs=max_epochs),
+                                    encoded[:16], encoded[16:], params=params,
+                                    on_epoch=on_epoch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            records = history.records
+            assert len(records) == max_epochs
+            assert all(b.val_loss < a.val_loss - config.min_delta
+                       for a, b in zip(records, records[1:]))  # every epoch improves
+            # the best epoch is the last; its copy is exact and owns its memory
+            npt.assert_array_equal(best.flat, params.flat)
+            assert not np.shares_memory(best.flat, params.flat)
+            assert evaluate_loss(best, encoded[16:])[0] == records[-1].val_loss
+            return max(peaks + [peak]), peak - base[-1], params.flat.nbytes
+
+        peak_1, growth_1, copy = traced_fit(1)
+        peak_2, growth_2, _ = traced_fit(2)
+        assert copy > 10**6
+        assert growth_1 >= copy  # the first improving epoch clones
+        assert growth_2 < copy / 4  # a later one copies into that clone
+        # epoch 2 holds the one best copy through its training, and no other
+        assert peak_2 <= peak_1 + copy * 1.1
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             fit(toy_config(), [], [(TokenSequence(np.array([2])), 1)])
@@ -286,6 +378,21 @@ class TestConfig:
             TrainConfig(learning_rate=0.0).validate()
         with pytest.raises(ConfigError, match="stack"):
             TrainConfig(stack="cnn_lstm").validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 2.5), ("max_epochs", 1.5), ("embedding_dim", 2.0),
+        ("patience", True), ("dropout_rate", False), ("seed", "1"),
+        ("learning_rate", "0.1"), ("stack", None), ("max_len", None),
+    ])
+    def test_validate_rejects_a_value_of_the_wrong_type(self, key, value):
+        # an int key takes no float and no key a bool, in fit as in a header
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value}).validate()
+        with pytest.raises(ConfigError, match=key):
+            fit(TrainConfig(**{key: value}), [], [])
+
+    def test_a_float_key_takes_an_int(self):
+        TrainConfig(learning_rate=1, dropout_rate=0, min_delta=0).validate()
 
 
 # sizes whose allocation would fail; only validate and the header parser see
