@@ -8,7 +8,6 @@ and can be byte-compared across runs.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .layers import classify, predict_proba
 from .training import bce_loss
@@ -118,8 +117,11 @@ def chi_square_test(table):
 
     Expected counts are row_total * col_total / N; the p-value is the
     upper-tail probability Q(df/2, statistic/2) of the chi-square
-    distribution (regularized incomplete gamma).
+    distribution (regularized incomplete gamma). SciPy is imported here, not
+    at module load, so only a `compare` run pays for importing it.
     """
+    from scipy.special import gammaincc
+
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ValueError("chi_square_test needs a table with >= 2 rows and >= 2 columns")

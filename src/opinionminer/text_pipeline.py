@@ -194,13 +194,15 @@ def _load_jsonl(path):
     return reviews
 
 
+@lru_cache(maxsize=1 << 16)
 def stem_token(token):
     """Rule-based suffix stemmer, applied until a fixed point.
 
     Per pass: strip the first suffix of ing/ed/ly/es/s that leaves at least
     3 characters; 's' never strips after 'ss'; a doubled trailing consonant
     left by ing/ed loses one letter unless it is l, s or z. Iterating to a
-    fixed point makes stemming (and clean_text) idempotent.
+    fixed point makes stemming (and clean_text) idempotent. A corpus repeats
+    its words, so the results of the last 65536 distinct tokens are cached.
     """
     while True:
         stripped = _strip_one_suffix(token)
@@ -282,7 +284,8 @@ def encode_sequence(text, vocab, max_len):
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    mapped = [vocab.index_of(t) for t in text.split()]
+    index_of = vocab.token_to_index.get
+    mapped = [index_of(t, UNK_INDEX) for t in text.split()]
     return TokenSequence(indices=np.array(mapped[-max_len:], dtype=np.int64))
 
 

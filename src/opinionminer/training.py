@@ -346,22 +346,24 @@ class Checkpoint:
     whitelist: frozenset | None
 
 
-def _pack_tensor(name, arr):
+def _tensor_parts(name, arr):
+    """A tensor's record: its name and shape, its payload (the little-endian
+    array itself, no copy on a little-endian host) and the payload's crc32."""
     if arr.ndim not in (1, 2):
         raise ValueError(f"tensor {name} has unsupported rank {arr.ndim}")
     rows, cols = arr.shape if arr.ndim == 2 else (len(arr), 0)
-    payload = np.asarray(arr, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(arr, dtype="<f8")
     name_b = name.encode("utf-8")
-    return b"".join([
-        struct.pack("<H", len(name_b)), name_b,
-        struct.pack("<II", rows, cols),
-        payload,
-        struct.pack("<I", zlib.crc32(payload)),
-    ])
+    return (struct.pack("<H", len(name_b)) + name_b + struct.pack("<II", rows, cols),
+            payload, struct.pack("<I", zlib.crc32(payload)))
 
 
 def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None):
-    """Write a versioned, checksummed model container; byte-deterministic."""
+    """Write a versioned, checksummed model container; byte-deterministic.
+
+    Each part goes straight to the file and the whole-file crc32 runs over
+    the parts as they are written, so no copy of the body is built.
+    """
     header = json.dumps({
         "stack": params.stack,
         "config": dataclasses.asdict(config),
@@ -374,11 +376,14 @@ def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None)
              struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<I", len(header)), header,
              struct.pack("<I", len(tensors))]
-    parts.extend(_pack_tensor(name, arr) for name, arr in tensors)
-    body = b"".join(parts)
+    for name, arr in tensors:
+        parts.extend(_tensor_parts(name, arr))
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+            fh.write(part)
+        fh.write(struct.pack("<I", crc))
 
 
 class _Reader:
@@ -407,10 +412,12 @@ def load_checkpoint(path):
     Raises CheckpointError on any corruption or malformed header, and
     ModelMismatchError when the tensor names are not the stack's, in order,
     or a shape differs from param_shapes (checked before anything is copied).
+    The file's bytes are read once and every part is a view of them, so the
+    only copy is the one into the parameter vector.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = memoryview(fh.read())
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
     if len(data) < 16:
@@ -428,7 +435,7 @@ def load_checkpoint(path):
     stack, config, vocab_tokens, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
     names, arrays = [], {}
     for _ in range(r.u32()):
-        name = r.take(r.u16()).decode("utf-8", errors="replace")
+        name = str(r.take(r.u16()), "utf-8", errors="replace")
         rows, cols = r.u32(), r.u32()
         count = rows * max(cols, 1)
         payload = r.take(count * 8)
@@ -461,7 +468,7 @@ def load_checkpoint(path):
 def _parse_header(raw, path):
     """(stack, config, vocab, stopwords, whitelist) from the JSON header bytes."""
     try:
-        header = json.loads(raw.decode("utf-8"))
+        header = json.loads(str(raw, "utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):

@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import zlib
 from functools import lru_cache
@@ -528,6 +531,25 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "chi_square_statistic = 495.60" in out
         assert "degrees_of_freedom = 9" in out
+
+    def test_only_compare_loads_scipy(self, tmp_path):
+        # a fresh interpreter: importing the CLI leaves SciPy out; compare loads
+        # it and prints the same p-value line as with SciPy imported up front
+        paths = [str(write_report(tmp_path / f"{name}.txt", *counts))
+                 for name, counts in MODEL_COUNTS.items()]
+        probe = ("import sys\n"
+                 "import opinionminer.cli\n"
+                 "print('scipy' in sys.modules)\n"
+                 "code = opinionminer.cli.main(['compare'] + sys.argv[1:])\n"
+                 "print('scipy' in sys.modules, code)\n")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-c", probe, *paths], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "p_value = 5.024391e-101" in lines
+        assert lines[-1] == "True 0"
 
     def test_identical_reports_statistic_zero(self, tmp_path, capsys):
         a = write_report(tmp_path / "a.txt", 40, 40, 10, 10)

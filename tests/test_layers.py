@@ -248,6 +248,22 @@ class TestDenseAndClassify:
                 got = dense_sigmoid(p, np.array([[-1e308], [1e308]]))
         npt.assert_array_equal(got, [0.0, 1.0])
 
+    def test_equals_scipy_expit_bit_for_bit(self):
+        # SciPy is only the oracle: the head computes 1 / (1 + exp(-x)) with math.exp
+        from scipy.special import expit
+        rng = np.random.default_rng(11)
+        logits = np.concatenate([
+            rng.normal(0.0, 40.0, 20_000),
+            rng.uniform(-709.78, -708.4, 200),  # results below the smallest normal float
+            [709.78, -709.78, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan],
+        ])
+        p = DenseParams(W=np.ones((1, 1)), b=np.zeros(1))
+        got = dense_sigmoid(p, logits[:, None])
+        want = expit(logits)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.any((want > 0.0) & (want < np.finfo(np.float64).tiny))
+
     def test_classify_boundary_is_positive(self):
         assert classify(0.5) == 1
         assert classify(0.4999) == 0

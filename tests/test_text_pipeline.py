@@ -138,6 +138,21 @@ class TestCleanText:
         assert stem_token("falling") == "fall"
         assert stem_token("was") == "was"  # min stem length blocks the strip
 
+    def test_stem_cache_is_bounded_and_changes_nothing(self):
+        assert stem_token.cache_info().maxsize is not None
+        rng = np.random.default_rng(5)
+        stems = ["".join(rng.choice(list("abdegilnorstuy"), size=int(rng.integers(1, 8))))
+                 for _ in range(300)]
+        words = [str(rng.choice(stems)) + str(rng.choice(["", "s", "es", "ed", "ing", "ly",
+                                                          "ings", "edly", "ss"]))
+                 for _ in range(3000)]
+        text = " ".join(words)
+        stem_token.cache_clear()
+        cold = clean_text(text)
+        assert stem_token.cache_info().hits > 0
+        assert clean_text(text) == cold
+        assert [stem_token(w) for w in words] == [stem_token.__wrapped__(w) for w in words]
+
     def test_punctuation_to_spaces(self):
         assert clean_text("good-bad, good...bad", frozenset(), frozenset()) \
             == "good bad good bad"

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -492,6 +494,59 @@ class TestCheckpoint:
         save_checkpoint(params, config, vocab, a)
         save_checkpoint(params, config, vocab, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_follows_the_documented_layout(self, tmp_path):
+        # the layout of the module docstring, written here part by part
+        params, config, vocab = self.make_artifacts()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, config, vocab, path, whitelist=frozenset({"not"}))
+        header = json.dumps({"stack": params.stack, "config": dataclasses.asdict(config),
+                             "vocab": list(vocab.index_to_token), "stopwords": None,
+                             "whitelist": ["not"]}, sort_keys=True).encode("utf-8")
+        tensors = list(params.named_arrays())
+        body = b"OMCK" + struct.pack("<II", 1, len(header)) + header
+        body += struct.pack("<I", len(tensors))
+        for name, arr in tensors:
+            payload = arr.astype("<f8").tobytes()
+            rows, cols = arr.shape if arr.ndim == 2 else (len(arr), 0)
+            name_b = name.encode("utf-8")
+            body += (struct.pack("<H", len(name_b)) + name_b + struct.pack("<II", rows, cols)
+                     + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
+    @staticmethod
+    def full_size_params():
+        config = TrainConfig()
+        vocab = Vocabulary.from_content_tokens([f"w{i}" for i in range(config.vocab_size - 2)])
+        params = init_model_params(vocab.size, config.embedding_dim, config.gru_units,
+                                   config.lstm_units, seed=3)
+        return params, config, vocab
+
+    def test_full_size_save_writes_from_the_arrays(self, tmp_path):
+        params, config, vocab = self.full_size_params()
+        path = tmp_path / "full.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, config, vocab, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 25e6
+        assert peak < 0.1 * path.stat().st_size
+
+    def test_full_size_load_copies_only_into_the_parameter_vector(self, tmp_path):
+        params, config, vocab = self.full_size_params()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes once, the parameter vector and a 10% allowance
+        assert peak < 1.1 * (path.stat().st_size + params.flat.nbytes)
+        npt.assert_array_equal(ckpt.params.flat, params.flat)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
