@@ -5,7 +5,7 @@
 and can be byte-compared across runs.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,19 +153,8 @@ def evaluate_model(params, test):
 
 def report_values(report):
     """Report as a plain dict keyed by REPORT_KEYS."""
-    return {
-        "n": report.n,
-        "tp": report.counts.tp, "tn": report.counts.tn,
-        "fp": report.counts.fp, "fn": report.counts.fn,
-        "accuracy": report.accuracy,
-        "precision_pos": report.precision_pos,
-        "recall_pos": report.recall_pos,
-        "f1_pos": report.f1_pos,
-        "precision_neg": report.precision_neg,
-        "recall_neg": report.recall_neg,
-        "f1_neg": report.f1_neg,
-        "percent_loss": report.percent_loss,
-    }
+    counts = asdict(report.counts)
+    return {key: counts[key] if key in counts else getattr(report, key) for key in REPORT_KEYS}
 
 
 def format_report(report):

@@ -35,8 +35,12 @@ place, which leaves the gates there; temporaries are allocated once per
 loop. Each layer stores its gates stacked in one matrix, whose columns
 split into the recurrent and the input weights; the checkpoint tensors
 W_z, b_z, ... are row views of it. All block arrays are slices of one
-vector, ModelParams.flat; gradients, Adam's moments and the best epoch's
-copy lay the same blocks over vectors of their own (ModelParams.like).
+vector, ModelParams.flat, whose layout _layout states once for a stack and
+its sizes: ModelParams.zeros lays it over a new vector, which initialization
+draws into and checkpoint loading copies into, and param_shapes reads the
+checkpoint's tensor shapes off it. Gradients, Adam's moments and the best
+epoch's copy lay the same blocks over vectors of their own
+(ModelParams.like).
 The backward pass keeps every row's gate pre-activation gradients, gathers
 the state each row's step read (Packing.previous) and adds each weight
 gradient into its block with one matrix product after the loop; the
@@ -135,30 +139,29 @@ def _blocks(stack):
             + [("lstm", LstmParams), ("dense", DenseParams)])
 
 
-def param_names(stack):
-    """Every parameter tensor name of a stack, in checkpoint order."""
-    return [f"{block}.{tensor}" for block, cls in _blocks(stack) for tensor in cls.TENSORS]
+def _layout(stack, vocab_size, embedding_dim, gru_units, lstm_units):
+    """(block, params class, shape of each of its arrays), in the order of flat.
+
+    A gated layer stacks its G gates' rows: W is (G * units, units + input
+    width), since each gate reads [h_prev, x], and b is (G * units,).
+    """
+    blocks = _blocks(stack)
+    lstm_in = gru_units * len(STACKS[stack]) if STACKS[stack] else embedding_dim
+    gru, lstm = len(GruParams.GATES) * gru_units, len(LstmParams.GATES) * lstm_units
+    shapes = {EmbeddingParams: [(vocab_size, embedding_dim)],
+              GruParams: [(gru, gru_units + embedding_dim), (gru,)],
+              LstmParams: [(lstm, lstm_units + lstm_in), (lstm,)],
+              DenseParams: [(1, lstm_units), (1,)]}
+    return [(block, cls, shapes[cls]) for block, cls in blocks]
 
 
 def param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units):
-    """{tensor name: shape} in checkpoint order.
-
-    A block's weights are (rows, cols) and its biases (rows,); each recurrent
-    weight reads [h_prev, x], so its cols are rows + input width.
-    """
-    names = param_names(stack)
-    directions = STACKS[stack]
-    lstm_in = gru_units * len(directions) if directions else embedding_dim
-    weights = {
-        "embedding": (vocab_size, embedding_dim),
-        "lstm": (lstm_units, lstm_units + lstm_in),
-        "dense": (1, lstm_units),
-    }
-    weights.update((block, (gru_units, gru_units + embedding_dim)) for block, _ in directions)
+    """{tensor name: shape} in checkpoint order: each block array split as in named_arrays."""
     shapes = {}
-    for name in names:
-        block, tensor = name.split(".")
-        shapes[name] = weights[block][:1] if tensor.startswith("b") else weights[block]
+    for block, cls, arrays in _layout(stack, vocab_size, embedding_dim, gru_units, lstm_units):
+        gates = len(cls.TENSORS) // len(arrays)
+        parts = [(shape[0] // gates, *shape[1:]) for shape in arrays] * gates
+        shapes.update(zip((f"{block}.{t}" for t in cls.TENSORS), parts))
     return shapes
 
 
@@ -189,6 +192,13 @@ class ModelParams:
     def clone(self):
         return self.like(self.flat.copy())
 
+    @classmethod
+    def zeros(cls, stack, *sizes):
+        """A zero vector with the block arrays of a stack of the given sizes
+        (vocab_size, embedding_dim, gru_units, lstm_units) laid over it."""
+        shapes = [shape for _, _, arrays in _layout(stack, *sizes) for shape in arrays]
+        return _over(stack, shapes, np.zeros(sum(math.prod(shape) for shape in shapes)))
+
 
 def _over(stack, shapes, flat):
     """ModelParams whose block arrays are consecutive slices of flat, reshaped."""
@@ -202,32 +212,20 @@ def zero_grads(params):
     return params.like(np.zeros_like(params.flat))
 
 
-def model_params_from_arrays(stack, arrays):
-    """Copy a name -> array mapping (checkpoint loading) into one new vector."""
-    shapes = []
-    for block, cls in _blocks(stack):
-        n = len(fields(cls))
-        for j in range(n):  # see named_arrays
-            parts = [arrays[f"{block}.{t}"] for t in cls.TENSORS[j::n]]
-            shapes.append((sum(len(part) for part in parts), *parts[0].shape[1:]))
-    params = _over(stack, shapes, np.empty(sum(math.prod(shape) for shape in shapes)))
-    for name, view in params.named_arrays():
-        view[...] = arrays[name]
-    return params
-
-
 def init_model_params(vocab_size, embedding_dim, gru_units, lstm_units,
                       stack="hbgru_lstm", seed=0):
     """Seeded Glorot-uniform weights, zero biases, zero PAD embedding row.
 
-    Weights are drawn in checkpoint order from one generator.
+    Each weight is drawn straight into its view of the vector, in checkpoint
+    order, from one generator.
     """
-    shapes = param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units)
+    params = ModelParams.zeros(stack, vocab_size, embedding_dim, gru_units, lstm_units)
     rng = np.random.default_rng(seed)
-    arrays = {name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-              for name, shape in shapes.items()}
-    arrays["embedding.E"][0, :] = 0.0
-    return model_params_from_arrays(stack, arrays)
+    for _, view in params.named_arrays():
+        if view.ndim == 2:
+            glorot_uniform(rng, view)
+    params.embedding.E[0] = 0.0
+    return params
 
 
 class Packing:

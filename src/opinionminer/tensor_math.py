@@ -50,7 +50,12 @@ def sigmoid(x, out=None):
     return out
 
 
-def glorot_uniform(rng, rows, cols):
-    """Uniform(-s, s) draw with s = sqrt(6 / (rows + cols)) from a given Generator."""
-    s = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-s, s, size=(rows, cols))
+def glorot_uniform(rng, out):
+    """Fill out, (rows, cols), in place with a Uniform(-s, s) draw from a given
+    Generator, s = sqrt(6 / (rows + cols)), and return it. The draw is bit for
+    bit rng.uniform(-s, s, out.shape): u * 2s - s is uniform's -s + 2s * u."""
+    s = np.sqrt(6.0 / sum(out.shape))
+    rng.random(out=out)
+    out *= 2 * s
+    out -= s
+    return out

@@ -73,9 +73,6 @@ class Vocabulary:
     def size(self):
         return len(self.index_to_token)
 
-    def index_of(self, token):
-        return self.token_to_index.get(token, UNK_INDEX)
-
     @classmethod
     def from_content_tokens(cls, tokens):
         index_to_token = (PAD_TOKEN, UNK_TOKEN) + tuple(tokens)

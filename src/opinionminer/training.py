@@ -34,12 +34,11 @@ import numpy as np
 
 from .layers import (
     STACKS,
+    ModelParams,
     backward_batch,
     classify,
     forward_batch,
     init_model_params,
-    model_params_from_arrays,
-    param_names,
     param_shapes,
     predict_proba,
     sub_batches,
@@ -55,9 +54,10 @@ _CLAMP = 1e-12
 # Size bounds TrainConfig.validate checks before anything is allocated. A
 # review of MAX_LEN tokens gets a sub-batch of its own: at about 43 KB of
 # traces and temporaries a token at full size that is under 200 MB.
-# MAX_PARAMETERS floats take 800 MB. Training holds five vectors that long
-# (the parameters, the best epoch's, Adam's m and v, and the batch gradient)
-# and, during each Adam step, two more for Adam's scratch.
+# MAX_PARAMETERS floats take 800 MB. Initialization and checkpoint loading
+# each allocate one vector that long, the parameters themselves. Training
+# holds five (the parameters, the best epoch's, Adam's m and v, and the batch
+# gradient) and, during each Adam step, two more for Adam's scratch.
 MAX_LEN = 4096
 MAX_PARAMETERS = 10**8
 
@@ -411,9 +411,9 @@ def load_checkpoint(path):
 
     Raises CheckpointError on any corruption or malformed header, and
     ModelMismatchError when the tensor names are not the stack's, in order,
-    or a shape differs from param_shapes (checked before anything is copied).
-    The file's bytes are read once and every part is a view of them, so the
-    only copy is the one into the parameter vector.
+    or a shape differs from param_shapes (checked before anything is
+    allocated). The file's bytes are read once and every part is a view of
+    them, so the only copy is the one into the parameter vector.
     """
     try:
         with open(path, "rb") as fh:
@@ -446,19 +446,22 @@ def load_checkpoint(path):
         arrays[name] = arr if cols == 0 else arr.reshape(rows, cols)
     if r.pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    for i, (got, want) in enumerate(zip_longest(names, param_names(stack))):
+    sizes = (len(vocab_tokens), config.embedding_dim, config.gru_units, config.lstm_units)
+    shapes = param_shapes(stack, *sizes)
+    for i, (got, want) in enumerate(zip_longest(names, shapes)):
         if got != want:
             raise ModelMismatchError(
                 f"{path}: tensor {i} is {got!r} but stack {stack!r} stores {want!r} there")
-    shapes = param_shapes(stack, len(vocab_tokens), config.embedding_dim, config.gru_units,
-                          config.lstm_units)
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ModelMismatchError(
                 f"{path}: tensor {name} has shape {arrays[name].shape} but the vocabulary "
                 f"({len(vocab_tokens)} tokens) and config give {shape}")
+    params = ModelParams.zeros(stack, *sizes)
+    for name, view in params.named_arrays():
+        view[...] = arrays[name]
     return Checkpoint(
-        params=model_params_from_arrays(stack, arrays), config=config,
+        params=params, config=config,
         vocab=Vocabulary.from_content_tokens(vocab_tokens[2:]),  # past PAD and UNK
         stopwords=frozenset(stopwords) if stopwords is not None else None,
         whitelist=frozenset(whitelist) if whitelist is not None else None,

@@ -297,12 +297,12 @@ class TestPretrainedEmbeddings:
         from opinionminer.cli import _apply_pretrained
         params = toy_params()
         vectors = self.write_vectors(tmp_path / "w2v.txt", ["good", "absent"], 4)
-        before_bad = params.embedding.E[VOCAB.index_of("bad")].copy()
+        before_bad = params.embedding.E[VOCAB.token_to_index["bad"]].copy()
         _apply_pretrained(params, VOCAB, tmp_path / "w2v.txt")
-        np.testing.assert_allclose(params.embedding.E[VOCAB.index_of("good")],
+        np.testing.assert_allclose(params.embedding.E[VOCAB.token_to_index["good"]],
                                    vectors["good"])
         # tokens missing from the file keep their seeded initialization
-        np.testing.assert_array_equal(params.embedding.E[VOCAB.index_of("bad")],
+        np.testing.assert_array_equal(params.embedding.E[VOCAB.token_to_index["bad"]],
                                       before_bad)
         np.testing.assert_array_equal(params.embedding.E[0], np.zeros(4))
 

@@ -28,7 +28,6 @@ from opinionminer.layers import (
     lstm_scan,
     model_backward,
     model_forward,
-    param_names,
     param_shapes,
     zero_grads,
 )
@@ -422,7 +421,7 @@ CHECKPOINT_ORDER = {
 class TestLayout:
     @pytest.mark.parametrize("stack", sorted(CHECKPOINT_ORDER))
     def test_param_names_are_the_checkpoint_order(self, stack):
-        assert param_names(stack) == CHECKPOINT_ORDER[stack]
+        assert list(param_shapes(stack, 11, 3, 4, 5)) == CHECKPOINT_ORDER[stack]
         params = init_model_params(11, 3, 4, 5, stack=stack)
         assert [name for name, _ in params.named_arrays()] == CHECKPOINT_ORDER[stack]
 
@@ -485,7 +484,7 @@ class TestLayout:
 
     def test_unknown_stack_rejected(self):
         with pytest.raises(ValueError, match="foo"):
-            param_names("foo")
+            param_shapes("foo", 11, 3, 4, 5)
         with pytest.raises(ValueError, match="foo"):
             init_model_params(11, 3, 4, 5, stack="foo")
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,18 @@ import numpy.testing as npt
 import pytest
 from scipy.special import expit
 
-from opinionminer.layers import LstmParams, Packing, init_model_params, lstm_scan
-from opinionminer.tensor_math import affine, sigmoid
+from opinionminer.layers import (
+    STACKS,
+    LstmParams,
+    Packing,
+    init_model_params,
+    lstm_scan,
+    param_shapes,
+)
+from opinionminer.tensor_math import affine, glorot_uniform, sigmoid
+
+# the stock sizes: vocab_size, embedding_dim, gru_units, lstm_units
+FULL_SIZE = (20000, 128, 256, 128)
 
 
 class TestAffine:
@@ -128,3 +139,44 @@ class TestSeededInit:
                 assert np.all(np.abs(arr) < np.sqrt(6.0 / sum(arr.shape))), name
         E = arrays["embedding.E"][1:]  # row 0 is the zeroed PAD row
         assert abs(E.mean()) < 0.02
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (768, 384), (20002, 128)])
+    def test_in_place_draw_is_uniform_bit_for_bit(self, shape):
+        s = np.sqrt(6.0 / sum(shape))
+        want = np.random.default_rng(5).uniform(-s, s, size=shape)
+        out = np.empty(shape)
+        assert glorot_uniform(np.random.default_rng(5), out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @staticmethod
+    def dict_init(stack, sizes, seed):
+        """The oracle: one rng.uniform draw per weight into its own array, in
+        checkpoint order, zero biases and a zero PAD row."""
+        rng = np.random.default_rng(seed)
+        arrays = {}
+        for name, shape in param_shapes(stack, *sizes).items():
+            if len(shape) == 2:
+                s = np.sqrt(6.0 / sum(shape))
+                arrays[name] = rng.uniform(-s, s, size=shape)
+            else:
+                arrays[name] = np.zeros(shape)
+        arrays["embedding.E"][0, :] = 0.0
+        return arrays
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    @pytest.mark.parametrize("sizes", [(11, 3, 4, 5), FULL_SIZE])
+    def test_init_equals_the_dict_of_draws_byte_for_byte(self, stack, sizes):
+        want = self.dict_init(stack, sizes, seed=3)
+        got = init_model_params(*sizes, stack=stack, seed=3)
+        assert [name for name, _ in got.named_arrays()] == list(want)
+        for name, arr in got.named_arrays():
+            assert arr.tobytes() == want[name].tobytes(), name
+
+    def test_full_size_init_allocates_the_vector_once(self):
+        tracemalloc.start()
+        try:
+            params = init_model_params(*FULL_SIZE, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * params.flat.nbytes

@@ -234,7 +234,7 @@ class TestTrainEpoch:
         data = []
         for i in range(10):
             for word, label in (("good", 1), ("bad", 0)):
-                indices = np.array([vocab.index_of(word), vocab.index_of("film")])
+                indices = np.array([vocab.token_to_index[word], vocab.token_to_index["film"]])
                 data.append((TokenSequence(indices), label))
         config = TrainConfig(embedding_dim=6, gru_units=4, lstm_units=3,
                              dropout_rate=0.0, batch_size=4, learning_rate=0.01,
