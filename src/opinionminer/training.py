@@ -12,20 +12,28 @@ Checkpoint layout (all integers little-endian, versioned, checksummed):
                  1-D vector), row-major float64 payload, payload crc32
     file crc32 over everything above
 
+A load checks the file crc32 in a first pass and reads each payload
+straight into its view of the parameter vector in a second, so that vector
+is its only parameter-length allocation. Training allocates no others but
+the parameters, the best epoch's copy, Adam's m and v and one gradient
+vector an epoch.
+
 Each mini-batch is sorted by length and run through the batched engine in
 sub-batches of at most `layers.ROW_BUDGET` real tokens; the gradients of
-every sub-batch add into one accumulator before the Adam step. Batch
-composition, the shuffle and the per-example dropout seeds do not depend on
-the sub-batching. Nothing depends on timing or scheduling, so identical
-(config, corpus, seed) reproduce byte-identical histories and checkpoints
-at a fixed BLAS thread count; another thread count may change how a matrix
-product sums and so the last bits of the results.
+every sub-batch add into the epoch's gradient vector, zero-filled for each
+batch, before the Adam step. Batch composition, the shuffle and the
+per-example dropout seeds do not depend on the sub-batching. Nothing
+depends on timing or scheduling, so identical (config, corpus, seed)
+reproduce byte-identical histories and checkpoints at a fixed BLAS thread
+count; another thread count may change how a matrix product sums and so
+the last bits of the results.
 """
 
 import dataclasses
 import json
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -51,13 +59,16 @@ CHECKPOINT_VERSION = 1
 
 _CLAMP = 1e-12
 
+# Elements adam_step updates at a time, through two scratch buffers this long.
+_ADAM_CHUNK = 2**15
+
 # Size bounds TrainConfig.validate checks before anything is allocated. A
 # review of MAX_LEN tokens gets a sub-batch of its own: at about 43 KB of
 # traces and temporaries a token at full size that is under 200 MB.
 # MAX_PARAMETERS floats take 800 MB. Initialization and checkpoint loading
 # each allocate one vector that long, the parameters themselves. Training
-# holds five (the parameters, the best epoch's, Adam's m and v, and the batch
-# gradient) and, during each Adam step, two more for Adam's scratch.
+# holds five (the parameters, the best epoch's, Adam's m and v, and the one
+# gradient vector of the epoch), 4 GB at the cap, plus the traces.
 MAX_LEN = 4096
 MAX_PARAMETERS = 10**8
 
@@ -178,31 +189,39 @@ def bce_grad(y, yhat):
 def adam_step(state, params, grads, config):
     """One Adam update with bias correction; the PAD embedding row is frozen.
 
-    `grads` comes from zero_grads. The update runs in place over the whole
-    vector with two scratch vectors, each element as in the textbook
-    flat -= lr * (m / mc) / (sqrt(v / vc) + eps).
+    `grads` comes from zero_grads. The update runs in place, _ADAM_CHUNK
+    elements at a time through two scratch buffers that long, each element
+    as in the textbook flat -= lr * (m / mc) / (sqrt(v / vc) + eps). The
+    update is elementwise, so the chunking does not change a bit.
     """
-    g, m, v = grads.flat, state.m, state.v
-    if g.shape != params.flat.shape:
+    g, m, v, flat = grads.flat, state.m, state.v, params.flat
+    if g.shape != flat.shape:
         raise ValueError(f"gradient shape {g.shape} does not match the parameters' "
-                         f"{params.flat.shape}")
+                         f"{flat.shape}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     eps, lr = config.epsilon, config.learning_rate
     mc = 1.0 - b1 ** state.t
     vc = 1.0 - b2 ** state.t
-    step, denom = np.empty_like(g), np.empty_like(g)
-    m *= b1
-    m += np.multiply(1.0 - b1, g, out=step)
-    v *= b2
-    v += np.multiply(1.0 - b2, np.multiply(g, g, out=step), out=step)
-    np.sqrt(np.divide(v, vc, out=denom), out=denom)
-    denom += eps
-    np.multiply(lr, np.divide(m, mc, out=step), out=step)
-    step /= denom
-    for vector in (step, m, v):  # the PAD row stays as it is
-        params.like(vector).embedding.E[0] = 0.0
-    params.flat -= step
+    pad = params.embedding.dim  # E leads flat, so the PAD row is flat[:pad]
+    size = min(_ADAM_CHUNK, g.size)
+    steps, denoms = np.empty(size), np.empty(size)
+    for lo in range(0, g.size, _ADAM_CHUNK):
+        part = slice(lo, lo + _ADAM_CHUNK)
+        gs, ms, vs = g[part], m[part], v[part]
+        step, denom = steps[:len(gs)], denoms[:len(gs)]
+        ms *= b1
+        ms += np.multiply(1.0 - b1, gs, out=step)
+        vs *= b2
+        vs += np.multiply(1.0 - b2, np.multiply(gs, gs, out=step), out=step)
+        np.sqrt(np.divide(vs, vc, out=denom), out=denom)
+        denom += eps
+        np.multiply(lr, np.divide(ms, mc, out=step), out=step)
+        step /= denom
+        if lo < pad:  # the PAD row stays as it is
+            for vector in (step, ms, vs):
+                vector[:pad - lo] = 0.0
+        flat[part] -= step
     return state, params
 
 
@@ -223,16 +242,17 @@ def _example_seed(seed, epoch, index):
     return int(np.random.SeedSequence([seed, epoch, index]).generate_state(1)[0])
 
 
-def batch_gradients(params, batch, dropout_rate, seeds):
-    """Train-mode probabilities and summed BCE gradient of one mini-batch.
+def batch_gradients(params, batch, dropout_rate, seeds, grads):
+    """Train-mode probabilities of one mini-batch; its summed BCE gradient
+    goes into `grads` (from zero_grads), which is zero-filled first.
 
     Runs the length-sorted sub-batches of `sub_batches`; example j draws its
     dropout masks from seeds[j]. An all-PAD example scores 0.5 and adds no
-    gradient. Returns (yhat in batch order, the gradient sum as a ModelParams).
+    gradient. Returns yhat in batch order.
     """
     seqs = [seq for seq, _ in batch]
     yhat = np.full(len(batch), 0.5)
-    grads = zero_grads(params)
+    grads.flat.fill(0.0)
     for rows in sub_batches(seqs):
         cache = forward_batch(params, [seqs[j] for j in rows], mode="train",
                               dropout_rate=dropout_rate, seeds=[seeds[j] for j in rows])
@@ -240,28 +260,30 @@ def batch_gradients(params, batch, dropout_rate, seeds):
         upstream = np.array([bce_grad(batch[j][1], yhat[j]) for j in rows])
         backward_batch(params, cache, upstream, grads)
         del cache  # else its traces stay alive through the next group's forward pass
-    return yhat, grads
+    return yhat
 
 
 def train_epoch(params, adam, batches, config, epoch=0):
     """One pass over the batches: mean batch gradient, one Adam step per batch.
 
     Example i of the epoch draws its dropout masks from seed
-    _example_seed(seed, epoch, i) wherever the length sorting puts it.
+    _example_seed(seed, epoch, i) wherever the length sorting puts it. Every
+    batch's gradient goes into the one vector the epoch allocates.
     Returns (params, adam, (mean_loss, accuracy)).
     """
     total_loss = 0.0
     correct = 0
     count = 0
+    grads = zero_grads(params)
     for batch in batches:
         seeds = [_example_seed(config.seed, epoch, count + j) for j in range(len(batch))]
-        yhat, grad_sum = batch_gradients(params, batch, config.dropout_rate, seeds)
+        yhat = batch_gradients(params, batch, config.dropout_rate, seeds, grads)
         for (_, label), p in zip(batch, yhat):
             total_loss += bce_loss(label, p)
             correct += int(classify(p) == label)
         count += len(batch)
-        grad_sum.flat *= 1.0 / len(batch)
-        adam_step(adam, params, grad_sum, config)
+        grads.flat *= 1.0 / len(batch)
+        adam_step(adam, params, grads, config)
     return params, adam, (total_loss / count, correct / count)
 
 
@@ -387,17 +409,48 @@ def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None)
 
 
 class _Reader:
-    def __init__(self, data, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+    """Bounded reads from the first `end` bytes of an open checkpoint file."""
+
+    def __init__(self, fh, end, path):
+        fh.seek(0)
+        self.fh, self.pos, self.end, self.path = fh, 0, end, path
+
+    def _advance(self, n):
+        if self.pos + n > self.end:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.pos += n
 
     def take(self, n):
-        if self.pos + n > len(self.data):
+        self._advance(n)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank while it was read
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
         return out
+
+    def skip(self, n):
+        self._advance(n)
+        self.fh.seek(self.pos)
+
+    def seek(self, pos):
+        self.fh.seek(pos)
+        self.pos = pos
+
+    def into(self, buffer):
+        """Fill a writable buffer (a contiguous array or a memoryview) with the next bytes."""
+        view = memoryview(buffer).cast("B")
+        self._advance(len(view))
+        if self.fh.readinto(view) != len(view):
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+
+    def crc(self, n):
+        """crc32 of the next n bytes, read through one buffer of at most 1 MiB."""
+        buffer, crc = memoryview(bytearray(min(n, 2**20))), 0
+        while n:
+            part = buffer[:min(n, len(buffer))]
+            self.into(part)
+            crc = zlib.crc32(part, crc)
+            n -= len(part)
+        return crc
 
     def u16(self):
         return struct.unpack("<H", self.take(2))[0]
@@ -412,20 +465,26 @@ def load_checkpoint(path):
     Raises CheckpointError on any corruption or malformed header, and
     ModelMismatchError when the tensor names are not the stack's, in order,
     or a shape differs from param_shapes (checked before anything is
-    allocated). The file's bytes are read once and every part is a view of
-    them, so the only copy is the one into the parameter vector.
+    allocated). The file is read in two passes: the whole-file crc32,
+    through one buffer of at most 1 MiB, then the header and the tensor
+    records, each payload read straight into its view of the parameter
+    vector, so that vector is the only copy of the tensors.
     """
     try:
         with open(path, "rb") as fh:
-            data = memoryview(fh.read())
+            return _read_checkpoint(fh, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 16:
+
+
+def _read_checkpoint(fh, path):
+    size = fh.seek(0, 2)
+    if size < 16:
         raise CheckpointError(f"{path}: checksum failure (file too short)")
-    body, tail = data[:-4], data[-4:]
-    if struct.unpack("<I", tail)[0] != zlib.crc32(body):
+    r = _Reader(fh, size, path)
+    if r.crc(size - 4) != r.u32():
         raise CheckpointError(f"{path}: whole-file checksum failure")
-    r = _Reader(body, path)
+    r = _Reader(fh, size - 4, path)
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     version = r.u32()
@@ -433,33 +492,44 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
     stack, config, vocab_tokens, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
-    names, arrays = [], {}
-    for _ in range(r.u32()):
-        name = str(r.take(r.u16()), "utf-8", errors="replace")
-        rows, cols = r.u32(), r.u32()
-        count = rows * max(cols, 1)
-        payload = r.take(count * 8)
-        if struct.unpack("<I", r.take(4))[0] != zlib.crc32(payload):
-            raise CheckpointError(f"{path}: checksum failure in tensor {name}")
-        arr = np.frombuffer(payload, dtype="<f8")
-        names.append(name)
-        arrays[name] = arr if cols == 0 else arr.reshape(rows, cols)
-    if r.pos != len(body):
-        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     sizes = (len(vocab_tokens), config.embedding_dim, config.gru_units, config.lstm_units)
-    shapes = param_shapes(stack, *sizes)
-    for i, (got, want) in enumerate(zip_longest(names, shapes)):
-        if got != want:
-            raise ModelMismatchError(
-                f"{path}: tensor {i} is {got!r} but stack {stack!r} stores {want!r} there")
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ModelMismatchError(
-                f"{path}: tensor {name} has shape {arrays[name].shape} but the vocabulary "
-                f"({len(vocab_tokens)} tokens) and config give {shape}")
+    records = []  # (name, shape, payload offset, payload crc32) of each tensor read so far
+    try:
+        for _ in range(r.u32()):
+            name = str(r.take(r.u16()), "utf-8", errors="replace")
+            rows, cols = r.u32(), r.u32()
+            offset = r.pos
+            r.skip(rows * max(cols, 1) * 8)
+            records.append((name, (rows, cols) if cols else (rows,), offset, r.u32()))
+        if r.pos != r.end:
+            raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+        shapes = param_shapes(stack, *sizes)
+        names = [name for name, *_ in records]
+        for i, (got, want) in enumerate(zip_longest(names, shapes)):
+            if got != want:
+                raise ModelMismatchError(
+                    f"{path}: tensor {i} is {got!r} but stack {stack!r} stores {want!r} there")
+        for (name, got, *_), want in zip(records, shapes.values()):
+            if got != want:
+                raise ModelMismatchError(
+                    f"{path}: tensor {name} has shape {got} but the vocabulary "
+                    f"({len(vocab_tokens)} tokens) and config give {want}")
+    except (CheckpointError, ModelMismatchError):
+        # the first error in file order wins: a payload recorded before the
+        # failure that fails its crc32 is reported instead
+        for name, shape, offset, crc in records:
+            r.seek(offset)
+            if r.crc(8 * math.prod(shape)) != crc:
+                raise CheckpointError(f"{path}: checksum failure in tensor {name}") from None
+        raise
     params = ModelParams.zeros(stack, *sizes)
-    for name, view in params.named_arrays():
-        view[...] = arrays[name]
+    for (name, _, offset, crc), (_, view) in zip(records, params.named_arrays()):
+        r.seek(offset)
+        r.into(view)
+        if zlib.crc32(view) != crc:
+            raise CheckpointError(f"{path}: checksum failure in tensor {name}")
+        if sys.byteorder == "big":
+            view.byteswap(inplace=True)
     return Checkpoint(
         params=params, config=config,
         vocab=Vocabulary.from_content_tokens(vocab_tokens[2:]),  # past PAD and UNK

@@ -28,6 +28,7 @@ from opinionminer.layers import (
     model_forward,
     predict_proba,
     sub_batches,
+    zero_grads,
 )
 from opinionminer.text_pipeline import TokenSequence, Vocabulary, encode_sequence
 from opinionminer.training import batch_gradients, bce_grad
@@ -68,7 +69,8 @@ def check_against_batch_size_one(params, data, dropout_rate):
     single = [model_forward(params, seq)[0] for seq in seqs]
     assert_close(predict_proba(params, seqs), np.array(single), "infer yhat")
 
-    yhat, grads = batch_gradients(params, data, dropout_rate, seeds)
+    grads = zero_grads(params)
+    yhat = batch_gradients(params, data, dropout_rate, seeds, grads)
     want_yhat, want = [], {name: np.zeros_like(g) for name, g in grads.named_arrays()}
     for (seq, label), seed in zip(data, seeds):
         y, cache = model_forward(params, seq, mode="train", dropout_rate=dropout_rate,
@@ -125,7 +127,8 @@ def test_all_pad_batch_scores_half():
     params = init_model_params(VOCAB.size, 3, 4, 3, seed=0)
     empty = TokenSequence(np.zeros(0, dtype=np.int64))
     np.testing.assert_array_equal(predict_proba(params, [empty, empty]), [0.5, 0.5])
-    yhat, grads = batch_gradients(params, [(empty, 1)], 0.2, [0])
+    grads = params.like(np.ones_like(params.flat))  # batch_gradients zero-fills it
+    yhat = batch_gradients(params, [(empty, 1)], 0.2, [0], grads)
     assert yhat.tolist() == [0.5]
     assert not any(g.any() for _, g in grads.named_arrays())
 

@@ -3,16 +3,29 @@
 Every parameter entry of every block is perturbed with central differences
 on the full loss (BCE of the train-mode forward, fixed dropout seed), so
 the checks cover BPTT through both GRU directions, the reset-gate product,
-the LSTM cell, both dropout sites and the embedding scatter.
+the LSTM cell, both dropout sites and the embedding scatter. A Hypothesis
+check does the same for the summed loss of a mini-batch through
+`batch_gradients`, cut into several packed sub-batches.
 """
+
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opinionminer.layers import init_model_params, model_backward, model_forward
+from opinionminer import layers
+from opinionminer.layers import (
+    STACKS,
+    init_model_params,
+    model_backward,
+    model_forward,
+    zero_grads,
+)
 from opinionminer.text_pipeline import TokenSequence
-from opinionminer.training import bce_grad, bce_loss
+from opinionminer.training import batch_gradients, bce_grad, bce_loss
 
 EPS = 1e-5
 TOL = 1e-4
@@ -47,8 +60,8 @@ def analytic_gradients(params, seq, label, dropout_rate, seed):
     return model_backward(params, cache, bce_grad(label, yhat))
 
 
-def rel_error(a, b):
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+def rel_error(a, b, floor=1e-8):
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
 def check_all_blocks(params, seq, label, dropout_rate=0.0, seed=0):
@@ -137,3 +150,46 @@ def test_degenerate_cache_gives_zero_grads():
     assert yhat == 0.5
     grads = model_backward(params, cache, 3.0)
     assert all(not g.any() for _, g in grads.named_arrays())
+
+
+review = st.lists(st.integers(0, 5), min_size=1, max_size=6)  # PAD (0) and repeats included
+
+
+@settings(max_examples=20, deadline=None)
+@given(stack=st.sampled_from(sorted(STACKS)), widths=st.tuples(*[st.integers(1, 3)] * 3),
+       batch=st.lists(st.tuples(review, st.integers(0, 1)), min_size=1, max_size=4),
+       dropout_rate=st.sampled_from([0.0, 0.3]), budget=st.integers(1, 8),
+       seed=st.integers(0, 2**16))
+def test_batch_gradients_match_finite_differences(stack, widths, batch, dropout_rate,
+                                                  budget, seed):
+    # the summed BCE of a mini-batch whose sub-batches split at a small row
+    # budget; every call reuses one gradient buffer, so batch_gradients
+    # must zero-fill it. Rounding a loss of a few units, the differences
+    # carry about 1e-11 of noise, so entries under 1e-5 compare to 1e-9.
+    params = init_model_params(6, *widths, stack=stack, seed=seed)
+    params.flat += np.random.default_rng(seed).normal(scale=0.5, size=params.flat.size)
+    params.embedding.E[0] = 0.0
+    batch = [(TokenSequence(np.array(indices)), label) for indices, label in batch]
+    seeds = [seed + j for j in range(len(batch))]
+    grads = zero_grads(params)
+
+    def loss():
+        yhat = batch_gradients(params, batch, dropout_rate, seeds, grads)
+        return sum(bce_loss(label, p) for (_, label), p in zip(batch, yhat))
+
+    pad = params.embedding.dim  # the frozen PAD row leads flat
+    numeric = np.zeros_like(params.flat)
+    with mock.patch.object(layers, "ROW_BUDGET", budget):
+        for j in range(pad, params.flat.size):
+            orig = params.flat[j]
+            params.flat[j] = orig + EPS
+            plus = loss()
+            params.flat[j] = orig - EPS
+            minus = loss()
+            params.flat[j] = orig
+            numeric[j] = (plus - minus) / (2.0 * EPS)
+        loss()
+    assert not grads.flat[:pad].any()
+    for (name, got), (_, want) in zip(grads.named_arrays(), params.like(numeric).named_arrays()):
+        err = rel_error(got, want, floor=1e-5)
+        assert err.max() < TOL, f"{name}: max rel error {err.max():.2e}"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tracemalloc
 import zlib
@@ -10,6 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from _toy import encode_toy, toy_config, toy_corpus
+from opinionminer import training
+from opinionminer.cli import main
 from opinionminer.layers import STACKS, init_model_params, model_backward, model_forward
 from opinionminer.text_pipeline import TokenSequence, Vocabulary
 from opinionminer.training import (
@@ -90,29 +93,54 @@ def reference_adam_step(params, m, v, grads, t, config):
             v[name][0] = 0.0
 
 
+def check_adam_against_reference(stack):
+    """Five Adam steps of a small model against reference_adam_step, byte for byte."""
+    params = init_model_params(vocab_size=9, embedding_dim=3, gru_units=4,
+                               lstm_units=3, stack=stack, seed=1)
+    want = {n: a.copy() for n, a in params.named_arrays()}
+    m = {n: np.zeros_like(a) for n, a in want.items()}
+    v = {n: np.zeros_like(a) for n, a in want.items()}
+    state = AdamState.for_params(params)
+    config = TrainConfig(learning_rate=0.01)
+    rng = np.random.default_rng(7)
+    size = params.flat.size
+    for t in range(1, 6):
+        # signed gradients from 1e-8 to 1e2
+        grads = params.like(rng.choice([-1.0, 1.0], size=size)
+                            * 10.0 ** rng.uniform(-8.0, 2.0, size=size))
+        reference_adam_step(want, m, v, dict(grads.named_arrays()), t, config)
+        adam_step(state, params, grads, config)
+        assert state.t == t
+        for got, ref in ((params, want), (params.like(state.m), m),
+                         (params.like(state.v), v)):
+            for name, arr in got.named_arrays():
+                assert arr.tobytes() == ref[name].tobytes(), (t, name)
+
+
 class TestAdam:
     @pytest.mark.parametrize("stack", sorted(STACKS))
     def test_vector_update_matches_the_per_tensor_loop_bit_for_bit(self, stack):
-        params = init_model_params(vocab_size=9, embedding_dim=3, gru_units=4,
-                                   lstm_units=3, stack=stack, seed=1)
-        want = {n: a.copy() for n, a in params.named_arrays()}
-        m = {n: np.zeros_like(a) for n, a in want.items()}
-        v = {n: np.zeros_like(a) for n, a in want.items()}
+        check_adam_against_reference(stack)
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_chunks_that_split_the_pad_row_match_bit_for_bit(self, stack, monkeypatch):
+        # 2-element chunks: the 3-wide PAD row spans two of them
+        monkeypatch.setattr(training, "_ADAM_CHUNK", 2)
+        check_adam_against_reference(stack)
+
+    def test_a_step_allocates_two_chunks(self):
+        params = init_model_params(vocab_size=16000, embedding_dim=64, gru_units=4,
+                                   lstm_units=4, seed=1)
         state = AdamState.for_params(params)
-        config = TrainConfig(learning_rate=0.01)
-        rng = np.random.default_rng(7)
-        size = params.flat.size
-        for t in range(1, 6):
-            # signed gradients from 1e-8 to 1e2
-            grads = params.like(rng.choice([-1.0, 1.0], size=size)
-                                * 10.0 ** rng.uniform(-8.0, 2.0, size=size))
-            reference_adam_step(want, m, v, dict(grads.named_arrays()), t, config)
-            adam_step(state, params, grads, config)
-            assert state.t == t
-            for got, ref in ((params, want), (params.like(state.m), m),
-                             (params.like(state.v), v)):
-                for name, arr in got.named_arrays():
-                    assert arr.tobytes() == ref[name].tobytes(), (t, name)
+        grads = params.like(np.full_like(params.flat, 0.5))
+        assert params.flat.size > 10**6
+        tracemalloc.start()
+        try:
+            adam_step(state, params, grads, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * training._ADAM_CHUNK * 8 + 64 * 1024
 
     def test_zero_gradient_is_noop(self):
         params = tiny_model()
@@ -227,6 +255,30 @@ class TestTrainEpoch:
                                     [[(seq, label)]], config, epoch=1)
         for (name, a), (_, b) in zip(trained.named_arrays(), manual.named_arrays()):
             npt.assert_array_equal(a, b, err_msg=name)
+
+    def test_every_batch_reuses_one_gradient_vector(self):
+        # a model of about 8 MB, nearly all embedding, on reviews of 5 tokens,
+        # so the parameter-length vectors set the peak
+        params = init_model_params(vocab_size=16000, embedding_dim=64, gru_units=2,
+                                   lstm_units=2, seed=1)
+        config = TrainConfig(dropout_rate=0.2, seed=1)
+        rng = np.random.default_rng(0)
+        data = [(TokenSequence(rng.integers(1, 16000, size=5)), i % 2) for i in range(6)]
+
+        def epoch_peak(batches):
+            tracemalloc.start()
+            try:
+                train_epoch(params, AdamState.for_params(params), batches, config, epoch=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = epoch_peak([data[:2]])
+        three = epoch_peak([data[:2], data[2:4], data[4:]])
+        # Adam's m and v and the epoch's gradient vector; no batch keeps the
+        # last one's gradients alive
+        assert three < 1.05 * one
+        assert three < 3.2 * params.flat.nbytes
 
     def test_loss_decreases_on_separable_corpus(self):
         # 20 reviews fully determined by one keyword
@@ -479,6 +531,61 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
 
+    def saved(self, tmp_path):
+        params, config, vocab = self.make_artifacts()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        return params, path, path.read_bytes()
+
+    @staticmethod
+    def regions(doc):
+        """(start, end) of each region of the documented layout; the tensor
+        regions are the first tensor's."""
+        size = struct.unpack_from("<I", doc, 8)[0]
+        name_len = struct.unpack_from("<H", doc, 16 + size)[0]
+        name = 18 + size
+        rows, cols = struct.unpack_from("<II", doc, name + name_len)
+        payload = name + name_len + 8
+        end = payload + 8 * rows * max(cols, 1)
+        return {"magic": (0, 4), "version": (4, 8), "header length": (8, 12),
+                "header": (12, 12 + size), "tensor count": (12 + size, 16 + size),
+                "tensor name": (name, name + name_len), "rows and cols": (name + name_len, payload),
+                "payload": (payload, end), "payload crc": (end, end + 4),
+                "file crc": (len(doc) - 4, len(doc))}
+
+    def test_a_flipped_byte_in_any_region_fails_a_checksum(self, tmp_path):
+        _, path, doc = self.saved(tmp_path)
+        for region, (start, end) in self.regions(doc).items():
+            data = bytearray(doc)
+            data[(start + end) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match="checksum"):
+                load_checkpoint(path)
+
+    def test_a_cut_at_any_region_boundary_fails(self, tmp_path):
+        _, path, doc = self.saved(tmp_path)
+        for start, end in self.regions(doc).values():
+            for cut in (start, end - 1):
+                path.write_bytes(doc[:cut])
+                with pytest.raises(CheckpointError, match="checksum|truncated"):
+                    load_checkpoint(path)
+
+    def test_a_resealed_payload_flip_names_its_tensor(self, tmp_path, capsys):
+        # the file crc matches, so only the payload's own crc finds the flip
+        params, path, doc = self.saved(tmp_path)
+        pos = 16 + struct.unpack_from("<I", doc, 8)[0]
+        for name, arr in params.named_arrays():
+            pos += 2 + len(name) + 8
+            body = bytearray(doc[:-4])
+            body[pos + arr.nbytes // 2] ^= 0x01
+            path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+            message = re.escape(f"checksum failure in tensor {name}") + "$"
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
+            assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 3
+            assert re.search(message, capsys.readouterr().err.strip())
+            pos += arr.nbytes + 4
+
     def test_stack_metadata_round_trip(self, tmp_path):
         for stack in ("hbgru_lstm", "gru_lstm", "lstm_only"):
             params, config, vocab = self.make_artifacts(stack)
@@ -544,8 +651,8 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the file's bytes once, the parameter vector and a 10% allowance
-        assert peak < 1.1 * (path.stat().st_size + params.flat.nbytes)
+        # the parameter vector, the header's lists and one 1 MiB read buffer
+        assert peak < params.flat.nbytes + 4 * 2**20
         npt.assert_array_equal(ckpt.params.flat, params.flat)
 
     def test_not_a_checkpoint(self, tmp_path):
