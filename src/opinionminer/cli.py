@@ -8,7 +8,9 @@ overridable by a command-line flag.
 
 import argparse
 import dataclasses
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from .training import (
     TrainConfig,
     fit,
     load_checkpoint,
+    replace_file,
     save_checkpoint,
     validate_checkpoint,
 )
@@ -178,9 +181,36 @@ def _apply_pretrained(params, vocab, path):
     E[0, :] = 0.0
 
 
+def _checked_out(out, names):
+    """--out as a Path, once it is known to take the named files.
+
+    Runs before any data is loaded and creates nothing, so a run that fails
+    later leaves no directory behind: the nearest existing directory on the
+    path must take a probe file, and no named file may be a directory.
+    """
+    out_dir = base = Path(out)
+    while not os.path.lexists(base):
+        base = base.parent
+    try:
+        with tempfile.TemporaryFile(dir=base):
+            pass
+    except OSError as exc:
+        raise DataError(f"cannot write to output directory {out_dir}: {exc}") from exc
+    for name in names:
+        if (out_dir / name).is_dir():
+            raise DataError(f"cannot write {out_dir / name}: it is a directory")
+    return out_dir
+
+
+def _make_out(out_dir):
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write to output directory {out_dir}: {exc}") from exc
+
+
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    replace_file(path, [text.encode("utf-8")])
 
 
 def _format_history(history):
@@ -209,6 +239,7 @@ def run_train(args):
     config, extras = build_settings(file_values, overrides)
     if not extras["data"]:
         raise ConfigError("data: no dataset path given (use --data or the config file)")
+    out_dir = _checked_out(extras["out"], (CHECKPOINT_NAME, HISTORY_NAME, REPORT_NAME))
     stopwords, whitelist = _load_wordlists(extras)
 
     corpus = load_dataset(extras["data"], extras["data_format"])
@@ -239,8 +270,7 @@ def run_train(args):
     )
     print(f"stopped after {history.stop_epoch} epoch(s): {history.stop_reason}")
 
-    out_dir = Path(extras["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out(out_dir)
     save_checkpoint(params, config, vocab, out_dir / CHECKPOINT_NAME,
                     stopwords=stopwords, whitelist=whitelist)
     _write_text(out_dir / HISTORY_NAME, _format_history(history))
@@ -251,13 +281,13 @@ def run_train(args):
 
 
 def run_evaluate(args):
+    out_dir = _checked_out(args.out or ".", (REPORT_NAME,))
     ckpt = validate_checkpoint(load_checkpoint(args.checkpoint))
     corpus = load_dataset(args.data, args.format)
     cleaned = clean_corpus(corpus, ckpt.stopwords, ckpt.whitelist)
     encoded = encode_corpus(cleaned, ckpt.vocab, ckpt.config.max_len)
     report = evaluate_model(ckpt.params, encoded)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out(out_dir)
     _write_text(out_dir / REPORT_NAME, format_report(report))
     _print_metrics(Path(args.data).stem, report_values(report))
     return 0

@@ -44,7 +44,9 @@ epoch's copy lay the same blocks over vectors of their own
 The backward pass keeps every row's gate pre-activation gradients, gathers
 the state each row's step read (Packing.previous) and adds each weight
 gradient into its block with one matrix product after the loop; the
-embedding gradient is scattered with np.add.at.
+embedding gradient is scattered with np.add.at. It consumes its cache,
+dropping each trace after its last read: the LSTM's before the GRU passes,
+each GRU direction's before the next.
 `sub_batches` sorts sequences by length and cuts them into groups of at
 most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
 `model_backward` are the engine at B = 1.
@@ -74,8 +76,8 @@ STACKS = {
 }
 
 # Most real tokens one sub-batch may hold. At full size a train-mode
-# sub-batch peaks at about 45 KB a token of traces and backward temporaries,
-# 68 MB at 1536 tokens. On the train_reviews benchmark, budgets of 1024 to
+# sub-batch peaks at about 35 KB a token of traces and backward temporaries,
+# 54 MB at 1536 tokens. On the train_reviews benchmark, budgets of 1024 to
 # 3072 tokens trained at the same speed within the run-to-run noise, and
 # 2048 and 3072 raised the peak RSS by 23 and 77 MB over 1536.
 ROW_BUDGET = 1536
@@ -410,7 +412,9 @@ class BatchCache:
     """A forward_batch call: per-token arrays in the packed order of `packing`.
 
     The GRU and LSTM traces hold their gates only in train mode, the one
-    mode whose caches backward_batch accepts.
+    mode whose caches backward_batch accepts. backward_batch consumes a
+    cache: it drops grus, seq_mask, lstm_in and lstm (set to (), None, None
+    and None) after their last read.
     """
     stack: str
     mode: str
@@ -420,8 +424,8 @@ class BatchCache:
     x: np.ndarray                # (N, d) embedded inputs
     grus: tuple                  # one GruTrace per STACKS direction, in order
     seq_mask: Optional[np.ndarray]   # (N, in_dim) dropout mask, LSTM input
-    lstm_in: np.ndarray          # (N, in_dim) sequence the LSTM consumed
-    lstm: LstmTrace
+    lstm_in: Optional[np.ndarray]    # (N, in_dim) sequence the LSTM consumed
+    lstm: Optional[LstmTrace]
     out_mask: Optional[np.ndarray]   # (B, m) dropout mask, final hidden state
     h_final: np.ndarray          # (B, m) rows the dense head consumed
     yhat: np.ndarray             # (B,)
@@ -552,12 +556,15 @@ def _times_dtanh(out, y, *factors):
     return out
 
 
-def _lstm_backward(p, trace, U, packing, prev, dh_last, grad):
+def _lstm_backward(p, cache, prev, dh_last, grad):
     """BPTT through the LSTM, adding to `grad`; returns d(loss)/d(input), (N, in_dim).
 
-    `prev` is packing.previous(). Step t updates only the rows of block t;
-    the other batch rows carry their gradient.
+    Takes the LSTM trace and input out of `cache` and drops them once the
+    weight gradients are added. `prev` is packing.previous(). Step t updates
+    only the rows of block t; the other batch rows carry their gradient.
     """
+    trace, U, packing = cache.lstm, cache.lstm_in, cache.packing
+    cache.lstm = cache.lstm_in = None
     m = p.hidden_size
     W_h = p.W[:, :m]
     da = np.empty((len(U), 4 * m))
@@ -583,6 +590,7 @@ def _lstm_backward(p, trace, U, packing, prev, dh_last, grad):
     grad.W[:, :m] += da.T @ _previous_states(trace.h, prev)
     grad.W[:, m:] += da.T @ U
     grad.b += da.sum(axis=0)
+    del trace, U  # the input gradient reads neither
     return da @ p.W[:, m:]
 
 
@@ -629,10 +637,15 @@ def backward_batch(params, cache, dL_dyhat, grads):
 
     `cache` comes from a train-mode forward_batch call on the same params
     and dL_dyhat (B,) holds each d(loss_j)/d(yhat_j). The embedding gradient
-    is scattered per looked-up row; its PAD row is forced to zero.
+    is scattered per looked-up row; its PAD row is forced to zero. The pass
+    consumes the cache, dropping each trace after its last read, so a
+    second pass over it raises ValueError.
     """
     if cache.mode != "train":
         raise ValueError("the backward pass needs a cache recorded in train mode")
+    if cache.lstm is None:
+        raise ValueError("consumed cache: a backward pass has already run over it; "
+                         "run forward_batch again")
     if cache.stack != params.stack:
         raise ValueError(
             f"cache stack {cache.stack!r} does not match params stack {params.stack!r}"
@@ -652,22 +665,23 @@ def backward_batch(params, cache, dL_dyhat, grads):
 
     packing = cache.packing
     prev = packing.previous()
-    dU = _lstm_backward(params.lstm, cache.lstm, cache.lstm_in, packing, prev, dh_final,
-                        grads.lstm)
+    dU = _lstm_backward(params.lstm, cache, prev, dh_final, grads.lstm)
 
     if cache.seq_mask is not None:
         dU *= cache.seq_mask
         dU /= 1.0 - cache.dropout_rate
+        cache.seq_mask = None
 
-    # each GRU direction owns an equal slice of the LSTM input columns
+    # each GRU direction owns an equal slice of the LSTM input columns; its
+    # trace leaves the cache for the call, so it goes when the call returns
+    grus, cache.grus = list(cache.grus), ()
     dX = dU
-    if cache.grus:
-        k = dU.shape[1] // len(cache.grus)
-        dX = sum(_gru_backward(getattr(params, block), trace, cache.x, packing,
-                               packing.previous(True) if reverse else prev,
-                               dU[:, j * k:(j + 1) * k], getattr(grads, block), reverse)
-                 for j, ((block, reverse), trace)
-                 in enumerate(zip(STACKS[params.stack], cache.grus)))
+    for j, (block, reverse) in enumerate(STACKS[params.stack]):
+        k = dU.shape[1] // len(STACKS[params.stack])
+        dXj = _gru_backward(getattr(params, block), grus.pop(0), cache.x, packing,
+                            packing.previous(True) if reverse else prev,
+                            dU[:, j * k:(j + 1) * k], getattr(grads, block), reverse)
+        dX = dXj if j == 0 else np.add(dX, dXj, out=dX)
 
     # a PAD index inside a sequence adds nothing to the frozen PAD row
     np.add.at(grads.embedding.E, cache.index, dX)
@@ -678,8 +692,8 @@ def model_backward(params, cache, dL_dyhat):
     """Exact gradients of a scalar loss, in the layout of params (see zero_grads).
 
     `cache` must come from a train-mode model_forward call on the same
-    params; this is backward_batch at B = 1. The None cache of an all-PAD
-    input gives zero gradients.
+    params; this is backward_batch at B = 1, and it consumes the cache in
+    the same way. The None cache of an all-PAD input gives zero gradients.
     """
     grads = zero_grads(params)
     if cache is not None:

@@ -29,7 +29,8 @@ def affine(W, v, b):
         raise ValueError(f"affine: W has {W.shape[1]} cols but v has length {v.shape[-1]}")
     if W.shape[0] != b.shape[0]:
         raise ValueError(f"affine: W has {W.shape[0]} rows but b has length {b.shape[0]}")
-    out = v.reshape(-1, v.shape[-1]) @ W.T + b
+    out = v.reshape(-1, v.shape[-1]) @ W.T
+    out += b  # in place: the product is the only allocation
     return out.reshape(v.shape[:-1] + (W.shape[0],))
 
 

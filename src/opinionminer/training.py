@@ -29,9 +29,12 @@ count; another thread count may change how a matrix product sums and so
 the last bits of the results.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import secrets
 import struct
 import sys
 import zlib
@@ -52,19 +55,20 @@ from .layers import (
     sub_batches,
     zero_grads,
 )
-from .text_pipeline import PAD_TOKEN, UNK_TOKEN, Vocabulary
+from .text_pipeline import PAD_TOKEN, UNK_TOKEN, DataError, Vocabulary
 
 CHECKPOINT_MAGIC = b"OMCK"
 CHECKPOINT_VERSION = 1
 
 _CLAMP = 1e-12
 
-# Elements adam_step updates at a time, through two scratch buffers this long.
+# Elements adam_step updates at a time, through two scratch buffers this long,
+# and _all_finite tests at a time.
 _ADAM_CHUNK = 2**15
 
 # Size bounds TrainConfig.validate checks before anything is allocated. A
-# review of MAX_LEN tokens gets a sub-batch of its own: at about 43 KB of
-# traces and temporaries a token at full size that is under 200 MB.
+# review of MAX_LEN tokens gets a sub-batch of its own: at about 35 KB of
+# traces and temporaries a token at full size that is under 150 MB.
 # MAX_PARAMETERS floats take 800 MB. Initialization and checkpoint loading
 # each allocate one vector that long, the parameters themselves. Training
 # holds five (the parameters, the best epoch's, Adam's m and v, and the one
@@ -300,13 +304,21 @@ def evaluate_loss(params, data):
     return total / len(data), correct / len(data)
 
 
+def _all_finite(values):
+    """np.isfinite(values).all(), _ADAM_CHUNK elements at a time, so no mask as
+    long as a parameter vector is built."""
+    flat = np.ravel(values)
+    return all(np.isfinite(flat[lo:lo + _ADAM_CHUNK]).all()
+               for lo in range(0, flat.size, _ADAM_CHUNK))
+
+
 def _check_finite(epoch, params, train_loss, val_loss):
     """ConfigError naming the first non-finite loss or tensor of a diverged epoch."""
     values = [("train loss", train_loss), ("validation loss", val_loss)]
-    if not np.isfinite(params.flat).all():
+    if not _all_finite(params.flat):
         values += [(f"tensor {name}", arr) for name, arr in params.named_arrays()]
     for what, value in values:
-        if not np.isfinite(value).all():
+        if not _all_finite(value):
             raise ConfigError(f"training diverged in epoch {epoch}: {what} is not finite "
                               f"(try a smaller learning_rate)")
 
@@ -380,11 +392,33 @@ def _tensor_parts(name, arr):
             payload, struct.pack("<I", zlib.crc32(payload)))
 
 
+def replace_file(path, chunks):
+    """Write the byte chunks to a new file beside `path`, then move it onto `path`.
+
+    os.replace makes the move atomic, so a write that fails or is killed
+    leaves any previous file at `path` whole. On an error the new file is
+    removed, and an OSError is raised as a DataError naming `path`.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:  # "x" never reuses an existing file
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:  # after os.replace there is nothing left to remove
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
 def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None):
     """Write a versioned, checksummed model container; byte-deterministic.
 
-    Each part goes straight to the file and the whole-file crc32 runs over
-    the parts as they are written, so no copy of the body is built.
+    The parts go from the arrays straight to the file, through
+    replace_file, so no copy of the body is built.
     """
     header = json.dumps({
         "stack": params.stack,
@@ -401,11 +435,9 @@ def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None)
     for name, arr in tensors:
         parts.extend(_tensor_parts(name, arr))
     crc = 0
-    with open(path, "wb") as fh:
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-            fh.write(part)
-        fh.write(struct.pack("<I", crc))
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    replace_file(path, parts + [struct.pack("<I", crc)])
 
 
 class _Reader:
@@ -573,8 +605,8 @@ def validate_checkpoint(ckpt):
         raise ModelMismatchError(
             f"checkpoint stack {ckpt.params.stack!r} does not match config "
             f"stack {ckpt.config.stack!r}")
-    if not np.isfinite(ckpt.params.flat).all():
+    if not _all_finite(ckpt.params.flat):
         for name, arr in ckpt.params.named_arrays():
-            if not np.isfinite(arr).all():
+            if not _all_finite(arr):
                 raise CheckpointError(f"tensor {name} holds a non-finite value")
     return ckpt

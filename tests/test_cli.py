@@ -211,6 +211,62 @@ class TestEvaluateCommand:
         assert "checksum" in capsys.readouterr().err
 
 
+def unusable_out(tmp_path, shape):
+    """An --out under tmp_path that cannot take the outputs, by its path shape alone
+    (a permission bit would not stop a run as root)."""
+    if shape == "an existing file":
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        return out
+    if shape == "a file in the path":
+        (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+        return tmp_path / "file" / "out"
+    out = tmp_path / "out"  # "<name> is a directory"
+    (out / shape.split()[0]).mkdir(parents=True)
+    return out
+
+
+PATH_SHAPES = ["an existing file", "a file in the path"]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("shape", PATH_SHAPES + [
+        "model.ckpt is a directory", "history.txt is a directory",
+        "report.txt is a directory"])
+    def test_train_exits_3_before_training(self, tmp_path, capsys, shape):
+        data = write_toy_csv(tmp_path / "reviews.csv", 40, seed=5, keywords=1)
+        config = tmp_path / "toy.cfg"
+        config.write_text(TINY_CONFIG, encoding="utf-8")
+        out = unusable_out(tmp_path, shape)
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "epoch 1" not in captured.out and "training" not in captured.out
+        assert "cannot write" in captured.err and str(out) in captured.err
+
+    @pytest.mark.parametrize("shape", PATH_SHAPES + ["report.txt is a directory"])
+    def test_evaluate_exits_3_before_loading(self, tmp_path, capsys, shape):
+        out = unusable_out(tmp_path, shape)
+        # neither input exists: the output directory is checked first
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--data", str(tmp_path / "none.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "cannot write" in err and str(out) in err
+        assert "none.ckpt" not in err and "none.csv" not in err
+
+    def test_train_creates_a_nested_out(self, tmp_path):
+        data = write_toy_csv(tmp_path / "reviews.csv", 40, seed=5, keywords=1)
+        config = tmp_path / "toy.cfg"
+        config.write_text(TINY_CONFIG.replace("max_epochs = 8", "max_epochs = 1"),
+                          encoding="utf-8")
+        out = tmp_path / "a" / "b"
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["history.txt", "model.ckpt", "report.txt"]
+
+
 class TestPredictCommand:
     def test_zero_model_prints_boundary(self, tmp_path, capsys):
         ckpt = zero_checkpoint(tmp_path)

@@ -109,9 +109,9 @@ def test_dense_bias_closed_form():
     # dL/db = dL/dyhat * yhat * (1 - yhat), exactly
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=2)
-    yhat, cache = model_forward(params, TokenSequence(np.array([3, 4, 5])), mode="train",
-                                dropout_rate=0.0, seed=0)
-    for upstream in (1.0, -2.5, 0.3):
+    for upstream in (1.0, -2.5, 0.3):  # a backward pass consumes its cache
+        yhat, cache = model_forward(params, TokenSequence(np.array([3, 4, 5])), mode="train",
+                                    dropout_rate=0.0, seed=0)
         grads = dict(model_backward(params, cache, upstream).named_arrays())
         assert grads["dense.b"][0] == upstream * yhat * (1.0 - yhat)
 
@@ -130,6 +130,19 @@ def test_backward_rejects_infer_cache():
                                lstm_units=2, seed=2)
     _, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="infer")
     with pytest.raises(ValueError):
+        model_backward(params, cache, 1.0)
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_backward_rejects_a_consumed_cache(stack):
+    params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
+                               lstm_units=2, stack=stack, seed=2)
+    _, cache = model_forward(params, TokenSequence(np.array([2, 3, 4])), mode="train",
+                             dropout_rate=0.3, seed=1)
+    model_backward(params, cache, 1.0)
+    assert cache.lstm is None and cache.lstm_in is None and cache.seq_mask is None
+    assert cache.grus == ()
+    with pytest.raises(ValueError, match="consumed cache"):
         model_backward(params, cache, 1.0)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -12,13 +13,14 @@ import pytest
 
 from _toy import encode_toy, toy_config, toy_corpus
 from opinionminer import training
-from opinionminer.cli import main
+from opinionminer.cli import _write_text, main
 from opinionminer.layers import STACKS, init_model_params, model_backward, model_forward
-from opinionminer.text_pipeline import TokenSequence, Vocabulary
+from opinionminer.text_pipeline import DataError, TokenSequence, Vocabulary
 from opinionminer.training import (
     MAX_LEN,
     MAX_PARAMETERS,
     AdamState,
+    Checkpoint,
     CheckpointError,
     ConfigError,
     TrainConfig,
@@ -654,6 +656,71 @@ class TestCheckpoint:
         # the parameter vector, the header's lists and one 1 MiB read buffer
         assert peak < params.flat.nbytes + 4 * 2**20
         npt.assert_array_equal(ckpt.params.flat, params.flat)
+
+    def test_full_size_validate_builds_no_parameter_length_mask(self):
+        params, config, vocab = self.full_size_params()
+        ckpt = Checkpoint(params, config, vocab, None, None)
+        tracemalloc.start()
+        try:
+            validate_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a mask of one bool a parameter would take 3.3 MiB
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("row, name", [(1, "embedding.E"), (-1, "dense.b")])
+    def test_a_non_finite_tensor_is_named(self, monkeypatch, value, row, name):
+        # chunks of 7 elements: the first and the last tensor lie in different chunks
+        monkeypatch.setattr(training, "_ADAM_CHUNK", 7)
+        params, config, vocab = self.make_artifacts()
+        dict(params.named_arrays())[name].reshape(-1)[row] = value
+        with pytest.raises(CheckpointError, match=f"tensor {name} holds a non-finite value"):
+            validate_checkpoint(Checkpoint(params, config, vocab, None, None))
+        with pytest.raises(ConfigError, match=f"epoch 3: tensor {name} is not finite"):
+            training._check_finite(3, params, 0.5, 0.5)
+
+    @pytest.mark.parametrize("output, writes",
+                             [("model.ckpt", 0), ("model.ckpt", 1), ("model.ckpt", 4),
+                              ("report.txt", 0)])
+    def test_a_failed_write_leaves_the_previous_file_whole(self, tmp_path, monkeypatch,
+                                                           output, writes):
+        params, config, vocab = self.make_artifacts()
+        path = tmp_path / output
+        if output == "model.ckpt":
+            save_checkpoint(params, config, vocab, path)
+            params.flat += 1.0
+            write = lambda: save_checkpoint(params, config, vocab, path)
+        else:
+            _write_text(path, "n = 1\n")
+            write = lambda: _write_text(path, "n = 2\n")
+        before = path.read_bytes()
+
+        class FailingFile:
+            """A file whose write raises OSError after `writes` calls."""
+
+            def __init__(self, fh):
+                self.fh, self.left = fh, writes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if not self.left:
+                    raise OSError(28, "No space left on device")
+                self.left -= 1
+                return self.fh.write(data)
+
+        monkeypatch.setattr(training, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        with pytest.raises(DataError, match=f"cannot write {re.escape(str(path))}: "
+                                            f".*No space left"):
+            write()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [output]  # no temporary file is left
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
