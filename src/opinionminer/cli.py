@@ -26,7 +26,6 @@ from .layers import classify, init_model_params, predict_proba
 from .text_pipeline import (
     DEFAULT_WHITELIST,
     DataError,
-    _lines,
     balance_classes,
     build_vocabulary,
     clean_corpus,
@@ -36,6 +35,7 @@ from .text_pipeline import (
     encode_sequence,
     load_dataset,
     load_token_file,
+    read_lines,
     stratified_split,
 )
 from .training import (
@@ -81,21 +81,14 @@ def _parse_bool(raw, key):
 def parse_config_file(path):
     """Read `key = value` lines; blank lines and `#` comment lines ignored."""
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_num, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(
-                        f"{path}: line {line_num}: expected 'key = value'")
-                key, _, raw = stripped.partition("=")
-                values[key.strip()] = raw.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
+    for line_num, line in enumerate(read_lines(path, ConfigError), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}: line {line_num}: expected 'key = value'")
+        key, _, raw = stripped.partition("=")
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -136,48 +129,40 @@ def _load_wordlists(extras):
     return stopwords, whitelist
 
 
-def load_word2vec_text(path):
-    """word2vec text format: header 'count dim', then 'token v1 .. vd' lines."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    with fh:
-        lines = _lines(fh, path)
-        header = next(lines, "").split()
-        if len(header) != 2:
-            raise DataError(f"{path}: line 1: expected 'count dim' header")
-        try:
-            dim = int(header[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: line 1: bad dimension {header[1]!r}") from exc
-        vectors = {}
-        for line_num, line in enumerate(lines, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(
-                    f"{path}: line {line_num}: expected token plus {dim} values")
-            try:
-                vector = np.array([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_num}: bad vector value") from exc
-            if not np.isfinite(vector).all():
-                raise DataError(f"{path}: line {line_num}: non-finite vector value")
-            vectors[parts[0]] = vector
-    return vectors, dim
-
-
 def _apply_pretrained(params, vocab, path):
-    vectors, dim = load_word2vec_text(path)
+    """Copy word2vec text vectors into the vocabulary rows of the embedding.
+
+    The file is a 'count dim' header, then one 'token v1 .. vd' line per
+    word. It is streamed: the dimension is checked first, then every line,
+    and only the rows of vocabulary tokens are kept.
+    """
+    lines = read_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise DataError(f"{path}: line 1: expected 'count dim' header")
+    try:
+        dim = int(header[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: line 1: bad dimension {header[1]!r}") from exc
     if dim != params.embedding.dim:
         raise ConfigError(
             f"embeddings: file dimension {dim} does not match embedding_dim "
             f"{params.embedding.dim}")
     E = params.embedding.E
-    for token, vec in vectors.items():
-        idx = vocab.token_to_index.get(token)
+    for line_num, line in enumerate(lines, start=2):
+        # word2vec.c writes a space after the last value of each line
+        parts = line.rstrip().split(" ")
+        if len(parts) != dim + 1:
+            raise DataError(f"{path}: line {line_num}: expected token plus {dim} values")
+        try:
+            vector = np.array([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line_num}: bad vector value") from exc
+        if not np.isfinite(vector).all():
+            raise DataError(f"{path}: line {line_num}: non-finite vector value")
+        idx = vocab.token_to_index.get(parts[0])
         if idx is not None and idx >= 2:
-            E[idx] = vec
+            E[idx] = vector
     E[0, :] = 0.0
 
 
@@ -297,13 +282,7 @@ def run_predict(args):
     ckpt = validate_checkpoint(load_checkpoint(args.checkpoint))
     texts = list(args.text or [])
     if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                texts.extend(fh.read().splitlines())
-        except OSError as exc:
-            raise DataError(f"cannot read input file {args.input}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input file {args.input} is not valid UTF-8: {exc}") from exc
+        texts.extend(line.rstrip("\r\n") for line in read_lines(args.input))
     if not texts:
         raise ConfigError("predict needs --text or a non-empty --input file")
     seqs = [encode_sequence(clean_text(raw, ckpt.stopwords, ckpt.whitelist),
@@ -318,13 +297,7 @@ def run_compare(args):
         raise ConfigError("compare needs at least 2 report files")
     parsed = []
     for path in args.reports:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read report {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"report {path} is not valid UTF-8: {exc}") from exc
+        text = "".join(read_lines(path))
         try:
             values = parse_report(text)
             if values["tp"] + values["tn"] + values["fp"] + values["fn"] != values["n"]:

@@ -96,11 +96,36 @@ def default_stopwords():
 
 def load_token_file(path):
     """One token per line, UTF-8; blank lines ignored."""
+    return frozenset(line.strip() for line in read_lines(path) if line.strip())
+
+
+def read_lines(path, error=DataError):
+    """Yield the lines of a UTF-8 text file, each with its line ending.
+
+    The file is opened with newline="", which csv needs, and a leading
+    byte-order mark is dropped. An OSError while the file is opened or read
+    raises error("cannot read <path>: ..."), and a byte that is not UTF-8
+    raises error("<path>: line N: not valid UTF-8").
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return frozenset(line.strip() for line in _lines(fh, path) if line.strip())
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield from fh
     except OSError as exc:
-        raise DataError(f"cannot read token file {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in blocks, so decode again, keeping each bad
+        # byte as a lone surrogate (which UTF-8 cannot encode), to find its line
+        try:
+            with open(path, encoding="utf-8-sig", errors="surrogateescape",
+                      newline="") as fh:
+                for line_num, line in enumerate(fh, start=1):
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise error(f"{path}: line {line_num}: not valid UTF-8") from exc
+        except OSError as reread:
+            raise error(f"cannot read {path}: {reread}") from reread
+        raise error(f"{path}: not valid UTF-8") from exc
 
 
 def load_dataset(path, fmt="csv"):
@@ -121,73 +146,48 @@ def load_dataset(path, fmt="csv"):
     return LabeledCorpus.from_reviews(reviews)
 
 
-def _lines(fh, path):
-    """Iterate a UTF-8 text file; a byte that is not UTF-8 is a DataError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        # the decoder reads ahead in blocks, so find the line in the raw bytes
-        with open(path, "rb") as raw:
-            for line_num, line in enumerate(raw, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise DataError(f"{path}: line {line_num}: not valid UTF-8") from exc
-        raise DataError(f"{path}: not valid UTF-8") from exc
-
-
 def _load_csv(path):
     reviews = []
+    reader = csv.reader(read_lines(path))
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(_lines(fh, path))
-        try:
-            header = next(reader, None)
-            if header != ["text", "label"]:
-                raise DataError(f"{path}: expected header 'text,label', got {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != 2:
-                    raise DataError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
-                text, label = row
-                if not text.strip():
-                    raise DataError(f"{path}: line {line}: missing text")
-                if label not in ("0", "1"):
-                    raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label!r}")
-                reviews.append(Review(text, int(label)))
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+        header = next(reader, None)
+        if header != ["text", "label"]:
+            raise DataError(f"{path}: expected header 'text,label', got {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != 2:
+                raise DataError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+            text, label = row
+            if not text.strip():
+                raise DataError(f"{path}: line {line}: missing text")
+            if label not in ("0", "1"):
+                raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label!r}")
+            reviews.append(Review(text, int(label)))
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     return reviews
 
 
 def _load_jsonl(path):
     reviews = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line_num, line in enumerate(_lines(fh, path), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_num}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {line_num}: expected a JSON object")
-            text = obj.get("text")
-            label = obj.get("label")
-            if not isinstance(text, str) or not text.strip():
-                raise DataError(f"{path}: line {line_num}: missing text")
-            if isinstance(label, bool) or label not in (0, 1):
-                raise DataError(f"{path}: line {line_num}: label must be 0 or 1, got {label!r}")
-            reviews.append(Review(text, label))
+    for line_num, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {line_num}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {line_num}: expected a JSON object")
+        text = obj.get("text")
+        label = obj.get("label")
+        if not isinstance(text, str) or not text.strip():
+            raise DataError(f"{path}: line {line_num}: missing text")
+        if isinstance(label, bool) or label not in (0, 1):
+            raise DataError(f"{path}: line {line_num}: label must be 0 or 1, got {label!r}")
+        reviews.append(Review(text, label))
     return reviews
 
 

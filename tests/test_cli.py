@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import os
 import struct
@@ -78,6 +80,11 @@ class TestConfigHandling:
     def test_parse_file_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\n\nseed = 3\nbatch_size = 16\n", encoding="utf-8")
+        assert parse_config_file(path) == {"seed": "3", "batch_size": "16"}
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\nbatch_size = 16\n")
         assert parse_config_file(path) == {"seed": "3", "batch_size": "16"}
 
     def test_unknown_key_rejected(self):
@@ -275,17 +282,21 @@ class TestPredictCommand:
         assert capsys.readouterr().out == "0.500000\t1\n"
 
     def test_file_line_count_preserved(self, tmp_path, capsys):
+        # one result per line, also when a review holds a character that
+        # str.splitlines breaks at (form feed, U+001E, U+0085, U+2028)
         ckpt = zero_checkpoint(tmp_path)
         inp = tmp_path / "reviews.txt"
-        inp.write_text("good film\nbad film\nnothing\n", encoding="utf-8")
-        code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3
-        for line in lines:
-            prob, label = line.split("\t")
-            assert 0.0 <= float(prob) <= 1.0
-            assert label in ("0", "1")
+        for content in ("good film\nbad film\nnothing\n",
+                        "good\u2028film\r\nbad\x0cfilm\x1e\x85end\nnothing"):
+            inp.write_bytes(content.encode("utf-8"))
+            code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 3
+            for line in lines:
+                prob, label = line.split("\t")
+                assert 0.0 <= float(prob) <= 1.0
+                assert label in ("0", "1")
 
     def test_trained_model_labels_keyword(self, trained_run, capsys):
         ckpt = trained_run["out"] / "model.ckpt"
@@ -361,6 +372,22 @@ class TestPretrainedEmbeddings:
         np.testing.assert_array_equal(params.embedding.E[VOCAB.token_to_index["bad"]],
                                       before_bad)
         np.testing.assert_array_equal(params.embedding.E[0], np.zeros(4))
+
+    def test_trailing_space_of_word2vec_c(self, tmp_path):
+        # the reference word2vec.c ends every vector line with a space
+        from opinionminer.cli import _apply_pretrained
+        params = toy_params()
+        (tmp_path / "w2v.txt").write_text(
+            "2 4\ngood 0.1 0.2 0.3 0.4 \nabsent 1 2 3 4 \n", encoding="utf-8")
+        _apply_pretrained(params, VOCAB, tmp_path / "w2v.txt")
+        np.testing.assert_array_equal(params.embedding.E[VOCAB.token_to_index["good"]],
+                                      [0.1, 0.2, 0.3, 0.4])
+
+    def test_dimension_checked_before_rows(self, tmp_path):
+        from opinionminer.cli import _apply_pretrained
+        (tmp_path / "w2v.txt").write_text("1 5\ngood not a vector\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="file dimension 5"):
+            _apply_pretrained(toy_params(), VOCAB, tmp_path / "w2v.txt")
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         self.write_vectors(tmp_path / "w2v.txt", ["good"], 5)
@@ -658,6 +685,112 @@ class TestCompareCommand:
         code = main(["compare", str(a), str(b)])
         assert code == 3
         assert "chi-square" in capsys.readouterr().err
+
+
+TEXT_INPUTS = ("csv", "jsonl", "stopwords", "whitelist", "embeddings", "config", "input",
+               "report")
+
+
+def text_input_run(tmp_path, kind):
+    """(argv, the input of this kind it reads, the exit code if that read fails).
+
+    Every input is valid and at least two lines long. A `train` run reads
+    them all before it fits, so a failed read stops it before any training.
+    """
+    cfg = tmp_path / "c.cfg"
+    files = {"config": cfg, "csv": tmp_path / "d.csv", "jsonl": tmp_path / "d.jsonl",
+             "stopwords": tmp_path / "stop.txt", "whitelist": tmp_path / "keep.txt",
+             "embeddings": tmp_path / "w2v.txt", "input": tmp_path / "reviews.txt",
+             "report": tmp_path / "b.txt"}
+    settings = TINY_CONFIG + "max_epochs = 1\n"
+    data = files["csv"]
+    if kind == "jsonl":
+        data = files["jsonl"]
+        data.write_text("".join(json.dumps({"text": t, "label": y}) + "\n"
+                                for t, y in toy_reviews(40, seed=2)), encoding="utf-8")
+        settings += "data_format = jsonl\n"
+    else:
+        write_toy_csv(data, 40, seed=2)
+    if kind in ("stopwords", "whitelist"):
+        files[kind].write_text("plot\nfilm\n", encoding="utf-8")
+        settings += f"{kind} = {files[kind]}\n"
+    if kind == "embeddings":
+        row = " 0.1" * 8  # TINY_CONFIG's embedding_dim
+        files[kind].write_text(f"2 8\ngood{row}\nbad{row}\n", encoding="utf-8")
+        settings += f"embeddings = {files[kind]}\n"
+    cfg.write_text(settings, encoding="utf-8")
+    argv = ["train", "--config", str(cfg), "--data", str(data),
+            "--out", str(tmp_path / "out")]
+    if kind == "input":
+        files[kind].write_text("good film\nbad film\n", encoding="utf-8")
+        argv = ["predict", "--checkpoint", str(zero_checkpoint(tmp_path)),
+                "--input", str(files[kind])]
+    if kind == "report":
+        write_report(files[kind], 30, 50, 10, 10)
+        argv = ["compare", str(write_report(tmp_path / "a.txt", 40, 40, 10, 10)),
+                str(files[kind])]
+    return argv, files[kind], 2 if kind == "config" else 3
+
+
+class _FailsAfterOneLine:
+    """A text file whose every read after its first line fails with EIO."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._served = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        self._fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._served:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        self._served = True
+        return next(self._fh)
+
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+class TestTextInputs:
+    """Every text input fails the same way: a failed read or a byte that is
+    not UTF-8 gives the documented exit code and names the file."""
+
+    @pytest.mark.parametrize("kind", TEXT_INPUTS)
+    def test_failed_read(self, tmp_path, capsys, monkeypatch, kind):
+        argv, target, code = text_input_run(tmp_path, kind)
+        real_open = builtins.open
+
+        def open_failing_target(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "b" not in mode and isinstance(file, (str, os.PathLike)) \
+                    and Path(file) == target:
+                return _FailsAfterOneLine(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_failing_target)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "data error: ")
+        assert str(target) in err and os.strerror(errno.EIO) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", TEXT_INPUTS)
+    def test_bad_byte_names_the_line(self, tmp_path, capsys, kind):
+        argv, target, code = text_input_run(tmp_path, kind)
+        first, rest = target.read_bytes().split(b"\n", 1)
+        target.write_bytes(first + b"\n\xff" + rest)
+        assert main(argv) == code
+        assert f"{target}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
 def _overwrite(doc, edits):

@@ -17,6 +17,7 @@ from opinionminer.text_pipeline import (
     default_stopwords,
     encode_sequence,
     load_dataset,
+    load_token_file,
     stem_token,
     stratified_split,
 )
@@ -114,6 +115,35 @@ class TestLoadDataset:
         corpus = load_dataset(path, "csv")
         assert (corpus.positive_count, corpus.negative_count) == (2, 1)
         assert [r.label for r in corpus.reviews] == [1, 0, 1]
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is
+    not part of the first line."""
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftext,label\ngood film,1\n")
+        assert load_dataset(path, "csv").reviews == [Review("good film", 1)]
+
+    def test_jsonl(self, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"text": "good film", "label": 1}\n')
+        assert load_dataset(path, "jsonl").reviews == [Review("good film", 1)]
+
+    def test_token_file(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"\xef\xbb\xbffilm\nplot\n")
+        assert load_token_file(path) == {"film", "plot"}
+
+
+def test_bad_byte_line_counts_carriage_returns(tmp_path):
+    # a file with bare CR line endings: the line number is the one the
+    # readers count, not the count of LF bytes
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"text,label\rgood film,1\rna\xefve plot,0\r")
+    with pytest.raises(DataError, match=r"cr\.csv: line 3: not valid UTF-8"):
+        load_dataset(path, "csv")
 
 
 class TestCleanText:
