@@ -134,7 +134,8 @@ def _apply_pretrained(params, vocab, path):
 
     The file is a 'count dim' header, then one 'token v1 .. vd' line per
     word. It is streamed: the dimension is checked first, then every line,
-    and only the rows of vocabulary tokens are kept.
+    and only the rows of vocabulary tokens are kept; the count must be the
+    number of vector lines.
     """
     lines = read_lines(path)
     header = next(lines, "").split()
@@ -148,7 +149,7 @@ def _apply_pretrained(params, vocab, path):
         raise ConfigError(
             f"embeddings: file dimension {dim} does not match embedding_dim "
             f"{params.embedding.dim}")
-    E = params.embedding.E
+    E, line_num = params.embedding.E, 1
     for line_num, line in enumerate(lines, start=2):
         # word2vec.c writes a space after the last value of each line
         parts = line.rstrip().split(" ")
@@ -163,6 +164,9 @@ def _apply_pretrained(params, vocab, path):
         idx = vocab.token_to_index.get(parts[0])
         if idx is not None and idx >= 2:
             E[idx] = vector
+    if header[0] != str(line_num - 1):
+        raise DataError(f"{path}: line 1: count {header[0]!r} is not the number of "
+                        f"vector lines, {line_num - 1}")
     E[0, :] = 0.0
 
 

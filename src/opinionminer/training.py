@@ -12,11 +12,11 @@ Checkpoint layout (all integers little-endian, versioned, checksummed):
                  1-D vector), row-major float64 payload, payload crc32
     file crc32 over everything above
 
-A load checks the file crc32 in a first pass and reads each payload
-straight into its view of the parameter vector in a second, so that vector
-is its only parameter-length allocation. Training allocates no others but
-the parameters, the best epoch's copy, Adam's m and v and one gradient
-vector an epoch.
+A load reads the file once, in order, each payload straight into its view
+of the parameter vector, so that vector is its only parameter-length
+allocation. The file crc32 is checked last but wins over any other error.
+Training allocates no others but the parameters, the best epoch's copy,
+Adam's m and v and one gradient vector an epoch.
 
 Each mini-batch is sorted by length and run through the batched engine in
 sub-batches of at most `layers.ROW_BUDGET` real tokens; the gradients of
@@ -39,7 +39,6 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -142,13 +141,18 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(f"invalid value for {key}: {getattr(self, key)!r}")
         sizes = ("vocab_size", "embedding_dim", "gru_units", "lstm_units")
-        shapes = param_shapes(self.stack, *(getattr(self, key) for key in sizes))
-        count = sum(math.prod(shape) for shape in shapes.values())
+        count = _parameter_count(self.stack, *(getattr(self, key) for key in sizes))
         if count > MAX_PARAMETERS:
             given = ", ".join(f"{key} = {getattr(self, key)!r}" for key in sizes)
             raise ConfigError(f"invalid sizes: {given} give {count} parameters, "
                               f"more than {MAX_PARAMETERS}")
         return self
+
+
+def _parameter_count(stack, vocab_size, embedding_dim, gru_units, lstm_units):
+    """Number of floats in the parameters of a stack of these sizes."""
+    shapes = param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units)
+    return sum(math.prod(shape) for shape in shapes.values())
 
 
 @dataclass
@@ -441,11 +445,14 @@ def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None)
 
 
 class _Reader:
-    """Bounded reads from the first `end` bytes of an open checkpoint file."""
+    """Bounded reads from an open checkpoint file, with the crc32 of every byte read."""
 
-    def __init__(self, fh, end, path):
+    def __init__(self, fh, path):
+        self.fh, self.pos, self.path, self.file_crc = fh, 0, path, 0
+        self.end = fh.seek(0, 2) - 4  # the bytes before the file crc32
+        if self.end < 12:
+            raise CheckpointError(f"{path}: checksum failure (file too short)")
         fh.seek(0)
-        self.fh, self.pos, self.end, self.path = fh, 0, end, path
 
     def _advance(self, n):
         if self.pos + n > self.end:
@@ -457,15 +464,8 @@ class _Reader:
         out = self.fh.read(n)
         if len(out) != n:  # the file shrank while it was read
             raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.file_crc = zlib.crc32(out, self.file_crc)
         return out
-
-    def skip(self, n):
-        self._advance(n)
-        self.fh.seek(self.pos)
-
-    def seek(self, pos):
-        self.fh.seek(pos)
-        self.pos = pos
 
     def into(self, buffer):
         """Fill a writable buffer (a contiguous array or a memoryview) with the next bytes."""
@@ -473,16 +473,7 @@ class _Reader:
         self._advance(len(view))
         if self.fh.readinto(view) != len(view):
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-
-    def crc(self, n):
-        """crc32 of the next n bytes, read through one buffer of at most 1 MiB."""
-        buffer, crc = memoryview(bytearray(min(n, 2**20))), 0
-        while n:
-            part = buffer[:min(n, len(buffer))]
-            self.into(part)
-            crc = zlib.crc32(part, crc)
-            n -= len(part)
-        return crc
+        self.file_crc = zlib.crc32(view, self.file_crc)
 
     def u16(self):
         return struct.unpack("<H", self.take(2))[0]
@@ -490,33 +481,44 @@ class _Reader:
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
 
+    def check_file_crc(self):
+        """Read the bytes left before the file crc32, through one buffer of at
+        most 1 MiB; a whole-file checksum failure unless that crc32 matches."""
+        buffer = memoryview(bytearray(min(self.end - self.pos, 2**20)))
+        while self.pos < self.end:
+            self.into(buffer[:self.end - self.pos])
+        crc = self.file_crc
+        self.end += 4
+        if self.u32() != crc:
+            raise CheckpointError(f"{self.path}: whole-file checksum failure")
+
 
 def load_checkpoint(path):
-    """Read and verify a checkpoint.
+    """Read and verify a checkpoint in one pass, in file order.
 
     Raises CheckpointError on any corruption or malformed header, and
     ModelMismatchError when the tensor names are not the stack's, in order,
-    or a shape differs from param_shapes (checked before anything is
-    allocated). The file is read in two passes: the whole-file crc32,
-    through one buffer of at most 1 MiB, then the header and the tensor
-    records, each payload read straight into its view of the parameter
-    vector, so that vector is the only copy of the tensors.
+    or a shape differs from param_shapes. Each tensor's name and shape are
+    checked before its payload is read and its crc32 checked. When the pass
+    fails, the rest of the file is read, and a whole-file checksum failure
+    is raised instead if the file's crc32 does not match.
     """
     try:
         with open(path, "rb") as fh:
-            return _read_checkpoint(fh, path)
+            r = _Reader(fh, path)
+            try:
+                ckpt = _read_checkpoint(r, path)
+            except (CheckpointError, ModelMismatchError):
+                r.check_file_crc()  # a whole-file checksum failure wins
+                raise
+            r.check_file_crc()
+            return ckpt
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_checkpoint(fh, path):
-    size = fh.seek(0, 2)
-    if size < 16:
-        raise CheckpointError(f"{path}: checksum failure (file too short)")
-    r = _Reader(fh, size, path)
-    if r.crc(size - 4) != r.u32():
-        raise CheckpointError(f"{path}: whole-file checksum failure")
-    r = _Reader(fh, size - 4, path)
+def _read_checkpoint(r, path):
+    """The Checkpoint in the bytes before the file crc32, not yet checked against it."""
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     version = r.u32()
@@ -524,44 +526,32 @@ def _read_checkpoint(fh, path):
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
     stack, config, vocab_tokens, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
-    sizes = (len(vocab_tokens), config.embedding_dim, config.gru_units, config.lstm_units)
-    records = []  # (name, shape, payload offset, payload crc32) of each tensor read so far
-    try:
-        for _ in range(r.u32()):
-            name = str(r.take(r.u16()), "utf-8", errors="replace")
-            rows, cols = r.u32(), r.u32()
-            offset = r.pos
-            r.skip(rows * max(cols, 1) * 8)
-            records.append((name, (rows, cols) if cols else (rows,), offset, r.u32()))
-        if r.pos != r.end:
-            raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-        shapes = param_shapes(stack, *sizes)
-        names = [name for name, *_ in records]
-        for i, (got, want) in enumerate(zip_longest(names, shapes)):
-            if got != want:
-                raise ModelMismatchError(
-                    f"{path}: tensor {i} is {got!r} but stack {stack!r} stores {want!r} there")
-        for (name, got, *_), want in zip(records, shapes.values()):
-            if got != want:
-                raise ModelMismatchError(
-                    f"{path}: tensor {name} has shape {got} but the vocabulary "
-                    f"({len(vocab_tokens)} tokens) and config give {want}")
-    except (CheckpointError, ModelMismatchError):
-        # the first error in file order wins: a payload recorded before the
-        # failure that fails its crc32 is reported instead
-        for name, shape, offset, crc in records:
-            r.seek(offset)
-            if r.crc(8 * math.prod(shape)) != crc:
-                raise CheckpointError(f"{path}: checksum failure in tensor {name}") from None
-        raise
-    params = ModelParams.zeros(stack, *sizes)
-    for (name, _, offset, crc), (_, view) in zip(records, params.named_arrays()):
-        r.seek(offset)
+    params = ModelParams.zeros(stack, len(vocab_tokens), config.embedding_dim,
+                               config.gru_units, config.lstm_units)
+    views = list(params.named_arrays())
+    count = r.u32()
+    for i in range(count):
+        name = str(r.take(r.u16()), "utf-8", errors="replace")
+        want, view = views[i] if i < len(views) else (None, None)
+        if name != want:
+            raise ModelMismatchError(
+                f"{path}: tensor {i} is {name!r} but stack {stack!r} stores {want!r} there")
+        rows, cols = r.u32(), r.u32()
+        shape = (rows, cols) if cols else (rows,)
+        if shape != view.shape:
+            raise ModelMismatchError(
+                f"{path}: tensor {name} has shape {shape} but the vocabulary "
+                f"({len(vocab_tokens)} tokens) and config give {view.shape}")
         r.into(view)
-        if zlib.crc32(view) != crc:
+        if zlib.crc32(view) != r.u32():
             raise CheckpointError(f"{path}: checksum failure in tensor {name}")
-        if sys.byteorder == "big":
-            view.byteswap(inplace=True)
+    if r.pos != r.end:
+        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+    if count < len(views):
+        raise ModelMismatchError(f"{path}: tensor {count} is None but stack {stack!r} "
+                                 f"stores {views[count][0]!r} there")
+    if sys.byteorder == "big":  # every crc32 above was of the file's bytes
+        params.flat.byteswap(inplace=True)
     return Checkpoint(
         params=params, config=config,
         vocab=Vocabulary.from_content_tokens(vocab_tokens[2:]),  # past PAD and UNK
@@ -581,7 +571,7 @@ def _parse_header(raw, path):
     for key in ("stack", "config", "vocab", "stopwords", "whitelist"):
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r} key")
-    if header["stack"] not in STACKS:
+    if not isinstance(header["stack"], str) or header["stack"] not in STACKS:
         raise CheckpointError(f"{path}: unknown stack variant {header['stack']!r}")
     try:
         config = TrainConfig(**header["config"]).validate()
@@ -595,6 +585,11 @@ def _parse_header(raw, path):
     if vocab[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(vocab)) != len(vocab):
         raise CheckpointError(f"{path}: vocab must start with {PAD_TOKEN!r}, {UNK_TOKEN!r} "
                               f"and hold no token twice")
+    sizes = (len(vocab), config.embedding_dim, config.gru_units, config.lstm_units)
+    count = _parameter_count(header["stack"], *sizes)  # the load allocates them first
+    if count > MAX_PARAMETERS:
+        raise CheckpointError(f"{path}: a vocab of {len(vocab)} tokens gives {count} "
+                              f"parameters with the stored config, more than {MAX_PARAMETERS}")
     return header["stack"], config, vocab, header["stopwords"], header["whitelist"]
 
 

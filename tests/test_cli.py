@@ -431,6 +431,20 @@ class TestPretrainedEmbeddings:
         assert f"w2v.txt: line {line}: not valid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count", ["5", "x"])
+    def test_a_count_other_than_the_vector_lines_exits_3(self, tmp_path, capsys, count):
+        (tmp_path / "w2v.txt").write_text(f"{count} 8\ngood{' 0.1' * 8}\n",
+                                          encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "embedding_dim = 8\ngru_units = 4\nlstm_units = 3\nmax_epochs = 1\n"
+            f"embeddings = {tmp_path / 'w2v.txt'}\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"w2v.txt: line 1: count {count!r}" in capsys.readouterr().err
+
     def test_train_with_pretrained_runs(self, tmp_path):
         self.write_vectors(tmp_path / "w2v.txt", ["good", "bad"], 8)
         data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
@@ -541,6 +555,13 @@ def store_vocab(tokens):
     return lambda h: h.update(vocab=tokens)
 
 
+def widen_past_max_parameters(header):
+    # the config alone passes validate (5 x 10^6 embedding floats plus the
+    # GRUs'), but the stored vocab of 200 tokens needs 2 x 10^8 of them
+    header["config"]["embedding_dim"] = 10**6
+    header["vocab"] += [f"w{i}" for i in range(200 - len(header["vocab"]))]
+
+
 # (edit of the toy params before saving, edit of the header after, exit
 # code, named in the error)
 CHECKPOINT_PROBES = {
@@ -549,6 +570,8 @@ CHECKPOINT_PROBES = {
     "missing_whitelist": (None, lambda h: h.pop("whitelist"), 3, "whitelist"),
     "unknown_config_key": (None, lambda h: h["config"].update(bogus=1), 3, "bogus"),
     "unknown_stack": (None, lambda h: h.update(stack="foo"), 3, "foo"),
+    "stack_list": (None, lambda h: h.update(stack=[]), 3, "stack"),
+    "stack_object": (None, lambda h: h.update(stack={}), 3, "stack"),
     "gru_units_disagree": (None, lambda h: h["config"].update(gru_units=3), 4,
                            "gru_fwd.W_z"),
     "nan_weight": (lambda p: dict(p.named_arrays())["lstm.W_f"].__setitem__((0, 0), np.nan),
@@ -572,6 +595,7 @@ CHECKPOINT_PROBES = {
                                  "vocab"),
     "vocab_duplicate_token": (None, store_vocab(["<pad>", "<unk>", "good", "good", "film"]),
                               3, "vocab"),
+    "vocab_over_max_parameters": (None, widen_past_max_parameters, 3, "vocab"),
 }
 
 

@@ -4,12 +4,16 @@ import math
 import os
 import re
 import struct
+import sys
+import tempfile
 import tracemalloc
 import zlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _toy import encode_toy, toy_config, toy_corpus
 from opinionminer import training
@@ -721,6 +725,88 @@ class TestCheckpoint:
             write()
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [output]  # no temporary file is left
+
+    def test_a_full_size_load_reads_each_byte_once(self, tmp_path, monkeypatch):
+        params, config, vocab = self.full_size_params()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        sizes = []
+
+        class CountingFile:
+            """A file that records how many bytes each read returns."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, *args):
+                return self.fh.seek(*args)
+
+            def read(self, n):
+                out = self.fh.read(n)
+                sizes.append(len(out))
+                return out
+
+            def readinto(self, buffer):
+                sizes.append(self.fh.readinto(buffer))
+                return sizes[-1]
+
+        monkeypatch.setattr(training, "open", lambda *a: CountingFile(open(*a)), raising=False)
+        ckpt = load_checkpoint(path)
+        assert sum(sizes) == path.stat().st_size
+        npt.assert_array_equal(ckpt.params.flat, params.flat)
+
+    def test_the_first_fault_in_file_order_is_named(self, tmp_path, capsys):
+        # a resealed file with a wrong name in tensor 3 that is also cut short
+        params, path, doc = self.saved(tmp_path)
+        tensors = list(params.named_arrays())
+        name = tensors[3][0]
+        pos = 16 + struct.unpack_from("<I", doc, 8)[0] + sum(
+            2 + len(n) + 8 + arr.nbytes + 4 for n, arr in tensors[:3])
+        body = bytearray(doc[:pos + 2 + len(name) + 8 + 8])  # cut after one float
+        body[pos + 2] ^= 0x20  # the first letter of the name changes case
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        bad = str(body[pos + 2:pos + 2 + len(name)], "utf-8")
+        message = f"tensor 3 is {bad!r} but stack 'hbgru_lstm' stores {name!r} there"
+        with pytest.raises(training.ModelMismatchError, match=re.escape(message)):
+            load_checkpoint(path)
+        assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 4
+        assert message in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=st.sampled_from(sorted(STACKS)),
+           runs=st.lists(st.tuples(st.sampled_from(["overwrite", "insert", "delete"]),
+                                   st.integers(0, 1 << 16), st.binary(min_size=1, max_size=4)),
+                         min_size=1, max_size=4))
+    def test_an_unsealed_edit_fails_the_whole_file_checksum(self, stack, runs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.ckpt")
+            save_checkpoint(*self.make_artifacts(stack), path)
+            with open(path, "rb") as fh:
+                doc = fh.read()
+            data = bytearray(doc)
+            for kind, pos, chunk in runs:
+                pos %= len(data) + 1
+                end = pos + (0 if kind == "insert" else len(chunk))
+                data[pos:end] = b"" if kind == "delete" else chunk
+            assume(data != doc)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(CheckpointError,
+                               match="whole-file checksum failure|file too short"):
+                load_checkpoint(path)
+
+    def test_a_big_endian_host_swaps_after_the_checksums(self, tmp_path, monkeypatch):
+        # the file holds little-endian floats, and every crc32 is of those bytes
+        params, path, _ = self.saved(tmp_path)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        ckpt = load_checkpoint(path)
+        assert ckpt.params.flat.tobytes() == params.flat.byteswap().tobytes()
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
