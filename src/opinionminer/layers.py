@@ -38,15 +38,16 @@ W_z, b_z, ... are row views of it. All block arrays are slices of one
 vector, ModelParams.flat, whose layout _layout states once for a stack and
 its sizes: ModelParams.zeros lays it over a new vector, which initialization
 draws into and checkpoint loading copies into, and param_shapes reads the
-checkpoint's tensor shapes off it. Gradients, Adam's moments and the best
-epoch's copy lay the same blocks over vectors of their own
-(ModelParams.like).
+checkpoint's tensor shapes off it. Adam's moments and the best epoch's
+copy lay the same blocks over vectors of their own (ModelParams.like). A
+gradient does too, or holds only some embedding rows: a training batch's
+gradient (zero_grads with rows) keeps only the rows its tokens read.
 The backward pass keeps every row's gate pre-activation gradients, gathers
 the state each row's step read (Packing.previous) and adds each weight
 gradient into its block with one matrix product after the loop; the
-embedding gradient is scattered with np.add.at. It consumes its cache,
-dropping each trace after its last read: the LSTM's before the GRU passes,
-each GRU direction's before the next.
+embedding gradient is scattered into each token's row with np.add.at. It
+consumes its cache, dropping each trace after its last read: the LSTM's
+before the GRU passes, each GRU direction's before the next.
 `sub_batches` sorts sequences by length and cuts them into groups of at
 most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
 `model_backward` are the engine at B = 1.
@@ -169,7 +170,12 @@ def param_shapes(stack, vocab_size, embedding_dim, gru_units, lstm_units):
 
 @dataclass
 class ModelParams:
-    """Every parameter, each block array a reshaped slice of one vector, flat."""
+    """Every parameter, each block array a reshaped slice of one vector, flat.
+
+    A gradient from zero_grads(params, rows) has the same layout but for
+    embedding.E, which holds only the vocabulary rows `rows`, in order;
+    `rows` is None wherever E holds every row.
+    """
     stack: str
     flat: np.ndarray
     embedding: EmbeddingParams
@@ -177,6 +183,7 @@ class ModelParams:
     dense: DenseParams
     gru_fwd: Optional[GruParams] = None
     gru_bwd: Optional[GruParams] = None
+    rows: Optional[np.ndarray] = None
 
     def named_arrays(self):
         """Yield (name, row view of its block array) for every tensor, in checkpoint order."""
@@ -186,10 +193,14 @@ class ModelParams:
             parts = zip(*(np.split(a, len(cls.TENSORS) // len(arrays)) for a in arrays))
             yield from zip((f"{block}.{t}" for t in cls.TENSORS), sum(parts, ()))
 
+    def shapes(self):
+        """The shape of every block array, in the order of flat."""
+        blocks = [getattr(self, block) for block, _ in _blocks(self.stack)]
+        return [getattr(b, f.name).shape for b in blocks for f in fields(b)]
+
     def like(self, flat):
         """The same layout over another vector of flat's size."""
-        blocks = [getattr(self, block) for block, _ in _blocks(self.stack)]
-        return _over(self.stack, [getattr(b, f.name).shape for b in blocks for f in fields(b)], flat)
+        return _over(self.stack, self.shapes(), flat, self.rows)
 
     def clone(self):
         return self.like(self.flat.copy())
@@ -202,16 +213,54 @@ class ModelParams:
         return _over(stack, shapes, np.zeros(sum(math.prod(shape) for shape in shapes)))
 
 
-def _over(stack, shapes, flat):
+def _over(stack, shapes, flat, rows=None):
     """ModelParams whose block arrays are consecutive slices of flat, reshaped."""
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     views = iter(part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes))
-    return ModelParams(stack, flat, **{block: cls(*(next(views) for _ in fields(cls)))
-                                       for block, cls in _blocks(stack)})
+    return ModelParams(stack, flat, rows=rows, **{block: cls(*(next(views) for _ in fields(cls)))
+                                                  for block, cls in _blocks(stack)})
 
 
-def zero_grads(params):
-    return params.like(np.zeros_like(params.flat))
+def _grad_shapes(params, rows):
+    """The block shapes of a gradient of params holding the embedding rows `rows`."""
+    shapes = params.shapes()
+    if rows is not None:  # E leads the layout
+        shapes[0] = (len(rows), params.embedding.dim)
+    return shapes
+
+
+def zero_grads(params, rows=None):
+    """A zero gradient for params, in their layout or for some embedding rows.
+
+    rows, if given, is a sorted integer array of vocabulary rows, PAD (0)
+    first and none twice. The gradient's E is then (len(rows), d), its row
+    j that of vocabulary row rows[j], and every other block is laid out as
+    in params. Without rows, E holds every row.
+    """
+    if rows is not None:
+        rows = np.asarray(rows)
+        _check_grad_rows(rows, params.embedding.vocab_size)
+    shapes = _grad_shapes(params, rows)
+    return _over(params.stack, shapes, np.zeros(sum(math.prod(s) for s in shapes)), rows)
+
+
+def _check_grad_rows(rows, vocab_size):
+    if not (rows.ndim == 1 and rows.size and np.issubdtype(rows.dtype, np.integer)
+            and rows[0] == 0 and (rows[1:] > rows[:-1]).all() and rows[-1] < vocab_size):
+        raise ValueError(f"gradient rows must be sorted, unique, inside [0, {vocab_size}) "
+                         f"and start with PAD (0)")
+
+
+def check_grad_layout(params, grads):
+    """ValueError unless grads is laid out as zero_grads lays out a gradient of params."""
+    if grads.rows is not None:
+        _check_grad_rows(grads.rows, params.embedding.vocab_size)
+    want = _grad_shapes(params, grads.rows)
+    got = grads.shapes()
+    if grads.stack != params.stack or got != want or \
+            grads.flat.shape != (sum(math.prod(s) for s in want),):
+        raise ValueError(f"gradient layout {grads.stack!r} {got} ({grads.flat.size} floats) "
+                         f"does not match the parameters' {params.stack!r} {want}")
 
 
 def init_model_params(vocab_size, embedding_dim, gru_units, lstm_units,
@@ -632,12 +681,24 @@ def _gru_backward(p, trace, X, packing, prev, dH, grad, reverse=False):
     return da @ p.W[:, k:]
 
 
+def _token_rows(grads, index):
+    """The row of grads' E that each token index adds into (ValueError if it has none)."""
+    rows = grads.rows
+    if rows is None:
+        return index
+    pos = np.searchsorted(rows, index)
+    if pos.size and (pos.max() == len(rows) or (rows[pos] != index).any()):
+        raise ValueError("the gradient holds no embedding row for a token of the batch")
+    return pos
+
+
 def backward_batch(params, cache, dL_dyhat, grads):
     """Add the exact gradients of sum_j loss_j to `grads` (from zero_grads).
 
     `cache` comes from a train-mode forward_batch call on the same params
-    and dL_dyhat (B,) holds each d(loss_j)/d(yhat_j). The embedding gradient
-    is scattered per looked-up row; its PAD row is forced to zero. The pass
+    and dL_dyhat (B,) holds each d(loss_j)/d(yhat_j). Each token's input
+    gradient is scattered into its row of the gradient's E, which must hold
+    every row the batch reads; the PAD row is forced to zero. The pass
     consumes the cache, dropping each trace after its last read, so a
     second pass over it raises ValueError.
     """
@@ -653,6 +714,7 @@ def backward_batch(params, cache, dL_dyhat, grads):
     if cache.x.shape[1] != params.embedding.dim or \
             cache.lstm.h.shape[1] != params.lstm.hidden_size:
         raise ValueError("stale cache: shapes do not match params")
+    token_rows = _token_rows(grads, cache.index)
 
     # dense head: yhat = sigmoid(W h + b)
     ds = dL_dyhat * cache.yhat * (1.0 - cache.yhat)
@@ -683,8 +745,9 @@ def backward_batch(params, cache, dL_dyhat, grads):
                             dU[:, j * k:(j + 1) * k], getattr(grads, block), reverse)
         dX = dXj if j == 0 else np.add(dX, dXj, out=dX)
 
-    # a PAD index inside a sequence adds nothing to the frozen PAD row
-    np.add.at(grads.embedding.E, cache.index, dX)
+    # a PAD index inside a sequence adds nothing to the frozen PAD row, the
+    # first row in either layout
+    np.add.at(grads.embedding.E, token_rows, dX)
     grads.embedding.E[0] = 0.0
 
 

@@ -15,14 +15,15 @@ Checkpoint layout (all integers little-endian, versioned, checksummed):
 A load reads the file once, in order, each payload straight into its view
 of the parameter vector, so that vector is its only parameter-length
 allocation. The file crc32 is checked last but wins over any other error.
-Training allocates no others but the parameters, the best epoch's copy,
-Adam's m and v and one gradient vector an epoch.
+Training allocates no others but the parameters, the best epoch's copy and
+Adam's m and v. Each batch's gradient holds only the embedding rows the
+batch reads, beside every other block.
 
 Each mini-batch is sorted by length and run through the batched engine in
 sub-batches of at most `layers.ROW_BUDGET` real tokens; the gradients of
-every sub-batch add into the epoch's gradient vector, zero-filled for each
-batch, before the Adam step. Batch composition, the shuffle and the
-per-example dropout seeds do not depend on the sub-batching. Nothing
+every sub-batch add into the batch's gradient before the Adam step. Batch
+composition, the shuffle and the per-example dropout seeds do not depend
+on the sub-batching. Nothing
 depends on timing or scheduling, so identical (config, corpus, seed)
 reproduce byte-identical histories and checkpoints at a fixed BLAS thread
 count; another thread count may change how a matrix product sums and so
@@ -46,6 +47,7 @@ from .layers import (
     STACKS,
     ModelParams,
     backward_batch,
+    check_grad_layout,
     classify,
     forward_batch,
     init_model_params,
@@ -54,15 +56,15 @@ from .layers import (
     sub_batches,
     zero_grads,
 )
-from .text_pipeline import PAD_TOKEN, UNK_TOKEN, DataError, Vocabulary
+from .text_pipeline import PAD_INDEX, PAD_TOKEN, UNK_TOKEN, DataError, Vocabulary
 
 CHECKPOINT_MAGIC = b"OMCK"
 CHECKPOINT_VERSION = 1
 
 _CLAMP = 1e-12
 
-# Elements adam_step updates at a time, through two scratch buffers this long,
-# and _all_finite tests at a time.
+# Most elements adam_step updates at a time (but one embedding row, if longer),
+# through two scratch buffers that long, and _all_finite tests at a time.
 _ADAM_CHUNK = 2**15
 
 # Size bounds TrainConfig.validate checks before anything is allocated. A
@@ -70,8 +72,9 @@ _ADAM_CHUNK = 2**15
 # traces and temporaries a token at full size that is under 150 MB.
 # MAX_PARAMETERS floats take 800 MB. Initialization and checkpoint loading
 # each allocate one vector that long, the parameters themselves. Training
-# holds five (the parameters, the best epoch's, Adam's m and v, and the one
-# gradient vector of the epoch), 4 GB at the cap, plus the traces.
+# holds four (the parameters, the best epoch's, Adam's m and v), 3.2 GB at
+# the cap, plus the traces and a batch's gradient: its embedding rows and
+# every other block.
 MAX_LEN = 4096
 MAX_PARAMETERS = 10**8
 
@@ -197,40 +200,77 @@ def bce_grad(y, yhat):
 def adam_step(state, params, grads, config):
     """One Adam update with bias correction; the PAD embedding row is frozen.
 
-    `grads` comes from zero_grads. The update runs in place, _ADAM_CHUNK
-    elements at a time through two scratch buffers that long, each element
-    as in the textbook flat -= lr * (m / mc) / (sqrt(v / vc) + eps). The
-    update is elementwise, so the chunking does not change a bit.
+    `grads` comes from zero_grads, with every embedding row or some. Every
+    element of m and v decays and the step is taken over every parameter;
+    the gradient terms are added only where the gradient has a row. A row
+    the gradient leaves out is updated exactly as under a zero gradient, so
+    both layouts give the same bits. The gradient layout and the shapes of
+    m and v are checked before anything is written (ValueError).
+
+    The update runs in place, in chunks of at most _ADAM_CHUNK elements
+    (whole rows of the embedding) through two scratch buffers that long,
+    each element as in the textbook
+    flat -= lr * (m / mc) / (sqrt(v / vc) + eps). The update is
+    elementwise, so the chunking does not change a bit.
     """
     g, m, v, flat = grads.flat, state.m, state.v, params.flat
-    if g.shape != flat.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match the parameters' "
-                         f"{flat.shape}")
+    check_grad_layout(params, grads)
+    for name, moment in (("m", m), ("v", v)):
+        if moment.shape != flat.shape:
+            raise ValueError(f"Adam's {name} has shape {moment.shape}, which does not match "
+                             f"the parameters' {flat.shape}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     eps, lr = config.epsilon, config.learning_rate
     mc = 1.0 - b1 ** state.t
     vc = 1.0 - b2 ** state.t
-    pad = params.embedding.dim  # E leads flat, so the PAD row is flat[:pad]
-    size = min(_ADAM_CHUNK, g.size)
+    d, rows = params.embedding.dim, grads.rows
+    E = params.embedding.E.size  # E leads flat, so the PAD row is flat[:d]
+    shift = g.size - flat.size  # where the gradient's blocks after E sit against flat's
+    # chunks of whole embedding rows, then of the other blocks
+    bounds = [*range(0, E, max(1, _ADAM_CHUNK // d) * d), *range(E, flat.size, _ADAM_CHUNK)]
+    chunks = list(zip(bounds, bounds[1:] + [flat.size]))
+    size = max(hi - lo for lo, hi in chunks)
     steps, denoms = np.empty(size), np.empty(size)
-    for lo in range(0, g.size, _ADAM_CHUNK):
-        part = slice(lo, lo + _ADAM_CHUNK)
-        gs, ms, vs = g[part], m[part], v[part]
-        step, denom = steps[:len(gs)], denoms[:len(gs)]
-        ms *= b1
-        ms += np.multiply(1.0 - b1, gs, out=step)
-        vs *= b2
-        vs += np.multiply(1.0 - b2, np.multiply(gs, gs, out=step), out=step)
+    for lo, hi in chunks:
+        ms, vs = m[lo:hi], v[lo:hi]
+        step, denom = steps[:hi - lo], denoms[:hi - lo]
+        if hi > E:
+            _add_moments(ms, vs, g[lo + shift:hi + shift], config, step)
+        else:  # the vocabulary rows a:b
+            a, b = lo // d, hi // d
+            j, k = (a, b) if rows is None else np.searchsorted(rows, (a, b))
+            if k - j == b - a:  # the gradient has every row of the chunk
+                _add_moments(ms, vs, g[j * d:k * d], config, step)
+            else:
+                picked = rows[j:k] - a
+                m_rows, v_rows = ms.reshape(-1, d)[picked], vs.reshape(-1, d)[picked]
+                _add_moments(m_rows.ravel(), v_rows.ravel(), g[j * d:k * d], config,
+                             step[:(k - j) * d])
+                # the rows left out, as a zero gradient would leave them:
+                # m * b1 + 0.0, which is m * b1 but for -0.0
+                for moment, beta in ((ms, b1), (vs, b2)):
+                    moment *= beta
+                    moment += 0.0
+                ms.reshape(-1, d)[picked], vs.reshape(-1, d)[picked] = m_rows, v_rows
         np.sqrt(np.divide(vs, vc, out=denom), out=denom)
         denom += eps
         np.multiply(lr, np.divide(ms, mc, out=step), out=step)
         step /= denom
-        if lo < pad:  # the PAD row stays as it is
+        if lo == 0:  # the PAD row stays as it is
             for vector in (step, ms, vs):
-                vector[:pad - lo] = 0.0
-        flat[part] -= step
+                vector[:d] = 0.0
+        flat[lo:hi] -= step
     return state, params
+
+
+def _add_moments(m, v, g, config, tmp):
+    """m = m * b1 + (1 - b1) * g and v = v * b2 + (1 - b2) * g^2, in place, through tmp."""
+    b1, b2 = config.beta1, config.beta2
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=tmp)
+    v *= b2
+    v += np.multiply(1.0 - b2, np.multiply(g, g, out=tmp), out=tmp)
 
 
 def make_batches(data, batch_size, seed, epoch):
@@ -252,7 +292,8 @@ def _example_seed(seed, epoch, index):
 
 def batch_gradients(params, batch, dropout_rate, seeds, grads):
     """Train-mode probabilities of one mini-batch; its summed BCE gradient
-    goes into `grads` (from zero_grads), which is zero-filled first.
+    goes into `grads`, which is zero-filled first. `grads` comes from
+    zero_grads, with every embedding row or at least those the batch reads.
 
     Runs the length-sorted sub-batches of `sub_batches`; example j draws its
     dropout masks from seeds[j]. An all-PAD example scores 0.5 and adds no
@@ -275,16 +316,18 @@ def train_epoch(params, adam, batches, config, epoch=0):
     """One pass over the batches: mean batch gradient, one Adam step per batch.
 
     Example i of the epoch draws its dropout masks from seed
-    _example_seed(seed, epoch, i) wherever the length sorting puts it. Every
-    batch's gradient goes into the one vector the epoch allocates.
+    _example_seed(seed, epoch, i) wherever the length sorting puts it. Each
+    batch's gradient holds only the embedding rows the batch reads, PAD
+    first, so its size follows the batch, not the vocabulary.
     Returns (params, adam, (mean_loss, accuracy)).
     """
     total_loss = 0.0
     correct = 0
     count = 0
-    grads = zero_grads(params)
     for batch in batches:
         seeds = [_example_seed(config.seed, epoch, count + j) for j in range(len(batch))]
+        rows = np.union1d([PAD_INDEX], np.concatenate([seq.indices for seq, _ in batch]))
+        grads = zero_grads(params, rows)
         yhat = batch_gradients(params, batch, config.dropout_rate, seeds, grads)
         for (_, label), p in zip(batch, yhat):
             total_loss += bce_loss(label, p)

@@ -4,7 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. Stated runtime budgets are asserted, not advisory.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +246,35 @@ def test_criterion_7_train_determinism(tmp_path):
     for name in ("model.ckpt", "report.txt", "history.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     report_pass(7, "checkpoint, report and history bytes identical")
+
+
+def test_criterion_7_train_determinism_across_processes(tmp_path):
+    # a fresh interpreter for each run, with its own string hash seed: no
+    # output may depend on set or dict order or on state left in the process
+    data = tmp_path / "reviews.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("text,label\n")
+        for text, label in toy_reviews(60, seed=11):
+            fh.write(f"{text},{label}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "embedding_dim = 8\ngru_units = 4\nlstm_units = 3\nbatch_size = 8\n"
+        "learning_rate = 0.01\nmax_epochs = 3\npatience = 3\nmax_len = 12\n"
+        "vocab_size = 60\ntest_fraction = 0.3\nvalidation_fraction = 0.2\n"
+        "dropout_rate = 0.2\nseed = 7\n", encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS="1")
+        subprocess.run([sys.executable, "-m", "opinionminer.cli", "train", "--config", str(cfg),
+                        "--data", str(data), "--out", str(out)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        outs.append(out)
+    for name in ("model.ckpt", "report.txt", "history.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    report_pass(7, "the same bytes from two processes with different hash seeds")
 
 
 # -----------------------------------------------------------------------

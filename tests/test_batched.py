@@ -135,6 +135,17 @@ def test_all_pad_batch_scores_half():
     assert not any(g.any() for _, g in grads.named_arrays())
 
 
+def test_a_token_without_a_gradient_row_rejected_before_any_write():
+    params = init_model_params(VOCAB.size, 3, 4, 3, seed=0)
+    seqs = [TokenSequence(np.array([2, 5])), TokenSequence(np.array([3, 9, 4]))]
+    for rows in ([0, 2, 3, 4, 5], [0, 2, 3, 4, 5, 8]):  # no row 9
+        grads = zero_grads(params, rows)
+        cache = forward_batch(params, seqs, mode="train")
+        with pytest.raises(ValueError, match="no embedding row"):
+            backward_batch(params, cache, np.ones(2), grads)
+        assert not grads.flat.any()
+
+
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_per_token_arrays_hold_the_real_tokens_only(stack):
     lengths = [1, 3, 3, 8]

@@ -16,9 +16,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _toy import encode_toy, toy_config, toy_corpus
-from opinionminer import training
+from opinionminer import layers, training
 from opinionminer.cli import _write_text, main
-from opinionminer.layers import STACKS, init_model_params, model_backward, model_forward
+from opinionminer.layers import (
+    STACKS,
+    init_model_params,
+    model_backward,
+    model_forward,
+    zero_grads,
+)
 from opinionminer.text_pipeline import DataError, TokenSequence, Vocabulary
 from opinionminer.training import (
     MAX_LEN,
@@ -29,6 +35,7 @@ from opinionminer.training import (
     ConfigError,
     TrainConfig,
     adam_step,
+    batch_gradients,
     bce_grad,
     bce_loss,
     evaluate_loss,
@@ -206,6 +213,74 @@ class TestAdam:
         npt.assert_array_equal(params.flat, before)
 
 
+    @pytest.mark.parametrize("chunk", [2, 6, training._ADAM_CHUNK])
+    def test_row_gradient_gives_the_dense_update_bit_for_bit(self, chunk, monkeypatch):
+        # 2- and 6-element chunks hold one and two rows of the 3-wide
+        # embedding, so some chunks hold rows the gradient has and some not
+        monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+        params = init_model_params(vocab_size=9, embedding_dim=3, gru_units=4,
+                                   lstm_units=3, seed=1)
+        rows = np.array([0, 2, 3, 7])
+        rng = np.random.default_rng(3)
+        size = params.flat.size
+        dense = params.like(rng.normal(size=size))
+        dense.embedding.E[np.setdiff1d(np.arange(9), rows)] = 0.0
+        dense.embedding.E[0] = 0.0
+        sparse = zero_grads(params, rows)
+        sparse.embedding.E[:] = dense.embedding.E[rows]
+        sparse.flat[sparse.embedding.E.size:] = dense.flat[params.embedding.E.size:]
+        # moments that a zero gradient term must leave as they are, -0.0 included
+        moments = np.abs(rng.normal(size=(2, size)))
+        moments[0] *= rng.choice([-1.0, 1.0], size=size)
+        moments[0, ::5] = -0.0
+        results = []
+        for grads in (dense, sparse):
+            got, state = params.clone(), AdamState(*moments.copy(), t=2)
+            for _ in range(3):
+                adam_step(state, got, grads, TrainConfig(learning_rate=0.01))
+            results.append([got.flat.tobytes(), state.m.tobytes(), state.v.tobytes()])
+        assert results[0] == results[1]
+
+    def test_moments_of_the_wrong_length_rejected_before_any_write(self):
+        params = init_model_params(vocab_size=4000, embedding_dim=16, gru_units=4,
+                                   lstm_units=4, seed=1)
+        assert params.flat.size > training._ADAM_CHUNK
+        grads = params.like(np.full_like(params.flat, 0.5))
+        before = params.flat.copy()
+        for short in ("m", "v"):
+            state = AdamState.for_params(params)
+            setattr(state, short, getattr(state, short)[:-3])
+            with pytest.raises(ValueError, match=f"Adam's {short} has shape"):
+                adam_step(state, params, grads, TrainConfig())
+            assert state.t == 0
+            assert not state.m.any() and not state.v.any()
+            npt.assert_array_equal(params.flat, before)
+
+    @pytest.mark.parametrize("rows", [[1, 2, 3], [0, 3, 2], [0, 2, 2], [0, 2, 6], [-1, 0, 2]])
+    def test_bad_gradient_rows_rejected_before_any_write(self, rows):
+        params = tiny_model()
+        state = AdamState.for_params(params)
+        grads = zero_grads(params, [0, 2, 3])
+        grads.flat[:] = 0.5
+        grads.rows = np.array(rows)
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match="gradient rows must be sorted"):
+            adam_step(state, params, grads, TrainConfig())
+        with pytest.raises(ValueError, match="gradient rows must be sorted"):
+            zero_grads(params, rows)
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+        npt.assert_array_equal(params.flat, before)
+
+    def test_rows_that_do_not_match_the_embedding_block_rejected(self):
+        params = tiny_model()
+        state = AdamState.for_params(params)
+        grads = zero_grads(params, [0, 2, 3])
+        grads.rows = np.array([0, 2, 3, 4])  # one row more than E holds
+        with pytest.raises(ValueError, match="does not match"):
+            adam_step(state, params, grads, TrainConfig())
+        assert state.t == 0
+
+
 class TestMakeBatches:
     def data(self, n):
         return [(TokenSequence(np.array([2])), i % 2) for i in range(n)]
@@ -286,6 +361,64 @@ class TestTrainEpoch:
         assert three < 1.05 * one
         assert three < 3.2 * params.flat.nbytes
 
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    @pytest.mark.parametrize("chunk", [6, training._ADAM_CHUNK])
+    def test_row_gradients_match_the_dense_reference_bit_for_bit(self, stack, chunk,
+                                                                monkeypatch):
+        # sub-batches of at most 6 tokens; 6-element Adam chunks hold two
+        # embedding rows, so a batch has all, some or none of a chunk's rows
+        monkeypatch.setattr(layers, "ROW_BUDGET", 6)
+        monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+        seq = lambda *ix: TokenSequence(np.array(ix, dtype=np.int64))
+        batches = [
+            # a PAD index inside a sequence and an all-PAD example
+            [(seq(2, 0, 5), 1), (seq(), 0), (seq(3, 9, 9, 4, 2, 7, 3), 0), (seq(6), 1)],
+            # every row of the vocabulary
+            [(seq(*range(1, 7)), 1), (seq(7, 8, 9, 10, 11), 0), (seq(0, 4), 1)],
+            [(seq(5, 5, 5), 0), (seq(1), 1), (seq(9, 3, 11, 2, 2, 8, 6, 4), 0)],
+        ]
+        config = TrainConfig(dropout_rate=0.2, learning_rate=0.01, seed=3, stack=stack)
+        params = init_model_params(12, 3, 4, 3, stack=stack, seed=2)
+        want = params.clone()
+        adam, want_adam = AdamState.for_params(params), AdamState.for_params(want)
+
+        count = 0
+        for batch in batches:
+            seeds = [_example_seed(config.seed, 1, count + j) for j in range(len(batch))]
+            count += len(batch)
+            grads = zero_grads(want)
+            batch_gradients(want, batch, config.dropout_rate, seeds, grads)
+            grads.flat *= 1.0 / len(batch)
+            adam_step(want_adam, want, grads, config)
+
+        rows = []
+        monkeypatch.setattr(training, "zero_grads",
+                            lambda p, r: rows.append(r.tolist()) or zero_grads(p, r))
+        train_epoch(params, adam, batches, config, epoch=1)
+        assert rows == [[0, 2, 3, 4, 5, 6, 7, 9], list(range(12)),
+                        [0, 1, 2, 3, 4, 5, 6, 8, 9, 11]]
+        for got, ref in ((params.flat, want.flat), (adam.m, want_adam.m),
+                         (adam.v, want_adam.v)):
+            assert got.tobytes() == ref.tobytes()
+        assert adam.t == want_adam.t == 3
+
+    def test_an_epoch_allocates_under_a_quarter_of_a_parameter_vector(self):
+        # a 50,000-row embedding, nearly all of the model, on 4 short reviews:
+        # the gradient holds only the rows they read
+        params = init_model_params(vocab_size=50_000, embedding_dim=16, gru_units=2,
+                                   lstm_units=2, seed=1)
+        adam = AdamState.for_params(params)
+        config = TrainConfig(dropout_rate=0.2, seed=1)
+        rng = np.random.default_rng(0)
+        data = [(TokenSequence(rng.integers(1, 50_000, size=6)), i % 2) for i in range(4)]
+        tracemalloc.start()
+        try:
+            train_epoch(params, adam, [data[:2], data[2:]], config, epoch=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes / 4
+
     def test_loss_decreases_on_separable_corpus(self):
         # 20 reviews fully determined by one keyword
         vocab = Vocabulary.from_content_tokens(["good", "bad", "film"])
@@ -326,6 +459,27 @@ class TestFit:
         # rollback: returned params reproduce the epoch-1 validation loss
         val_loss, _ = evaluate_loss(params, validation)
         assert val_loss == pytest.approx(history.records[0].val_loss, abs=1e-15)
+
+    def test_an_improvement_under_min_delta_is_a_bad_epoch(self, monkeypatch):
+        # scripted validation losses: epoch 3 improves on epoch 2 by less
+        # than min_delta, so patience 1 runs out on it
+        losses = iter([1.0, 0.9, 0.9 - 5e-5, 0.5])
+        seen = []
+
+        def scripted(params, data):
+            seen.append(params.flat.copy())
+            return next(losses), 0.5
+
+        monkeypatch.setattr(training, "evaluate_loss", scripted)
+        corpus = toy_corpus(24, seed=2)
+        config = toy_config(max_epochs=4, patience=1, min_delta=1e-4, batch_size=8)
+        encoded, _ = encode_toy(corpus, config)
+        best, history = fit(config, encoded[:16], encoded[16:])
+        assert history.stop_reason == "early_stop"
+        assert history.stop_epoch == 3
+        assert [r.val_loss for r in history.records] == [1.0, 0.9, 0.9 - 5e-5]
+        assert len(seen) == 3 and (seen[1] != seen[2]).any()
+        npt.assert_array_equal(best.flat, seen[1])  # epoch 2's parameters
 
     def test_max_epochs_stop(self):
         corpus = toy_corpus(24, seed=0)
