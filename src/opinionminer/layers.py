@@ -32,8 +32,10 @@ sequence's outputs do not depend on the others in its batch. The input
 projection X W_x^T + b of all N rows is one matrix product before the time
 loop, and each step adds its recurrent products into its block of it in
 place, which leaves the gates there; temporaries are allocated once per
-loop. Each layer stores its gates stacked in one matrix, whose columns
-split into the recurrent and the input weights; the checkpoint tensors
+loop. The GRU directions write their h into their own column slices of
+one array, the LSTM input, which no concatenation copies. Each layer
+stores its gates stacked in one matrix, whose columns split into the
+recurrent and the input weights; the checkpoint tensors
 W_z, b_z, ... are row views of it. All block arrays are slices of one
 vector, ModelParams.flat, whose layout _layout states once for a stack and
 its sizes: ModelParams.zeros lays it over a new vector, which initialization
@@ -42,12 +44,14 @@ checkpoint's tensor shapes off it. Adam's moments and the best epoch's
 copy lay the same blocks over vectors of their own (ModelParams.like). A
 gradient does too, or holds only some embedding rows: a training batch's
 gradient (zero_grads with rows) keeps only the rows its tokens read.
-The backward pass keeps every row's gate pre-activation gradients, gathers
-the state each row's step read (Packing.previous) and adds each weight
-gradient into its block with one matrix product after the loop; the
-embedding gradient is scattered into each token's row with np.add.at. It
-consumes its cache, dropping each trace after its last read: the LSTM's
-before the GRU passes, each GRU direction's before the next.
+The backward pass writes each row's gate pre-activation gradients over
+that row's gates in the trace, gathers the state each row's step read
+(Packing.previous) and adds each weight gradient into its block with one
+matrix product after the loop; the embedding gradient is scattered into
+each token's row with np.add.at. It consumes its cache, dropping each
+array after its last read: the LSTM's c and tanh_c after its loop, its h
+once gathered, the rest of its trace before the GRU passes and each GRU
+direction's trace before the next.
 `sub_batches` sorts sequences by length and cuts them into groups of at
 most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
 `model_backward` are the engine at B = 1.
@@ -76,11 +80,13 @@ STACKS = {
     "gru_lstm": (("gru_fwd", False),),
 }
 
-# Most real tokens one sub-batch may hold. At full size a train-mode
-# sub-batch peaks at about 35 KB a token of traces and backward temporaries,
-# 54 MB at 1536 tokens. On the train_reviews benchmark, budgets of 1024 to
-# 3072 tokens trained at the same speed within the run-to-run noise, and
-# 2048 and 3072 raised the peak RSS by 23 and 77 MB over 1536.
+# Most real tokens one sub-batch may hold, which bounds its traces and
+# backward temporaries: TRAIN_PEAK_PER_TOKEN and INFER_PEAK_PER_TOKEN in
+# tests/test_batched.py bound the bytes a token takes at full size. On the
+# train_reviews benchmark, budgets of 1024 to 3072 tokens trained at the
+# same speed within the run-to-run noise, and 2048 and 3072 raised the
+# peak RSS by 23 and 77 MB over 1536 (measured while the backward pass still
+# allocated its gate gradients beside the gates).
 ROW_BUDGET = 1536
 
 
@@ -321,33 +327,46 @@ def _check_rows(X, packing):
                          f"{packing.off[-1]} tokens")
 
 
+def _gate(j, count):
+    """A trace property: gate j of the `count` in its gates block, or None without one."""
+    def view(self):
+        if self.gates is None:
+            return None
+        n = self.gates.shape[1] // count
+        return self.gates[:, j * n:(j + 1) * n]
+    return property(view)
+
+
 @dataclass
 class GruTrace:
-    """Per-token GRU values, (N, k) in the packed order.
+    """Per-token GRU values, in the packed order: h (N, k) and the gates
+    block (N, 3k), which holds z, r and h_cand side by side.
 
-    The gates are None when the scan kept only h, the part the LSTM reads.
+    gates is None when the scan kept only h, the part the LSTM reads. The
+    backward pass overwrites gates with their pre-activation gradients and
+    h with r * h_prev.
     """
     h: np.ndarray
-    z: Optional[np.ndarray] = None
-    r: Optional[np.ndarray] = None
-    h_cand: Optional[np.ndarray] = None
+    gates: Optional[np.ndarray] = None
+    z, r, h_cand = (_gate(j, 3) for j in range(3))
 
 
 @dataclass
 class LstmTrace:
-    """The final state of each sequence, (B, m), and per-token values, (N, m).
+    """The final state of each sequence, (B, m), and per-token values: the
+    gates block (N, 4m), which holds f, i, o and c_cand side by side, and
+    h, c and tanh_c (N, m).
 
     When the scan kept only what the dense head reads, the per-token values
-    are None.
+    are None. The backward pass overwrites gates with their pre-activation
+    gradients.
     """
     h_last: np.ndarray
+    gates: Optional[np.ndarray] = None
     h: Optional[np.ndarray] = None
-    f: Optional[np.ndarray] = None
-    i: Optional[np.ndarray] = None
-    o: Optional[np.ndarray] = None
-    c_cand: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
     tanh_c: Optional[np.ndarray] = None
+    f, i, o, c_cand = (_gate(j, 4) for j in range(4))
 
 
 def embed_lookup(index, emb):
@@ -358,23 +377,27 @@ def embed_lookup(index, emb):
     return emb.E[index]
 
 
-def gru_scan(p, X, packing, reverse=False, trace=True):
+def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
     """Run a GRU over packed (N, in_dim) inputs, each sequence from a zero state.
 
     Step t computes the rows of `packing`'s block t only. reverse=True scans
     t = T..1, so row (t, j)'s previous state is that of (t+1, j), and the
     zero state at the sequence's last token; the rows keep their packed
-    order either way. Without `trace` only h is kept.
+    order either way. Without `trace` only h is kept. h is written into
+    h_out, an (N, k) array such as a column slice of the LSTM input, or
+    into a new array.
     """
     _check_rows(X, packing)
     k = p.hidden_size
     B = len(packing.lengths)
+    if h_out is None:
+        h_out = np.empty((len(X), k))
+    elif h_out.shape != (len(X), k):
+        raise ValueError(f"h_out has shape {h_out.shape}, not {(len(X), k)}")
     W_zr, W_hh = p.W[:2 * k, :k].T, p.W[2 * k:, :k].T
     # the input projections; each step adds its recurrent products in place
     gates = affine(p.W[:, k:], X, p.b)
-    out = GruTrace(h=np.empty((len(X), k)))
-    if trace:
-        out.z, out.r, out.h_cand = (gates[:, g * k:(g + 1) * k] for g in range(3))
+    out = GruTrace(h=h_out, gates=gates if trace else None)
     h = np.zeros((B, k))
     tmp_zr, tmp, tmp2 = np.empty((B, 2 * k)), np.empty((B, k)), np.empty((B, k))
     T = len(packing.first)
@@ -409,7 +432,7 @@ def lstm_scan(p, X, packing, trace=True):
     gates = affine(p.W[:, m:], X, p.b)
     out = LstmTrace(h_last=np.zeros((B, m)))
     if trace:
-        out.f, out.i, out.o, out.c_cand = (gates[:, g * m:(g + 1) * m] for g in range(4))
+        out.gates = gates
         out.h, out.c, out.tanh_c = (np.empty((len(X), m)) for _ in range(3))
     h = out.h_last
     C = np.zeros((B, m))
@@ -461,9 +484,12 @@ class BatchCache:
     """A forward_batch call: per-token arrays in the packed order of `packing`.
 
     The GRU and LSTM traces hold their gates only in train mode, the one
-    mode whose caches backward_batch accepts. backward_batch consumes a
-    cache: it drops grus, seq_mask, lstm_in and lstm (set to (), None, None
-    and None) after their last read.
+    mode whose caches backward_batch accepts. The GRU traces' h are column
+    slices of one array, which is lstm_in itself unless a dropout mask
+    was applied to it. backward_batch consumes a cache: it drops grus,
+    seq_mask, lstm_in and lstm (set to (), None, None and None) after their
+    last read, and overwrites the traces' gate blocks with their
+    pre-activation gradients and each GRU trace's h with r * h_prev.
     """
     stack: str
     mode: str
@@ -499,23 +525,34 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     """
     _check_mode(mode, dropout_rate)
     trace = mode == "train"
+    train = trace and dropout_rate > 0.0  # masks are drawn
+    if train and (seeds is None or len(seeds) != len(seqs)):
+        got = "None" if seeds is None else f"{len(seeds)} seeds"
+        raise ValueError(f"train-mode dropout needs seeds, one per sequence: "
+                         f"got {got} for {len(seqs)} sequences")
     packing = Packing([seq.true_length for seq in seqs])
     index = np.concatenate([seq.indices for seq in seqs])[packing.order]
     x = embed_lookup(index, params.embedding)
 
-    grus = tuple(gru_scan(getattr(params, block), x, packing, reverse, trace)
-                 for block, reverse in STACKS[params.stack])
-    H = np.concatenate([g.h for g in grus], axis=1) if grus else x
+    # each GRU direction writes its h into its own columns of the LSTM input
+    directions = STACKS[params.stack]
+    H, grus = x, ()
+    if directions:
+        k = params.gru_fwd.hidden_size
+        H = np.empty((len(x), k * len(directions)))
+        grus = tuple(gru_scan(getattr(params, block), x, packing, reverse, trace,
+                              H[:, j * k:(j + 1) * k])
+                     for j, (block, reverse) in enumerate(directions))
 
     # inverted dropout; raw embeddings are not dropped, so the sequence
-    # mask is drawn only after a GRU and always before the final-state mask
-    train = mode == "train" and dropout_rate > 0.0
+    # mask is drawn only after a GRU and always before the final-state mask.
+    # The masked copy leaves H, which the GRU traces view, as it is.
     rngs = [np.random.default_rng(seed) for seed in seeds] if train else []
     seq_mask = out_mask = None
     if train and grus:
         seq_mask = np.concatenate([rng.random((n, H.shape[1])) >= dropout_rate
                                    for rng, n in zip(rngs, packing.lengths)])[packing.order]
-        H *= seq_mask
+        H = H * seq_mask
         H /= 1.0 - dropout_rate
 
     lt = lstm_scan(params.lstm, H, packing, trace)
@@ -587,17 +624,17 @@ def _previous_states(H, prev):
     return out
 
 
-def _times_dsigmoid(out, y, *factors):
-    """out = y * (1 - y) * factors, in place: the derivative of y = sigmoid(a)."""
-    np.subtract(1.0, y, out=out)
-    out *= y
+def _dsigmoid_in_place(y, scratch, *factors):
+    """y = y * (1 - y) * factors, in place, with 1 - y left in scratch: the
+    derivative of y = sigmoid(a)."""
+    y *= np.subtract(1.0, y, out=scratch)
     for f in factors:
-        out *= f
-    return out
+        y *= f
+    return y
 
 
 def _times_dtanh(out, y, *factors):
-    """out = (1 - y^2) * factors, in place: the derivative of y = tanh(a)."""
+    """out = (1 - y^2) * factors, which may be y itself: the derivative of y = tanh(a)."""
     np.multiply(y, y, out=out)
     np.subtract(1.0, out, out=out)
     for f in factors:
@@ -608,38 +645,45 @@ def _times_dtanh(out, y, *factors):
 def _lstm_backward(p, cache, prev, dh_last, grad):
     """BPTT through the LSTM, adding to `grad`; returns d(loss)/d(input), (N, in_dim).
 
-    Takes the LSTM trace and input out of `cache` and drops them once the
-    weight gradients are added. `prev` is packing.previous(). Step t updates
-    only the rows of block t; the other batch rows carry their gradient.
+    Takes the LSTM trace and input out of `cache` and drops each array after
+    its last read. `prev` is packing.previous(). Step t updates only the rows
+    of block t; the other batch rows carry their gradient. Each step writes
+    its gates' pre-activation gradients df, di, do and dcc over its rows of
+    the gates block, keeping the f and i it still reads in scratch rows.
     """
     trace, U, packing = cache.lstm, cache.lstm_in, cache.packing
     cache.lstm = cache.lstm_in = None
     m = p.hidden_size
     W_h = p.W[:, :m]
-    da = np.empty((len(U), 4 * m))
+    da = trace.gates
     dh = np.array(dh_last, dtype=np.float64)
     dc = np.zeros_like(dh)
-    tmp = np.empty_like(dh)
+    tmp, f_kept, i_kept = (np.empty_like(dh) for _ in range(3))
     for t in range(len(packing.first) - 1, -1, -1):
         s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-        f, i, o, cc = (g[a:e] for g in (trace.f, trace.i, trace.o, trace.c_cand))
-        tc = trace.tanh_c[a:e]
-        dhs, dcs, v, d = dh[s:], dc[s:], tmp[s:], da[a:e]
-        df, di, do, dcc = (d[:, g * m:(g + 1) * m] for g in range(4))
+        d, tc = da[a:e], trace.tanh_c[a:e]
+        f, i, o, cc = (d[:, g * m:(g + 1) * m] for g in range(4))  # -> df, di, do, dcc
+        dhs, dcs, v, f0, i0 = dh[s:], dc[s:], tmp[s:], f_kept[s:], i_kept[s:]
         dcs += _times_dtanh(v, tc, o, dhs)
+        np.copyto(f0, f)
+        np.copyto(i0, i)
         if t:  # block t's rows are the last rows of block t - 1
-            _times_dsigmoid(df, f, trace.c[2 * a - e:a], dcs)
+            _dsigmoid_in_place(f, v, trace.c[2 * a - e:a], dcs)
         else:  # the zero initial state
-            df.fill(0.0)
-        _times_dsigmoid(di, i, cc, dcs)
-        _times_dsigmoid(do, o, tc, dhs)
-        _times_dtanh(dcc, cc, i, dcs)
+            f.fill(0.0)
+        _dsigmoid_in_place(i, v, cc, dcs)
+        _dsigmoid_in_place(o, v, tc, dhs)
+        _times_dtanh(cc, cc, i0, dcs)
         np.matmul(d, W_h, out=dhs)
-        dcs *= f
-    grad.W[:, :m] += da.T @ _previous_states(trace.h, prev)
+        dcs *= f0
+    trace.c = trace.tanh_c = None
+    h_prev = _previous_states(trace.h, prev)
+    trace.h = None
+    grad.W[:, :m] += da.T @ h_prev
+    del h_prev
     grad.W[:, m:] += da.T @ U
     grad.b += da.sum(axis=0)
-    del trace, U  # the input gradient reads neither
+    del U  # the input gradient does not read it
     return da @ p.W[:, m:]
 
 
@@ -648,34 +692,39 @@ def _gru_backward(p, trace, X, packing, prev, dH, grad, reverse=False):
 
     `prev` is packing.previous(reverse). For the reverse scan the recurrent
     neighbour of step t is t+1, so the gradient sweep runs t = 1..T instead
-    of t = T..1. Step t updates only the rows of block t.
+    of t = T..1. Step t updates only the rows of block t. Each step writes
+    its gates' pre-activation gradients dz, dr and dhc over its rows of the
+    gates block, and r * h_prev, which the W_hh gradient reads, over its rows
+    of h, which nothing reads once h_prev is gathered.
     """
     k = p.hidden_size
     W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
-    da = np.empty((len(X), 3 * k))
+    da, rh = trace.gates, trace.h
     h_prev = _previous_states(trace.h, prev)
     B = len(packing.lengths)
     dh = np.zeros((B, k))
-    tmp, tmp2 = np.empty((B, k)), np.empty((B, k))
+    tmp, tmp2, tmp3, tmp4 = (np.empty((B, k)) for _ in range(4))
     T = len(packing.first)
     for t in range(T) if reverse else range(T - 1, -1, -1):
         s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-        z, r, hc, hp = trace.z[a:e], trace.r[a:e], trace.h_cand[a:e], h_prev[a:e]
-        dhs, dv, w, d = dh[s:], tmp[s:], tmp2[s:], da[a:e]
-        dz, dr, dhc = (d[:, g * k:(g + 1) * k] for g in range(3))
+        d, hp = da[a:e], h_prev[a:e]
+        z, r, hc = (d[:, g * k:(g + 1) * k] for g in range(3))  # -> dz, dr, dhc
+        dhs, dv, w, nz, rdv = dh[s:], tmp[s:], tmp2[s:], tmp3[s:], tmp4[s:]
         dhs += dH[a:e]
-        _times_dtanh(dhc, hc, z, dhs)
-        np.matmul(dhc, W_hh, out=dv)  # d(loss)/d(r * h_prev)
-        _times_dsigmoid(dz, z, dhs, np.subtract(hc, hp, out=w))
-        _times_dsigmoid(dr, r, hp, dv)
-        dhs *= np.subtract(1.0, z, out=w)  # d(loss)/d(h_prev)
-        dv *= r
-        dhs += dv
+        np.multiply(hp, r, out=rh[a:e])
+        np.subtract(hc, hp, out=w)
+        _times_dtanh(hc, hc, z, dhs)
+        np.matmul(hc, W_hh, out=dv)  # d(loss)/d(r * h_prev)
+        _dsigmoid_in_place(z, nz, dhs, w)
+        np.multiply(dv, r, out=rdv)
+        _dsigmoid_in_place(r, w, hp, dv)
+        dhs *= nz  # d(loss)/d(h_prev), nz = 1 - z
+        dhs += rdv
         np.matmul(d[:, :2 * k], W_zr, out=dv)
         dhs += dv
     grad.W[:2 * k, :k] += da[:, :2 * k].T @ h_prev
-    h_prev *= trace.r  # the candidate read r * h_prev
-    grad.W[2 * k:, :k] += da[:, 2 * k:].T @ h_prev
+    del h_prev
+    grad.W[2 * k:, :k] += da[:, 2 * k:].T @ rh
     grad.W[:, k:] += da.T @ X
     grad.b += da.sum(axis=0)
     return da @ p.W[:, k:]
@@ -696,11 +745,13 @@ def backward_batch(params, cache, dL_dyhat, grads):
     """Add the exact gradients of sum_j loss_j to `grads` (from zero_grads).
 
     `cache` comes from a train-mode forward_batch call on the same params
-    and dL_dyhat (B,) holds each d(loss_j)/d(yhat_j). Each token's input
-    gradient is scattered into its row of the gradient's E, which must hold
-    every row the batch reads; the PAD row is forced to zero. The pass
-    consumes the cache, dropping each trace after its last read, so a
-    second pass over it raises ValueError.
+    and dL_dyhat, of shape (B,) exactly, holds each d(loss_j)/d(yhat_j).
+    Each token's input gradient is scattered into its row of the gradient's
+    E, which must hold every row the batch reads; the PAD row is forced to
+    zero. The pass consumes the cache, writing the gate gradients over the
+    traces and dropping each trace after its last read, so a second pass
+    over it raises ValueError. A call that raises ValueError before the
+    pass starts leaves the cache and `grads` as they were.
     """
     if cache.mode != "train":
         raise ValueError("the backward pass needs a cache recorded in train mode")
@@ -714,6 +765,10 @@ def backward_batch(params, cache, dL_dyhat, grads):
     if cache.x.shape[1] != params.embedding.dim or \
             cache.lstm.h.shape[1] != params.lstm.hidden_size:
         raise ValueError("stale cache: shapes do not match params")
+    B = len(cache.packing.lengths)
+    if np.shape(dL_dyhat) != (B,):
+        raise ValueError(f"dL_dyhat has shape {np.shape(dL_dyhat)}, not ({B},): "
+                         f"one upstream gradient per sequence of the batch")
     token_rows = _token_rows(grads, cache.index)
 
     # dense head: yhat = sigmoid(W h + b)

@@ -68,8 +68,9 @@ _CLAMP = 1e-12
 _ADAM_CHUNK = 2**15
 
 # Size bounds TrainConfig.validate checks before anything is allocated. A
-# review of MAX_LEN tokens gets a sub-batch of its own: at about 35 KB of
-# traces and temporaries a token at full size that is under 150 MB.
+# review of MAX_LEN tokens gets a sub-batch of its own, whose traces and
+# temporaries take MAX_LEN times a token's bytes (TRAIN_PEAK_PER_TOKEN in
+# tests/test_batched.py bounds those at full size).
 # MAX_PARAMETERS floats take 800 MB. Initialization and checkpoint loading
 # each allocate one vector that long, the parameters themselves. Training
 # holds four (the parameters, the best epoch's, Adam's m and v), 3.2 GB at

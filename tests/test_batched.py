@@ -9,7 +9,6 @@ review's rows reach another's outputs, and a batch that is not sorted
 shortest-first is refused.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _memory import traced_peak
 from opinionminer import layers
 from opinionminer.layers import (
     STACKS,
@@ -167,28 +167,73 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
     np.testing.assert_array_equal(cache.index, padded[cache.packing.mask])
 
 
-# Most bytes a real token of a train-mode forward_batch + backward_batch may
-# take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM units),
-# on 8 reviews of 64 tokens. Measured 37.8, 25.2 and 14.5 KB; dropping no
-# trace before the backward pass ends took 45.0 and 31.4 KB on the GRU stacks.
-TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 40_000, "gru_lstm": 27_500, "lstm_only": 16_000}
+# Most bytes a real token of a forward_batch (+ backward_batch in train mode)
+# may take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM
+# units), on 8 reviews of 64 tokens, train mode with dropout 0.2. Measured
+# 31.7, 19.1 and 8.6 KB a token in train mode, 11.6, 9.5 and 5.4 KB in infer
+# mode (hbgru_lstm, gru_lstm, lstm_only). Allocating each backward gate
+# gradient beside its gate and concatenating the GRU outputs took 37.8, 25.2
+# and 14.5 KB (train) and 13.6 KB (hbgru_lstm infer); dropping no trace
+# before the backward pass ends took 45.0 and 31.4 KB on the GRU stacks.
+TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 32_500, "gru_lstm": 19_600, "lstm_only": 8_850}
+INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 11_900, "gru_lstm": 9_800, "lstm_only": 5_500}
+
+
+def full_size_batch(stack):
+    params = init_model_params(1000, 128, 256, 128, stack=stack, seed=0)
+    rng = np.random.default_rng(0)
+    return params, [TokenSequence(rng.integers(1, 1000, size=64)) for _ in range(8)]
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_train_pass_peak_per_token(stack):
-    params = init_model_params(1000, 128, 256, 128, stack=stack, seed=0)
+    params, seqs = full_size_batch(stack)
     grads = zero_grads(params)
-    rng = np.random.default_rng(0)
-    seqs = [TokenSequence(rng.integers(1, 1000, size=64)) for _ in range(8)]
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2,
                               seeds=list(range(8)))
         backward_batch(params, cache, np.ones(8), grads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < TRAIN_PEAK_PER_TOKEN[stack] * 512
+    assert peak.bytes < TRAIN_PEAK_PER_TOKEN[stack] * 512
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_infer_pass_peak_per_token(stack):
+    # the GRU directions write into one LSTM input, with no concatenated copy
+    params, seqs = full_size_batch(stack)
+    with traced_peak() as peak:
+        forward_batch(params, seqs)
+    assert peak.bytes < INFER_PEAK_PER_TOKEN[stack] * 512
+
+
+@pytest.mark.parametrize("upstream", [1.0, np.array([1.0]), np.ones(3), np.ones((2, 1))],
+                         ids=["scalar", "(1,)", "(3,)", "(2, 1)"])
+def test_an_upstream_gradient_not_of_shape_b_rejected_before_any_write(upstream):
+    params = random_params("hbgru_lstm", 2)
+    seqs = [TokenSequence(np.array([1, 2])), TokenSequence(np.array([3, 4, 5]))]
+    cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2, seeds=[1, 2])
+    grads = zero_grads(params)
+    with pytest.raises(ValueError, match="dL_dyhat"):
+        backward_batch(params, cache, upstream, grads)
+    assert not grads.flat.any()
+    # the cache was not consumed: a backward pass over it gives the gradients
+    # of a fresh one
+    backward_batch(params, cache, np.array([1.0, -0.5]), grads)
+    want = zero_grads(params)
+    backward_batch(params, forward_batch(params, seqs, mode="train", dropout_rate=0.2,
+                                         seeds=[1, 2]), np.array([1.0, -0.5]), want)
+    assert grads.flat.tobytes() == want.flat.tobytes()
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("seeds", [None, [1], [1, 2, 3]])
+def test_dropout_needs_one_seed_per_sequence(stack, seeds):
+    params = random_params(stack, 2)
+    seqs = [TokenSequence(np.array([1, 2])), TokenSequence(np.array([3, 4, 5]))]
+    with pytest.raises(ValueError, match="seeds"):
+        forward_batch(params, seqs, mode="train", dropout_rate=0.3, seeds=seeds)
+    # no mask is drawn without dropout, so no seed is needed
+    forward_batch(params, seqs, mode="train", dropout_rate=0.0, seeds=seeds)
+    forward_batch(params, seqs, mode="infer", dropout_rate=0.3, seeds=seeds)
 
 
 def test_sequences_are_isolated():

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import expit
 
+from _memory import traced_peak
 from opinionminer.layers import (
     STACKS,
     LstmParams,
@@ -173,10 +173,6 @@ class TestSeededInit:
             assert arr.tobytes() == want[name].tobytes(), name
 
     def test_full_size_init_allocates_the_vector_once(self):
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             params = init_model_params(*FULL_SIZE, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * params.flat.nbytes
+        assert peak.bytes < 1.1 * params.flat.nbytes

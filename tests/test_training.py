@@ -6,7 +6,6 @@ import re
 import struct
 import sys
 import tempfile
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _memory import traced_peak
 from _toy import encode_toy, toy_config, toy_corpus
 from opinionminer import layers, training
 from opinionminer.cli import _write_text, main
@@ -147,13 +147,9 @@ class TestAdam:
         state = AdamState.for_params(params)
         grads = params.like(np.full_like(params.flat, 0.5))
         assert params.flat.size > 10**6
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             adam_step(state, params, grads, TrainConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * training._ADAM_CHUNK * 8 + 64 * 1024
+        assert peak.bytes < 2 * training._ADAM_CHUNK * 8 + 64 * 1024
 
     def test_zero_gradient_is_noop(self):
         params = tiny_model()
@@ -347,12 +343,9 @@ class TestTrainEpoch:
         data = [(TokenSequence(rng.integers(1, 16000, size=5)), i % 2) for i in range(6)]
 
         def epoch_peak(batches):
-            tracemalloc.start()
-            try:
+            with traced_peak() as peak:
                 train_epoch(params, AdamState.for_params(params), batches, config, epoch=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return peak.bytes
 
         one = epoch_peak([data[:2]])
         three = epoch_peak([data[:2], data[2:4], data[4:]])
@@ -411,13 +404,9 @@ class TestTrainEpoch:
         config = TrainConfig(dropout_rate=0.2, seed=1)
         rng = np.random.default_rng(0)
         data = [(TokenSequence(rng.integers(1, 50_000, size=6)), i % 2) for i in range(4)]
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             train_epoch(params, adam, [data[:2], data[2:]], config, epoch=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < params.flat.nbytes / 4
+        assert peak.bytes < params.flat.nbytes / 4
 
     def test_loss_decreases_on_separable_corpus(self):
         # 20 reviews fully determined by one keyword
@@ -527,19 +516,15 @@ class TestFit:
             peaks, base = [], []
 
             def on_epoch(record):
-                current, peak = tracemalloc.get_traced_memory()
+                current, peak = traced.reset()
                 peaks.append(peak)
                 base.append(current)
-                tracemalloc.reset_peak()
 
-            tracemalloc.start()
-            try:
+            with traced_peak() as traced:
                 best, history = fit(dataclasses.replace(config, max_epochs=max_epochs),
                                     encoded[:16], encoded[16:], params=params,
                                     on_epoch=on_epoch)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced.bytes
             records = history.records
             assert len(records) == max_epochs
             assert all(b.val_loss < a.val_loss - config.min_delta
@@ -792,40 +777,28 @@ class TestCheckpoint:
     def test_full_size_save_writes_from_the_arrays(self, tmp_path):
         params, config, vocab = self.full_size_params()
         path = tmp_path / "full.ckpt"
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             save_checkpoint(params, config, vocab, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert path.stat().st_size > 25e6
-        assert peak < 0.1 * path.stat().st_size
+        assert peak.bytes < 0.1 * path.stat().st_size
 
     def test_full_size_load_copies_only_into_the_parameter_vector(self, tmp_path):
         params, config, vocab = self.full_size_params()
         path = tmp_path / "full.ckpt"
         save_checkpoint(params, config, vocab, path)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             ckpt = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # the parameter vector, the header's lists and one 1 MiB read buffer
-        assert peak < params.flat.nbytes + 4 * 2**20
+        assert peak.bytes < params.flat.nbytes + 4 * 2**20
         npt.assert_array_equal(ckpt.params.flat, params.flat)
 
     def test_full_size_validate_builds_no_parameter_length_mask(self):
         params, config, vocab = self.full_size_params()
         ckpt = Checkpoint(params, config, vocab, None, None)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             validate_checkpoint(ckpt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # a mask of one bool a parameter would take 3.3 MiB
-        assert peak < 2**20
+        assert peak.bytes < 2**20
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("row, name", [(1, "embedding.E"), (-1, "dense.b")])
