@@ -327,20 +327,11 @@ def _check_rows(X, packing):
                          f"{packing.off[-1]} tokens")
 
 
-def _gate(j, count):
-    """A trace property: gate j of the `count` in its gates block, or None without one."""
-    def view(self):
-        if self.gates is None:
-            return None
-        n = self.gates.shape[1] // count
-        return self.gates[:, j * n:(j + 1) * n]
-    return property(view)
-
-
 @dataclass
 class GruTrace:
     """Per-token GRU values, in the packed order: h (N, k) and the gates
-    block (N, 3k), which holds z, r and h_cand side by side.
+    block (N, 3k), whose column blocks of k are z, r and h_cand in that
+    order (np.split(gates, 3, axis=1) gives the three).
 
     gates is None when the scan kept only h, the part the LSTM reads. The
     backward pass overwrites gates with their pre-activation gradients and
@@ -348,14 +339,14 @@ class GruTrace:
     """
     h: np.ndarray
     gates: Optional[np.ndarray] = None
-    z, r, h_cand = (_gate(j, 3) for j in range(3))
 
 
 @dataclass
 class LstmTrace:
     """The final state of each sequence, (B, m), and per-token values: the
-    gates block (N, 4m), which holds f, i, o and c_cand side by side, and
-    h, c and tanh_c (N, m).
+    gates block (N, 4m), whose column blocks of m are f, i, o and c_cand in
+    that order (np.split(gates, 4, axis=1) gives the four), and h, c and
+    tanh_c (N, m).
 
     When the scan kept only what the dense head reads, the per-token values
     are None. The backward pass overwrites gates with their pre-activation
@@ -366,7 +357,6 @@ class LstmTrace:
     h: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
     tanh_c: Optional[np.ndarray] = None
-    f, i, o, c_cand = (_gate(j, 4) for j in range(4))
 
 
 def embed_lookup(index, emb):
@@ -483,13 +473,14 @@ def classify(yhat):
 class BatchCache:
     """A forward_batch call: per-token arrays in the packed order of `packing`.
 
-    The GRU and LSTM traces hold their gates only in train mode, the one
-    mode whose caches backward_batch accepts. The GRU traces' h are column
-    slices of one array, which is lstm_in itself unless a dropout mask
-    was applied to it. backward_batch consumes a cache: it drops grus,
-    seq_mask, lstm_in and lstm (set to (), None, None and None) after their
-    last read, and overwrites the traces' gate blocks with their
-    pre-activation gradients and each GRU trace's h with r * h_prev.
+    The GRU and LSTM traces hold their gate blocks (`gates`, one per
+    trace) only in train mode, the one mode whose caches backward_batch
+    accepts. The GRU traces' h are column slices of one array, which is
+    lstm_in itself unless a dropout mask was applied to it. backward_batch
+    consumes a cache: it drops grus, seq_mask, lstm_in and lstm (set to (),
+    None, None and None) after their last read, and overwrites the traces'
+    gate blocks with their pre-activation gradients and each GRU trace's h
+    with r * h_prev.
     """
     stack: str
     mode: str

@@ -8,11 +8,11 @@ RNG state.
 import csv
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -26,7 +26,7 @@ DEFAULT_WHITELIST = frozenset(
     {"not", "no", "never", "nor", "n't", "very", "extremely", "really", "too", "so"}
 )
 
-_NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
+_WORD = re.compile(r"[^\W_]+")
 
 # Suffix-rule stemmer: longest rules first, minimum surviving stem length 3.
 _SUFFIXES = ("ing", "ed", "ly", "es", "s")
@@ -90,8 +90,8 @@ class TokenSequence:
 
 @lru_cache(maxsize=1)
 def default_stopwords():
-    text = resources.files("opinionminer.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
+    """The packaged list, data/stopwords.txt beside this module, read by load_token_file."""
+    return load_token_file(os.path.join(os.path.dirname(__file__), "data", "stopwords.txt"))
 
 
 def load_token_file(path):
@@ -238,7 +238,7 @@ def clean_text(raw, stopwords=None, whitelist=None):
         stopwords = default_stopwords()
     if whitelist is None:
         whitelist = DEFAULT_WHITELIST
-    tokens = _NON_WORD.sub(" ", raw.lower()).split()
+    tokens = _WORD.findall(raw.lower())
     kept = [t for t in tokens if t in whitelist or t not in stopwords]
     stemmed = [stem_token(t) for t in kept]
     final = [t for t in stemmed if t in whitelist or t not in stopwords]

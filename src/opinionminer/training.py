@@ -201,12 +201,13 @@ def bce_grad(y, yhat):
 def adam_step(state, params, grads, config):
     """One Adam update with bias correction; the PAD embedding row is frozen.
 
-    `grads` comes from zero_grads, with every embedding row or some. Every
-    element of m and v decays and the step is taken over every parameter;
-    the gradient terms are added only where the gradient has a row. A row
-    the gradient leaves out is updated exactly as under a zero gradient, so
-    both layouts give the same bits. The gradient layout and the shapes of
-    m and v are checked before anything is written (ValueError).
+    `grads` comes from zero_grads, with every embedding row or some. A row
+    the gradient leaves out takes a zero gradient: for a chunk that misses
+    rows, the rows it holds go into the chunk's denominator scratch, zeros
+    elsewhere (that buffer is free until v is read), so both layouts give
+    the same bits. Every element of m and v decays and the step is taken
+    over every parameter. The gradient layout and the shapes of m and v are
+    checked before anything is written (ValueError).
 
     The update runs in place, in chunks of at most _ADAM_CHUNK elements
     (whole rows of the embedding) through two scratch buffers that long,
@@ -237,23 +238,19 @@ def adam_step(state, params, grads, config):
         ms, vs = m[lo:hi], v[lo:hi]
         step, denom = steps[:hi - lo], denoms[:hi - lo]
         if hi > E:
-            _add_moments(ms, vs, g[lo + shift:hi + shift], config, step)
+            gs = g[lo + shift:hi + shift]
         else:  # the vocabulary rows a:b
             a, b = lo // d, hi // d
             j, k = (a, b) if rows is None else np.searchsorted(rows, (a, b))
-            if k - j == b - a:  # the gradient has every row of the chunk
-                _add_moments(ms, vs, g[j * d:k * d], config, step)
-            else:
-                picked = rows[j:k] - a
-                m_rows, v_rows = ms.reshape(-1, d)[picked], vs.reshape(-1, d)[picked]
-                _add_moments(m_rows.ravel(), v_rows.ravel(), g[j * d:k * d], config,
-                             step[:(k - j) * d])
-                # the rows left out, as a zero gradient would leave them:
-                # m * b1 + 0.0, which is m * b1 but for -0.0
-                for moment, beta in ((ms, b1), (vs, b2)):
-                    moment *= beta
-                    moment += 0.0
-                ms.reshape(-1, d)[picked], vs.reshape(-1, d)[picked] = m_rows, v_rows
+            gs = g[j * d:k * d]
+            if k - j < b - a:  # the rows left out take a zero gradient, in denom
+                denom.fill(0.0)
+                denom.reshape(-1, d)[rows[j:k] - a] = gs.reshape(-1, d)
+                gs = denom
+        ms *= b1
+        ms += np.multiply(1.0 - b1, gs, out=step)
+        vs *= b2
+        vs += np.multiply(1.0 - b2, np.multiply(gs, gs, out=step), out=step)
         np.sqrt(np.divide(vs, vc, out=denom), out=denom)
         denom += eps
         np.multiply(lr, np.divide(ms, mc, out=step), out=step)
@@ -263,15 +260,6 @@ def adam_step(state, params, grads, config):
                 vector[:d] = 0.0
         flat[lo:hi] -= step
     return state, params
-
-
-def _add_moments(m, v, g, config, tmp):
-    """m = m * b1 + (1 - b1) * g and v = v * b2 + (1 - b2) * g^2, in place, through tmp."""
-    b1, b2 = config.beta1, config.beta2
-    m *= b1
-    m += np.multiply(1.0 - b1, g, out=tmp)
-    v *= b2
-    v += np.multiply(1.0 - b2, np.multiply(g, g, out=tmp), out=tmp)
 
 
 def make_batches(data, batch_size, seed, epoch):
@@ -376,7 +364,10 @@ def fit(config, train, validation, params=None, on_epoch=None):
 
     Stops after `patience` consecutive epochs without an improvement larger
     than `min_delta`, or at max_epochs. Returns the parameters from the
-    best-validation epoch together with the per-epoch history. `on_epoch`,
+    best-validation epoch together with the per-epoch history. `params`,
+    if given, is trained in place, so after the call it holds the last
+    epoch's weights; the returned parameters are a copy of the best epoch's
+    that shares no memory with it. `on_epoch`,
     if given, is called with each EpochRecord as it is produced. An epoch
     that leaves a loss or a parameter non-finite raises ConfigError.
     """

@@ -208,11 +208,12 @@ def test_criterion_6_hidden_state_bounds():
             assert len(cache.grus) == 2
             for trace in cache.grus:
                 assert np.all(np.abs(trace.h) < 1.0)
-                assert np.all((trace.z > 0.0) & (trace.z < 1.0))
-                assert np.all((trace.r > 0.0) & (trace.r < 1.0))
+                z, r, _ = np.split(trace.gates, 3, axis=1)
+                assert np.all((z > 0.0) & (z < 1.0))
+                assert np.all((r > 0.0) & (r < 1.0))
             lt = cache.lstm
             assert np.all(np.abs(lt.h) < 1.0)
-            for gate in (lt.f, lt.i, lt.o):
+            for gate in np.split(lt.gates, 4, axis=1)[:3]:  # f, i and o
                 assert np.all((gate > 0.0) & (gate < 1.0))
             passes += 1
     assert passes == 1000

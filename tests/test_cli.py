@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _toy import toy_reviews, write_toy_csv
+from opinionminer import text_pipeline
 from opinionminer.cli import build_settings, main, parse_config_file
 from opinionminer.evaluation import parse_report
 from opinionminer.layers import EmbeddingParams, init_model_params
@@ -491,6 +492,22 @@ class TestWordlistFiles:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "stop.txt: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_a_missing_packaged_stopword_list_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the package as if installed without its data/ directory
+        monkeypatch.setattr(text_pipeline, "__file__", str(tmp_path / "text_pipeline.py"))
+        text_pipeline.default_stopwords.cache_clear()
+        try:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("max_epochs = 1\n", encoding="utf-8")
+            data = write_toy_csv(tmp_path / "d.csv", 40, seed=3)
+            code = main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "out")])
+        finally:
+            text_pipeline.default_stopwords.cache_clear()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'data' / 'stopwords.txt'}" in err
 
 
 class TestJsonlDataFormat:

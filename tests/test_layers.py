@@ -184,8 +184,9 @@ class TestLstm:
         # the first step of a scan from the zero state
         p = scalar_lstm([1.0, 1.0])
         trace = lstm_scan(p, *one_sequence(np.ones((1, 1))))
-        npt.assert_allclose(trace.f[0], [0.7310585786300049], atol=1e-12)
-        npt.assert_allclose(trace.c_cand[0], [0.76159415595576485], atol=1e-12)
+        f, _, _, c_cand = np.split(trace.gates, 4, axis=1)
+        npt.assert_allclose(f[0], [0.7310585786300049], atol=1e-12)
+        npt.assert_allclose(c_cand[0], [0.76159415595576485], atol=1e-12)
         npt.assert_allclose(trace.c[0], [0.5567699411459397], atol=1e-12)
         npt.assert_allclose(trace.h[0], [0.36960635293570576], atol=1e-12)
 
@@ -288,8 +289,8 @@ class TestDropout:
         assert y_rate == y_plain
         assert cache.seq_mask is None and cache.out_mask is None
         # infer mode keeps no gates, only what each next layer reads
-        assert all(trace.z is None for trace in cache.grus)
-        assert cache.lstm.h is None and cache.lstm.f is None
+        assert all(trace.gates is None for trace in cache.grus)
+        assert cache.lstm.h is None and cache.lstm.gates is None
         assert cache.lstm.h_last.shape == (1, 2)
 
     def test_statistics_and_scaling(self):
@@ -394,14 +395,16 @@ class TestHiddenStateBounds:
             assert len(cache.grus) == 2
             for trace in cache.grus:
                 assert np.all(np.abs(trace.h) < 1.0)
-                assert np.all((trace.z > 0) & (trace.z < 1))
-                assert np.all((trace.r > 0) & (trace.r < 1))
-                assert np.all(np.abs(trace.h_cand) < 1.0)
+                z, r, h_cand = np.split(trace.gates, 3, axis=1)
+                assert np.all((z > 0) & (z < 1))
+                assert np.all((r > 0) & (r < 1))
+                assert np.all(np.abs(h_cand) < 1.0)
             lt = cache.lstm
             assert np.all(np.abs(lt.h) < 1.0)
-            for g in (lt.f, lt.i, lt.o):
+            f, i, o, c_cand = np.split(lt.gates, 4, axis=1)
+            for g in (f, i, o):
                 assert np.all((g > 0) & (g < 1))
-            assert np.all(np.abs(lt.c_cand) < 1.0)
+            assert np.all(np.abs(c_cand) < 1.0)
 
 
 GRU_TENSORS = ["W_z", "b_z", "W_r", "b_r", "W_h", "b_h"]

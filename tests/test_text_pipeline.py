@@ -1,10 +1,13 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opinionminer import text_pipeline
 from opinionminer.text_pipeline import (
     DEFAULT_WHITELIST,
     UNK_INDEX,
@@ -21,6 +24,11 @@ from opinionminer.text_pipeline import (
     stem_token,
     stratified_split,
 )
+
+
+# every character str.isspace knows: str.split, the old tokenizer's last step,
+# splits on each of them
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
 def corpus_of(*pairs):
@@ -208,6 +216,20 @@ class TestCleanText:
     def test_idempotent_property(self, raw):
         once = clean_text(raw)
         assert clean_text(once) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.one_of(st.characters(),
+                             st.characters(categories=["Mn", "Mc", "Me", "Nd"]),
+                             st.sampled_from("_0123456789" + SPACES)), max_size=80))
+    def test_tokens_match_the_substitute_and_split_tokenizer(self, raw):
+        # the old tokenizer, written out: runs of [\W_] to a space, then split
+        old = re.sub(r"[\W_]+", " ", raw.lower()).split()
+        assert text_pipeline._WORD.findall(raw.lower()) == old
+        stopwords, whitelist = default_stopwords(), DEFAULT_WHITELIST
+        kept = [t for t in old if t in whitelist or t not in stopwords]
+        stemmed = [stem_token(t) for t in kept]
+        final = [t for t in stemmed if t in whitelist or t not in stopwords]
+        assert clean_text(raw) == " ".join(final)
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(alphabet="abcdeing s.!", max_size=60))

@@ -333,7 +333,7 @@ class TestTrainEpoch:
         for (name, a), (_, b) in zip(trained.named_arrays(), manual.named_arrays()):
             npt.assert_array_equal(a, b, err_msg=name)
 
-    def test_every_batch_reuses_one_gradient_vector(self):
+    def test_no_batch_keeps_the_last_ones_gradient_alive(self):
         # a model of about 8 MB, nearly all embedding, on reviews of 5 tokens,
         # so the parameter-length vectors set the peak
         params = init_model_params(vocab_size=16000, embedding_dim=64, gru_units=2,
@@ -469,6 +469,29 @@ class TestFit:
         assert [r.val_loss for r in history.records] == [1.0, 0.9, 0.9 - 5e-5]
         assert len(seen) == 3 and (seen[1] != seen[2]).any()
         npt.assert_array_equal(best.flat, seen[1])  # epoch 2's parameters
+
+    def test_given_params_end_at_the_last_epoch_and_the_result_at_the_best(self,
+                                                                          monkeypatch):
+        # scripted validation losses: epoch 2 does not improve on epoch 1
+        losses = iter([0.5, 0.9])
+        seen = []
+
+        def scripted(params, data):
+            seen.append(params.flat.copy())
+            return next(losses), 0.5
+
+        monkeypatch.setattr(training, "evaluate_loss", scripted)
+        corpus = toy_corpus(24, seed=2)
+        config = toy_config(max_epochs=2, patience=5, batch_size=8)
+        encoded, _ = encode_toy(corpus, config)
+        params = init_model_params(config.vocab_size, config.embedding_dim, config.gru_units,
+                                   config.lstm_units, seed=config.seed)
+        best, history = fit(config, encoded[:16], encoded[16:], params=params)
+        assert history.stop_epoch == 2
+        assert len(seen) == 2 and (seen[0] != seen[1]).any()
+        npt.assert_array_equal(params.flat, seen[1])  # trained in place through epoch 2
+        npt.assert_array_equal(best.flat, seen[0])  # epoch 1's parameters
+        assert not np.shares_memory(best.flat, params.flat)
 
     def test_max_epochs_stop(self):
         corpus = toy_corpus(24, seed=0)
