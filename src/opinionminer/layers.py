@@ -28,15 +28,22 @@ the batch rows [first[t]:] still inside their sequence. Each step of the
 four time loops (both scans and their backward passes) computes that block
 only. Each sequence starts from the zero state, the reverse GRU at its last
 token, and the LSTM's final state is that of its last token, so a
-sequence's outputs do not depend on the others in its batch. The input
-projection X W_x^T + b of all N rows is one matrix product before the time
-loop, and each step adds its recurrent products into its block of it in
-place, which leaves the gates there; temporaries are allocated once per
-loop. The GRU directions write their h into their own column slices of
-one array, the LSTM input, which no concatenation copies. Each layer
-stores its gates stacked in one matrix, whose columns split into the
-recurrent and the input weights; the checkpoint tensors
-W_z, b_z, ... are row views of it. All block arrays are slices of one
+sequence's outputs do not depend on the others in its batch. The time loop
+projects its inputs, X W_x^T + b, one span at a time (Packing.spans: whole
+step blocks in scan order), each span with one matrix product when the
+loop reaches it, and each step adds its recurrent products into its block
+of the projection in place, which leaves the gates there. In train mode
+the one span is the whole batch, projected into the trace's gates block;
+in infer mode spans of at least SPAN_ROWS rows are projected in turn into
+one scratch block, so an infer pass holds no gate block as long as the
+batch. Temporaries are allocated once per loop. The GRU directions write
+their h into their own column slices of one array, the LSTM input, which
+no concatenation copies. That input is whole before the LSTM starts: its
+first step reads the reverse GRU's output at the first token, which that
+scan computes last. Each layer stores its gates stacked in one matrix,
+whose columns split into the recurrent and the input weights; the
+checkpoint tensors W_z, b_z, ... are row views of it. All block arrays
+are slices of one
 vector, ModelParams.flat, whose layout _layout states once for a stack and
 its sizes: ModelParams.zeros lays it over a new vector, which initialization
 draws into and checkpoint loading copies into, and param_shapes reads the
@@ -81,13 +88,26 @@ STACKS = {
 }
 
 # Most real tokens one sub-batch may hold, which bounds its traces and
-# backward temporaries: TRAIN_PEAK_PER_TOKEN and INFER_PEAK_PER_TOKEN in
-# tests/test_batched.py bound the bytes a token takes at full size. On the
-# train_reviews benchmark, budgets of 1024 to 3072 tokens trained at the
-# same speed within the run-to-run noise, and 2048 and 3072 raised the
-# peak RSS by 23 and 77 MB over 1536 (measured while the backward pass still
-# allocated its gate gradients beside the gates).
+# backward temporaries: a train pass projects all of a sub-batch's inputs
+# into its gate traces, an infer pass only SPAN_ROWS-sized spans of them.
+# TRAIN_PEAK_PER_TOKEN and INFER_PEAK_PER_TOKEN in tests/test_batched.py
+# bound the bytes a token takes at full size. On the train_reviews
+# benchmark, budgets of 1024 to 3072 tokens trained at the same speed
+# within the run-to-run noise, and 2048 and 3072 raised the peak RSS by 23
+# and 77 MB over 1536 (measured while the backward pass still allocated
+# its gate gradients beside the gates).
 ROW_BUDGET = 1536
+
+# Fewest rows an infer-mode scan projects in one matrix product (see
+# Packing.spans), unless its whole sub-batch has fewer. Each product packs
+# the whole input weight block again, so short spans cost speed: on a
+# 2-core Xeon at 2 OpenBLAS threads the LSTM's 512 x 512 projection ran at
+# 58, 83 and 90 GFLOP/s in spans of 128 and 256 rows and in one product of
+# 1,536 rows. On the score_reviews benchmark (seed 5, 10 alternating runs),
+# 128-row spans cut the peak RSS from 123.5 to 113.2 MB and 256-row spans
+# to 115.3 MB, at medians of 353 and 366 reviews/s against 377 when each
+# scan projected its whole input (interquartile range 357-402).
+SPAN_ROWS = 128
 
 
 @dataclass
@@ -320,6 +340,26 @@ class Packing:
         row[:T][self.mask] = np.arange(self.off[-1])
         return (row[1:] if reverse else row[np.arange(-1, T - 1)])[self.mask]
 
+    def spans(self, limit, reverse=False):
+        """The scan cut into spans of at least `limit` rows, as (a, e, steps).
+
+        A span is a run `steps` of whole consecutive step blocks in scan
+        order, descending for a reverse scan; its rows a:e are contiguous
+        either way. It takes blocks until it holds `limit` rows, and if
+        fewer than `limit` rows would be left after it, it takes them too.
+        So only a batch of under `limit` rows has a span under `limit`.
+        """
+        off, N = self.off, self.off[-1]
+        order = range(len(self.first))[::-1 if reverse else 1]
+        spans, start, before = [], 0, 0  # the open span: first position in order, rows before it
+        for i, t in enumerate(order):
+            done = N - off[t] if reverse else off[t + 1]  # rows scanned through step t
+            if done == N or (done - before >= limit and N - done >= limit):
+                steps = order[start:i + 1]
+                spans.append((off[min(steps)], off[max(steps) + 1], steps))
+                start, before = i + 1, done
+        return spans
+
 
 def _check_rows(X, packing):
     if len(X) != packing.off[-1]:
@@ -373,9 +413,13 @@ def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
     Step t computes the rows of `packing`'s block t only. reverse=True scans
     t = T..1, so row (t, j)'s previous state is that of (t+1, j), and the
     zero state at the sequence's last token; the rows keep their packed
-    order either way. Without `trace` only h is kept. h is written into
-    h_out, an (N, k) array such as a column slice of the LSTM input, or
-    into a new array.
+    order either way. The input projection X W_x^T + b is one matrix
+    product per span (Packing.spans), taken when the loop reaches the span:
+    with `trace` there is one span, projected into the trace's gates block;
+    without it only h is kept, and spans of SPAN_ROWS rows or more are
+    projected in turn into one scratch block. h is written into h_out, an
+    (N, k) array such as a column slice of the LSTM input, or into a new
+    array.
     """
     _check_rows(X, packing)
     k = p.hidden_size
@@ -384,26 +428,28 @@ def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
         h_out = np.empty((len(X), k))
     elif h_out.shape != (len(X), k):
         raise ValueError(f"h_out has shape {h_out.shape}, not {(len(X), k)}")
-    W_zr, W_hh = p.W[:2 * k, :k].T, p.W[2 * k:, :k].T
-    # the input projections; each step adds its recurrent products in place
-    gates = affine(p.W[:, k:], X, p.b)
+    W_x, W_zr, W_hh = p.W[:, k:].T, p.W[:2 * k, :k].T, p.W[2 * k:, :k].T
+    spans, gates = _span_gates(packing, 3 * k, trace, reverse)
     out = GruTrace(h=h_out, gates=gates if trace else None)
     h = np.zeros((B, k))
     tmp_zr, tmp, tmp2 = np.empty((B, 2 * k)), np.empty((B, k)), np.empty((B, k))
-    T = len(packing.first)
-    for t in range(T - 1, -1, -1) if reverse else range(T):
-        s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-        hs, v, w, g = h[s:], tmp[s:], tmp2[s:], gates[a:e]
-        zr, z, r, h_cand = g[:, :2 * k], g[:, :k], g[:, k:2 * k], g[:, 2 * k:]
-        zr += np.matmul(hs, W_zr, out=tmp_zr[s:])
-        sigmoid(zr, out=zr)
-        np.multiply(r, hs, out=v)
-        h_cand += np.matmul(v, W_hh, out=w)
-        np.tanh(h_cand, out=h_cand)
-        np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
-        v *= z
-        hs += v
-        out.h[a:e] = hs
+    for a0, e0, steps in spans:
+        # the span's input projections; each step adds its recurrent products in place
+        span = np.matmul(X[a0:e0], W_x, out=gates[:e0 - a0])
+        span += p.b
+        for t in steps:
+            s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
+            hs, v, w, g = h[s:], tmp[s:], tmp2[s:], span[a - a0:e - a0]
+            zr, z, r, h_cand = g[:, :2 * k], g[:, :k], g[:, k:2 * k], g[:, 2 * k:]
+            zr += np.matmul(hs, W_zr, out=tmp_zr[s:])
+            sigmoid(zr, out=zr)
+            np.multiply(r, hs, out=v)
+            h_cand += np.matmul(v, W_hh, out=w)
+            np.tanh(h_cand, out=h_cand)
+            np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
+            v *= z
+            hs += v
+            out.h[a:e] = hs
     return out
 
 
@@ -411,15 +457,15 @@ def lstm_scan(p, X, packing, trace=True):
     """Run the LSTM over packed (N, in_dim) inputs, each sequence from a zero state.
 
     Step t computes the rows of `packing`'s block t only, so each sequence's
-    final state is that of its last token. Without `trace` only the final
-    states are kept.
+    final state is that of its last token. The input projection is taken
+    span by span, as in gru_scan. Without `trace` only the final states are
+    kept.
     """
     _check_rows(X, packing)
     m = p.hidden_size
     B = len(packing.lengths)
-    W_h = p.W[:, :m].T
-    # the input projections; each step adds its recurrent product in place
-    gates = affine(p.W[:, m:], X, p.b)
+    W_x, W_h = p.W[:, m:].T, p.W[:, :m].T
+    spans, gates = _span_gates(packing, 4 * m, trace)
     out = LstmTrace(h_last=np.zeros((B, m)))
     if trace:
         out.gates = gates
@@ -427,22 +473,35 @@ def lstm_scan(p, X, packing, trace=True):
     h = out.h_last
     C = np.zeros((B, m))
     tmp_a, tmp = np.empty((B, 4 * m)), np.empty((B, m))
-    for t in range(len(packing.first)):
-        s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-        hs, Cs, v, g = h[s:], C[s:], tmp[s:], gates[a:e]
-        f, i, o, c_cand = (g[:, j * m:(j + 1) * m] for j in range(4))
-        g += np.matmul(hs, W_h, out=tmp_a[s:])
-        sigmoid(g[:, :3 * m], out=g[:, :3 * m])
-        np.tanh(c_cand, out=c_cand)
-        Cs *= f
-        np.multiply(i, c_cand, out=v)
-        Cs += v
-        tanh_c = out.tanh_c[a:e] if trace else v
-        np.tanh(Cs, out=tanh_c)
-        np.multiply(o, tanh_c, out=hs)
-        if trace:
-            out.c[a:e], out.h[a:e] = Cs, hs
+    for a0, e0, steps in spans:
+        # the span's input projections; each step adds its recurrent product in place
+        span = np.matmul(X[a0:e0], W_x, out=gates[:e0 - a0])
+        span += p.b
+        for t in steps:
+            s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
+            hs, Cs, v, g = h[s:], C[s:], tmp[s:], span[a - a0:e - a0]
+            f, i, o, c_cand = (g[:, j * m:(j + 1) * m] for j in range(4))
+            g += np.matmul(hs, W_h, out=tmp_a[s:])
+            sigmoid(g[:, :3 * m], out=g[:, :3 * m])
+            np.tanh(c_cand, out=c_cand)
+            Cs *= f
+            np.multiply(i, c_cand, out=v)
+            Cs += v
+            tanh_c = out.tanh_c[a:e] if trace else v
+            np.tanh(Cs, out=tanh_c)
+            np.multiply(o, tanh_c, out=hs)
+            if trace:
+                out.c[a:e], out.h[a:e] = Cs, hs
     return out
+
+
+def _span_gates(packing, width, trace, reverse=False):
+    """The spans a scan projects its inputs in, and the (rows, width) block
+    they are projected into: in train mode one span, into the trace's gates
+    (a row per token), else spans of SPAN_ROWS rows or more, each in turn
+    into one scratch block as long as the longest."""
+    spans = packing.spans(packing.off[-1] if trace else SPAN_ROWS, reverse)
+    return spans, np.empty((max(e - a for a, e, _ in spans), width))
 
 
 def dense_sigmoid(p, h):

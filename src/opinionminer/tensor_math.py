@@ -16,8 +16,8 @@ __all__ = [
 def affine(W, v, b):
     """v @ W.T + b: a (rows, cols) matrix applied along the last axis of v.
 
-    v is one length-cols vector or any stack of them, such as the (N, cols)
-    rows of a packed batch, which go through one matrix product; b has
+    v is one length-cols vector or any stack of them, such as the (B, cols)
+    final states of a batch, which go through one matrix product; b has
     length rows.
     """
     W = np.asarray(W, dtype=np.float64)

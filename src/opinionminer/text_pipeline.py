@@ -132,8 +132,9 @@ def load_dataset(path, fmt="csv"):
     """Read a labeled review file into a LabeledCorpus.
 
     CSV files need a `text,label` header; JSONL files need one object per
-    line with a string `text` and an integer `label`. Rows with empty text
-    or a label outside {0, 1} raise DataError naming the offending line.
+    line with a string `text` and a `label` that is the JSON integer 0 or 1
+    (1.0, "1" and true are not). Rows with empty text or any other label
+    raise DataError naming the offending line.
     """
     if fmt == "csv":
         reviews = _load_csv(path)
@@ -185,7 +186,7 @@ def _load_jsonl(path):
         label = obj.get("label")
         if not isinstance(text, str) or not text.strip():
             raise DataError(f"{path}: line {line_num}: missing text")
-        if isinstance(label, bool) or label not in (0, 1):
+        if type(label) is not int or label not in (0, 1):  # not 1.0, "1" or true
             raise DataError(f"{path}: line {line_num}: label must be 0 or 1, got {label!r}")
         reviews.append(Review(text, label))
     return reviews

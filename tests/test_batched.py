@@ -169,20 +169,23 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
 
 # Most bytes a real token of a forward_batch (+ backward_batch in train mode)
 # may take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM
-# units), on 8 reviews of 64 tokens, train mode with dropout 0.2. Measured
-# 31.7, 19.1 and 8.6 KB a token in train mode, 11.6, 9.5 and 5.4 KB in infer
+# units): in train mode with dropout 0.2 on 8 reviews of 64 tokens, in infer
+# mode on 12 reviews of 128 tokens (one ROW_BUDGET group). Measured 31.7,
+# 19.1 and 8.6 KB a token in train mode, 6.15, 4.11 and 1.73 KB in infer
 # mode (hbgru_lstm, gru_lstm, lstm_only). Allocating each backward gate
 # gradient beside its gate and concatenating the GRU outputs took 37.8, 25.2
-# and 14.5 KB (train) and 13.6 KB (hbgru_lstm infer); dropping no trace
-# before the backward pass ends took 45.0 and 31.4 KB on the GRU stacks.
+# and 14.5 KB (train); dropping no trace before the backward pass ends took
+# 45.0 and 31.4 KB on the GRU stacks. Projecting each scan's whole input
+# before its time loop in infer mode took 11.4, 9.4 and 5.2 KB.
 TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 32_500, "gru_lstm": 19_600, "lstm_only": 8_850}
-INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 11_900, "gru_lstm": 9_800, "lstm_only": 5_500}
+INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 6_300, "gru_lstm": 4_200, "lstm_only": 1_775}
+EMBEDDING_DIM, GRU_UNITS = 128, 256
 
 
-def full_size_batch(stack):
-    params = init_model_params(1000, 128, 256, 128, stack=stack, seed=0)
+def full_size_batch(stack, count=8, length=64):
+    params = init_model_params(1000, EMBEDDING_DIM, GRU_UNITS, 128, stack=stack, seed=0)
     rng = np.random.default_rng(0)
-    return params, [TokenSequence(rng.integers(1, 1000, size=64)) for _ in range(8)]
+    return params, [TokenSequence(rng.integers(1, 1000, size=length)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
@@ -196,13 +199,77 @@ def test_train_pass_peak_per_token(stack):
     assert peak.bytes < TRAIN_PEAK_PER_TOKEN[stack] * 512
 
 
+def infer_pass_peak(stack, count):
+    params, seqs = full_size_batch(stack, count, 128)
+    with traced_peak() as peak:
+        forward_batch(params, seqs)
+    return peak.bytes
+
+
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_infer_pass_peak_per_token(stack):
     # the GRU directions write into one LSTM input, with no concatenated copy
-    params, seqs = full_size_batch(stack)
-    with traced_peak() as peak:
-        forward_batch(params, seqs)
-    assert peak.bytes < INFER_PEAK_PER_TOKEN[stack] * 512
+    assert infer_pass_peak(stack, 12) < INFER_PEAK_PER_TOKEN[stack] * 12 * 128
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_infer_pass_peak_grows_by_the_embedding_and_lstm_input_only(stack):
+    # the scans project their inputs span by span into buffers of a fixed
+    # size, so an added token holds only its x and its LSTM input row (x
+    # itself for lstm_only); the 10% covers each added review's (B, width)
+    # scan state
+    width = EMBEDDING_DIM + GRU_UNITS * len(STACKS[stack])
+    grown = infer_pass_peak(stack, 16) - infer_pass_peak(stack, 4)
+    assert grown <= 1.1 * width * 8 * 12 * 128
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=12),
+       limit=st.integers(1, 60), reverse=st.booleans())
+def test_spans_cut_the_scan_into_whole_blocks_of_at_least_the_limit(lengths, limit, reverse):
+    packing = Packing(sorted(lengths))
+    off, N = packing.off, packing.off[-1]
+    spans = packing.spans(limit, reverse)
+    scan_order = list(range(len(packing.first)))
+    assert [t for _, _, steps in spans for t in steps] == \
+        (scan_order[::-1] if reverse else scan_order)
+    for i, (a, e, steps) in enumerate(spans):
+        assert (a, e) == (off[min(steps)], off[max(steps) + 1])
+        assert e - a >= limit or (a, e) == (0, N)
+        # a span stops at the first block that brings it to the limit; only
+        # the last one goes on, over a remainder under the limit
+        rows = np.cumsum([off[t + 1] - off[t] for t in steps])
+        full = int(np.argmax(rows >= limit)) if rows[-1] >= limit else len(rows) - 1
+        rest = rows[-1] - rows[full]
+        assert rest == 0 or (i == len(spans) - 1 and rest < limit)
+
+
+@pytest.mark.parametrize("lengths, reverse, want", [
+    # 4 rows reach the limit after the first span, and 2 would be left
+    ([1, 4, 4], False, [(0, 3, [0]), (3, 9, [1, 2, 3])]),
+    # scanning down from t = 5: 4 rows reach it after the first span, 2 left
+    ([3, 6], True, [(6, 9, [5, 4, 3]), (0, 6, [2, 1, 0])]),
+], ids=["forward", "reverse"])
+def test_the_last_span_takes_a_remainder_under_the_limit(lengths, reverse, want):
+    spans = Packing(lengths).spans(3, reverse)
+    assert [(a, e, list(steps)) for a, e, steps in spans] == want
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=12),
+       span_rows=st.integers(1, 7), seed=st.integers(0, 2**16))
+def test_infer_spans_match_one_span(stack, lengths, span_rows, seed):
+    # the LSTM input holds both GRU directions' outputs on hbgru_lstm
+    params = random_params(stack, seed)
+    rng = np.random.default_rng(seed)
+    seqs = [TokenSequence(rng.integers(1, VOCAB.size, size=n)) for n in sorted(lengths)]
+    with mock.patch.object(layers, "SPAN_ROWS", span_rows):
+        got = forward_batch(params, seqs)
+    with mock.patch.object(layers, "SPAN_ROWS", sum(lengths)):
+        want = forward_batch(params, seqs)
+    assert_close(got.yhat, want.yhat, "yhat")
+    assert_close(got.lstm_in, want.lstm_in, "lstm_in")
 
 
 @pytest.mark.parametrize("upstream", [1.0, np.array([1.0]), np.ones(3), np.ones((2, 1))],

@@ -86,6 +86,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path, "jsonl")
 
+    @pytest.mark.parametrize("label", ["1.0", "0.0", '"1"', "true"])
+    def test_jsonl_label_not_a_json_integer_names_line(self, tmp_path, label):
+        # the CSV loader refuses 1.0 too
+        path = tmp_path / "float.jsonl"
+        path.write_text(f'{{"text": "x", "label": 1}}\n{{"text": "y", "label": {label}}}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"float\.jsonl: line 2: label must be 0 or 1"):
+            load_dataset(path, "jsonl")
+
     def test_non_utf8_csv_names_line(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"text,label\ngood film,1\nna\xefve plot,0\n")
