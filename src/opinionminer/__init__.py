@@ -6,8 +6,9 @@ The package is organized as:
 - tensor_math: float64 kernels and seeded initialization
 - layers: the batched, packed GRU/LSTM engine: forward math, analytic BPTT,
   predict_proba; its stacked scans are the only copy of the cell equations
-- training: BCE loss, Adam, epoch loop with early stopping, checkpoints
-- evaluation: confusion metrics, percent loss, chi-square model comparison
+- training: Adam, epoch loop with early stopping, checkpoints
+- evaluation: BCE loss and the one scorer of a labelled set (confusion
+  counts and mean BCE), percent loss, chi-square model comparison
 - cli: `opinionminer train|evaluate|predict|compare`
 """
 
@@ -15,6 +16,8 @@ from .evaluation import (
     ChiSquareResult,
     ClassificationReport,
     ConfusionCounts,
+    bce_grad,
+    bce_loss,
     chi_square_test,
     classification_report,
     confusion_matrix,
@@ -47,8 +50,6 @@ from .training import (
     TrainConfig,
     TrainingHistory,
     adam_step,
-    bce_grad,
-    bce_loss,
     fit,
     load_checkpoint,
     make_batches,

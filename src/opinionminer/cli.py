@@ -24,6 +24,7 @@ from .evaluation import (
 )
 from .layers import classify, init_model_params, predict_proba
 from .text_pipeline import (
+    DATASET_FORMATS,
     DEFAULT_WHITELIST,
     DataError,
     balance_classes,
@@ -116,6 +117,9 @@ def build_settings(file_values, overrides=None):
             raise ConfigError(f"unknown config key: {key}")
     config = TrainConfig(**config_kwargs)
     config.validate()
+    if extras["data_format"] not in DATASET_FORMATS:
+        raise ConfigError(f"invalid value for data_format: {extras['data_format']!r} "
+                          f"(expected {' or '.join(DATASET_FORMATS)})")
     extras["balance"] = _parse_bool(extras["balance"], "balance")
     extras["deterministic"] = _parse_bool(extras["deterministic"], "deterministic")
     return config, extras
@@ -348,7 +352,7 @@ def build_parser():
                               help="score a checkpoint on a labeled dataset")
     evaluate.add_argument("--checkpoint", required=True)
     evaluate.add_argument("--data", required=True)
-    evaluate.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    evaluate.add_argument("--format", choices=list(DATASET_FORMATS), default="csv")
     evaluate.set_defaults(func=run_evaluate)
 
     predict = sub.add_parser("predict", parents=[shared],

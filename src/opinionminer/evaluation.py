@@ -1,16 +1,20 @@
-"""Confusion-matrix metrics, percent loss, and the chi-square model comparison.
+"""BCE loss, the scorer of every labelled set, confusion metrics, percent
+loss, and the chi-square model comparison.
 
 "Percent loss" is 100 x mean test-set BCE. Report files are flat
 `key = value` text documents with a fixed key order so they diff cleanly
 and can be byte-compared across runs.
 """
 
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .layers import classify, predict_proba
-from .training import bce_loss
+
+_CLAMP = 1e-12
 
 REPORT_KEYS = (
     "n", "tp", "tn", "fp", "fn",
@@ -31,6 +35,10 @@ class ConfusionCounts:
     @property
     def n(self):
         return self.tp + self.tn + self.fp + self.fn
+
+    @property
+    def accuracy(self):
+        return (self.tp + self.tn) / self.n
 
 
 @dataclass(frozen=True)
@@ -58,24 +66,38 @@ class ChiSquareResult:
     p_value: float
 
 
+def bce_loss(y, yhat):
+    """Binary cross-entropy with the prediction clamped away from {0, 1}."""
+    yhat = min(max(yhat, _CLAMP), 1.0 - _CLAMP)
+    return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
+
+
+def bce_grad(y, yhat):
+    """d bce_loss / d yhat = (yhat - y) / (yhat (1 - yhat)), same clamping."""
+    yhat = min(max(yhat, _CLAMP), 1.0 - _CLAMP)
+    return (yhat - y) / (yhat * (1.0 - yhat))
+
+
 def confusion_matrix(predictions, labels):
-    """Counts over paired binary prediction/label lists."""
+    """Counts over paired binary prediction/label lists; every pair that is
+    not (1, 1), (0, 0) or (1, 0) counts as fn."""
     if len(predictions) != len(labels):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
     if not predictions:
         raise ValueError("confusion_matrix needs at least one example")
-    tp = tn = fp = fn = 0
-    for p, y in zip(predictions, labels):
-        if p == 1 and y == 1:
-            tp += 1
-        elif p == 0 and y == 0:
-            tn += 1
-        elif p == 1 and y == 0:
-            fp += 1
-        else:
-            fn += 1
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    pairs = Counter(zip(predictions, labels))
+    tp, tn, fp = pairs[1, 1], pairs[0, 0], pairs[1, 0]
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=len(labels) - tp - tn - fp)
+
+
+def score(labels, yhat):
+    """(confusion counts of classify(p) against the labels, mean BCE) of a
+    labelled set; the BCE terms are summed left to right in input order."""
+    total = 0.0
+    for label, p in zip(labels, yhat):
+        total += bce_loss(label, p)
+    return confusion_matrix([classify(p) for p in yhat], labels), total / len(labels)
 
 
 def _ratio(num, den, key, flags):
@@ -104,7 +126,7 @@ def classification_report(counts, mean_test_loss):
                     "f1_neg", flags)
     return ClassificationReport(
         counts=counts,
-        accuracy=(counts.tp + counts.tn) / counts.n,
+        accuracy=counts.accuracy,
         precision_pos=precision_pos, recall_pos=recall_pos, f1_pos=f1_pos,
         precision_neg=precision_neg, recall_neg=recall_neg, f1_neg=f1_neg,
         percent_loss=100.0 * mean_test_loss,
@@ -143,12 +165,7 @@ def evaluate_model(params, test):
     if not test:
         raise ValueError("evaluate_model needs a non-empty dataset")
     yhat = predict_proba(params, [seq for seq, _ in test])
-    labels = [label for _, label in test]
-    total_loss = 0.0
-    for label, p in zip(labels, yhat):
-        total_loss += bce_loss(label, p)
-    counts = confusion_matrix([classify(p) for p in yhat], labels)
-    return classification_report(counts, total_loss / len(test))
+    return classification_report(*score([label for _, label in test], yhat))
 
 
 def report_values(report):

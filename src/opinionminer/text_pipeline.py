@@ -102,30 +102,24 @@ def load_token_file(path):
 def read_lines(path, error=DataError):
     """Yield the lines of a UTF-8 text file, each with its line ending.
 
-    The file is opened with newline="", which csv needs, and a leading
+    The file is opened once, with newline="", which csv needs, and a leading
     byte-order mark is dropped. An OSError while the file is opened or read
     raises error("cannot read <path>: ..."), and a byte that is not UTF-8
     raises error("<path>: line N: not valid UTF-8").
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            yield from fh
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        # the decoder reads ahead in blocks, so decode again, keeping each bad
-        # byte as a lone surrogate (which UTF-8 cannot encode), to find its line
-        try:
-            with open(path, encoding="utf-8-sig", errors="surrogateescape",
-                      newline="") as fh:
-                for line_num, line in enumerate(fh, start=1):
+        # a bad byte decodes to a lone surrogate, which its line cannot encode;
+        # an ASCII line holds none
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            for line_num, line in enumerate(fh, start=1):
+                if not line.isascii():
                     try:
                         line.encode("utf-8")
-                    except UnicodeEncodeError:
+                    except UnicodeEncodeError as exc:
                         raise error(f"{path}: line {line_num}: not valid UTF-8") from exc
-        except OSError as reread:
-            raise error(f"cannot read {path}: {reread}") from reread
-        raise error(f"{path}: not valid UTF-8") from exc
+                yield line
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def load_dataset(path, fmt="csv"):
@@ -136,12 +130,9 @@ def load_dataset(path, fmt="csv"):
     (1.0, "1" and true are not). Rows with empty text or any other label
     raise DataError naming the offending line.
     """
-    if fmt == "csv":
-        reviews = _load_csv(path)
-    elif fmt == "jsonl":
-        reviews = _load_jsonl(path)
-    else:
+    if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format: {fmt!r}")
+    reviews = DATASET_FORMATS[fmt](path)
     if not reviews:
         raise DataError(f"{path}: empty corpus")
     return LabeledCorpus.from_reviews(reviews)
@@ -190,6 +181,11 @@ def _load_jsonl(path):
             raise DataError(f"{path}: line {line_num}: label must be 0 or 1, got {label!r}")
         reviews.append(Review(text, label))
     return reviews
+
+
+# every dataset format with its loader: load_dataset, the config check and
+# `evaluate --format` all read this table
+DATASET_FORMATS = {"csv": _load_csv, "jsonl": _load_jsonl}
 
 
 @lru_cache(maxsize=1 << 16)

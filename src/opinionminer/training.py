@@ -1,5 +1,6 @@
-"""Loss, Adam optimization, the epoch loop with early stopping, and
-checkpoint persistence.
+"""Adam optimization, the epoch loop with early stopping, and checkpoint
+persistence. The BCE loss and the scorer of a labelled set live in
+`evaluation`.
 
 Checkpoint layout (all integers little-endian, versioned, checksummed):
 
@@ -43,12 +44,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import bce_grad, bce_loss, score  # callers look up training.bce_loss
 from .layers import (
     STACKS,
     ModelParams,
     backward_batch,
     check_grad_layout,
-    classify,
     forward_batch,
     init_model_params,
     param_shapes,
@@ -60,8 +61,6 @@ from .text_pipeline import PAD_INDEX, PAD_TOKEN, UNK_TOKEN, DataError, Vocabular
 
 CHECKPOINT_MAGIC = b"OMCK"
 CHECKPOINT_VERSION = 1
-
-_CLAMP = 1e-12
 
 # Most elements adam_step updates at a time (but one embedding row, if longer),
 # through two scratch buffers that long, and _all_finite tests at a time.
@@ -186,18 +185,6 @@ class TrainingHistory:
     stop_reason: str = "max_epochs"
 
 
-def bce_loss(y, yhat):
-    """Binary cross-entropy with the prediction clamped away from {0, 1}."""
-    yhat = min(max(yhat, _CLAMP), 1.0 - _CLAMP)
-    return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
-
-
-def bce_grad(y, yhat):
-    """d bce_loss / d yhat = (yhat - y) / (yhat (1 - yhat)), same clamping."""
-    yhat = min(max(yhat, _CLAMP), 1.0 - _CLAMP)
-    return (yhat - y) / (yhat * (1.0 - yhat))
-
-
 def adam_step(state, params, grads, config):
     """One Adam update with bias correction; the PAD embedding row is frozen.
 
@@ -308,36 +295,29 @@ def train_epoch(params, adam, batches, config, epoch=0):
     _example_seed(seed, epoch, i) wherever the length sorting puts it. Each
     batch's gradient holds only the embedding rows the batch reads, PAD
     first, so its size follows the batch, not the vocabulary.
-    Returns (params, adam, (mean_loss, accuracy)).
+    Returns (params, adam, (mean_loss, accuracy)): the train-mode
+    probabilities of every batch, scored once after the last step.
     """
-    total_loss = 0.0
-    correct = 0
-    count = 0
+    labels, probabilities = [], []
     for batch in batches:
-        seeds = [_example_seed(config.seed, epoch, count + j) for j in range(len(batch))]
+        seeds = [_example_seed(config.seed, epoch, len(labels) + j) for j in range(len(batch))]
         rows = np.union1d([PAD_INDEX], np.concatenate([seq.indices for seq, _ in batch]))
         grads = zero_grads(params, rows)
-        yhat = batch_gradients(params, batch, config.dropout_rate, seeds, grads)
-        for (_, label), p in zip(batch, yhat):
-            total_loss += bce_loss(label, p)
-            correct += int(classify(p) == label)
-        count += len(batch)
+        probabilities.extend(batch_gradients(params, batch, config.dropout_rate, seeds, grads))
+        labels.extend(label for _, label in batch)
         grads.flat *= 1.0 / len(batch)
         adam_step(adam, params, grads, config)
-    return params, adam, (total_loss / count, correct / count)
+    counts, loss = score(labels, probabilities)
+    return params, adam, (loss, counts.accuracy)
 
 
 def evaluate_loss(params, data):
     """Mean BCE and accuracy over an encoded dataset in infer mode."""
     if not data:
         raise ValueError("evaluate_loss needs a non-empty dataset")
-    yhat = predict_proba(params, [seq for seq, _ in data])
-    total = 0.0
-    correct = 0
-    for (_, label), p in zip(data, yhat):
-        total += bce_loss(label, p)
-        correct += int(classify(p) == label)
-    return total / len(data), correct / len(data)
+    counts, loss = score([label for _, label in data],
+                         predict_proba(params, [seq for seq, _ in data]))
+    return loss, counts.accuracy
 
 
 def _all_finite(values):

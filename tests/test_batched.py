@@ -138,7 +138,8 @@ def test_all_pad_batch_scores_half():
 def test_a_token_without_a_gradient_row_rejected_before_any_write():
     params = init_model_params(VOCAB.size, 3, 4, 3, seed=0)
     seqs = [TokenSequence(np.array([2, 5])), TokenSequence(np.array([3, 9, 4]))]
-    for rows in ([0, 2, 3, 4, 5], [0, 2, 3, 4, 5, 8]):  # no row 9
+    # no row 9, past the last held row or not; no row 4, between rows 3 and 5
+    for rows in ([0, 2, 3, 4, 5], [0, 2, 3, 4, 5, 8], [0, 2, 3, 5, 9]):
         grads = zero_grads(params, rows)
         cache = forward_batch(params, seqs, mode="train")
         with pytest.raises(ValueError, match="no embedding row"):

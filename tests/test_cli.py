@@ -134,6 +134,18 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
 
+    @pytest.mark.parametrize("value", ["xml", "JSONL", ""])
+    def test_unknown_data_format_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_CONFIG + f"data_format = {value}\n", encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 20, seed=0)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "data_format" in err
+        assert not out.exists()
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"seed = 3\nstack = caf\xe9\n")

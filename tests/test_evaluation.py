@@ -12,6 +12,7 @@ from opinionminer.evaluation import (
 )
 from opinionminer.layers import init_model_params
 from opinionminer.text_pipeline import TokenSequence
+from opinionminer.training import evaluate_loss
 
 # Reference confusion counts for four benchmark models (11,439 test
 # reviews each); the HBGRU row drives the metric reproduction checks.
@@ -186,6 +187,18 @@ class TestEvaluateModel:
                                    lstm_units=2, seed=0)
         with pytest.raises(ValueError):
             evaluate_model(params, [])
+
+    def test_agrees_with_evaluate_loss_bit_for_bit(self):
+        params = init_model_params(vocab_size=6, embedding_dim=3, gru_units=2,
+                                   lstm_units=2, seed=4)
+        rng = np.random.default_rng(1)
+        data = [(TokenSequence(rng.integers(1, 6, size=int(rng.integers(1, 7)))), int(y))
+                for y in rng.integers(0, 2, size=40)]
+        loss, accuracy = evaluate_loss(params, data)
+        report = evaluate_model(params, data)
+        assert 0 < report.counts.tp + report.counts.tn < report.n
+        assert report.percent_loss == 100.0 * loss
+        assert report.accuracy == accuracy
 
 
 class TestReportSerialization:

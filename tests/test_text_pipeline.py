@@ -21,6 +21,7 @@ from opinionminer.text_pipeline import (
     encode_sequence,
     load_dataset,
     load_token_file,
+    read_lines,
     stem_token,
     stratified_split,
 )
@@ -161,6 +162,39 @@ def test_bad_byte_line_counts_carriage_returns(tmp_path):
     path.write_bytes(b"text,label\rgood film,1\rna\xefve plot,0\r")
     with pytest.raises(DataError, match=r"cr\.csv: line 3: not valid UTF-8"):
         load_dataset(path, "csv")
+
+
+class TestOnePass:
+    """read_lines opens a file once, and still names the line of a bad byte
+    that lies far past the decoder's read-ahead."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        paths = []
+
+        def counting_open(file, *args, **kwargs):
+            paths.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(text_pipeline, "open", counting_open, raising=False)
+        return paths
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_bad_byte_far_in(self, tmp_path, opened, newline):
+        rows = [b"text,label"] + [b"a fine old film number %d,1" % i for i in range(1, 6000)]
+        rows[4999] = b"na\xefve plot,0"  # line 5,000 of about 180 KB
+        path = tmp_path / "far.csv"
+        path.write_bytes(newline.join(rows) + newline)
+        with pytest.raises(DataError, match=r"far\.csv: line 5000: not valid UTF-8"):
+            load_dataset(path, "csv")
+        assert opened == [path]
+
+    def test_valid_non_ascii_reads_unchanged(self, tmp_path, opened):
+        lines = ["text,label\r\n", "café crème brûlée,1\n", "naïve plot,0\r", "ok,1\n"]
+        path = tmp_path / "accents.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(lines).encode("utf-8"))
+        assert list(read_lines(path)) == lines
+        assert opened == [path]
 
 
 class TestCleanText:

@@ -376,18 +376,27 @@ class TestTrainEpoch:
         adam, want_adam = AdamState.for_params(params), AdamState.for_params(want)
 
         count = 0
+        scored = []  # (label, train-mode probability) in epoch order
         for batch in batches:
             seeds = [_example_seed(config.seed, 1, count + j) for j in range(len(batch))]
             count += len(batch)
             grads = zero_grads(want)
-            batch_gradients(want, batch, config.dropout_rate, seeds, grads)
+            yhat = batch_gradients(want, batch, config.dropout_rate, seeds, grads)
+            scored += zip((label for _, label in batch), yhat)
             grads.flat *= 1.0 / len(batch)
             adam_step(want_adam, want, grads, config)
 
         rows = []
         monkeypatch.setattr(training, "zero_grads",
                             lambda p, r: rows.append(r.tolist()) or zero_grads(p, r))
-        train_epoch(params, adam, batches, config, epoch=1)
+        _, _, (loss, accuracy) = train_epoch(params, adam, batches, config, epoch=1)
+        # the epoch's loss is one left-to-right sum over its examples, not a
+        # sum of per-batch sums
+        total = 0.0
+        for label, p in scored:
+            total += bce_loss(label, p)
+        assert loss == total / count
+        assert accuracy == sum(int(p >= 0.5) == label for label, p in scored) / count
         assert rows == [[0, 2, 3, 4, 5, 6, 7, 9], list(range(12)),
                         [0, 1, 2, 3, 4, 5, 6, 8, 9, 11]]
         for got, ref in ((params.flat, want.flat), (adam.m, want_adam.m),
