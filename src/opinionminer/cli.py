@@ -334,36 +334,34 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="opinionminer",
         description="Train and evaluate the hybrid BGRU-LSTM sentiment classifier.")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="key = value config file")
-    shared.add_argument("--seed", type=int, help="master RNG seed")
-    shared.add_argument("--out", help="output directory")
-    shared.add_argument("--deterministic", choices=["true", "false"],
-                        help="accepted for compatibility; runs are always deterministic "
-                             "at a fixed BLAS thread count")
+    # each subcommand takes only the flags it reads; any other ends in a
+    # usage error (exit 2)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", parents=[shared],
-                           help="train a model and write its artifacts")
+    train = sub.add_parser("train", help="train a model and write its artifacts")
+    train.add_argument("--config", help="key = value config file")
+    train.add_argument("--seed", type=int, help="master RNG seed")
+    train.add_argument("--deterministic", choices=["true", "false"],
+                       help="accepted for compatibility; runs are always deterministic "
+                            "at a fixed BLAS thread count")
     train.add_argument("--data", help="labeled dataset (csv or jsonl)")
+    train.add_argument("--out", help="output directory")
     train.set_defaults(func=run_train)
 
-    evaluate = sub.add_parser("evaluate", parents=[shared],
-                              help="score a checkpoint on a labeled dataset")
+    evaluate = sub.add_parser("evaluate", help="score a checkpoint on a labeled dataset")
     evaluate.add_argument("--checkpoint", required=True)
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--format", choices=list(DATASET_FORMATS), default="csv")
+    evaluate.add_argument("--out", help="output directory for report.txt")
     evaluate.set_defaults(func=run_evaluate)
 
-    predict = sub.add_parser("predict", parents=[shared],
-                             help="label new review text")
+    predict = sub.add_parser("predict", help="label new review text")
     predict.add_argument("--checkpoint", required=True)
     predict.add_argument("--text", action="append", help="review text (repeatable)")
     predict.add_argument("--input", help="file with one review per line")
     predict.set_defaults(func=run_predict)
 
-    compare = sub.add_parser("compare", parents=[shared],
-                             help="chi-square comparison of report files")
+    compare = sub.add_parser("compare", help="chi-square comparison of report files")
     compare.add_argument("reports", nargs="+")
     compare.set_defaults(func=run_compare)
     return parser

@@ -31,12 +31,17 @@ token, and the LSTM's final state is that of its last token, so a
 sequence's outputs do not depend on the others in its batch. The time loop
 projects its inputs, X W_x^T + b, one span at a time (Packing.spans: whole
 step blocks in scan order), each span with one matrix product when the
-loop reaches it, and each step adds its recurrent products into its block
-of the projection in place, which leaves the gates there. In train mode
-the one span is the whole batch, projected into the trace's gates block;
-in infer mode spans of at least SPAN_ROWS rows are projected in turn into
-one scratch block, so an infer pass holds no gate block as long as the
-batch. Temporaries are allocated once per loop. The GRU directions write
+loop reaches it. In train mode the one span is the whole batch, projected
+into the trace's gates block; in infer mode spans of at least SPAN_ROWS
+rows are projected in turn into one scratch block, so an infer pass holds
+no gate block as long as the batch. Each step computes its gates in
+contiguous (B, ...) scratch, allocated once per loop like every temporary:
+its recurrent products go into the scratch, its rows of the projection are
+added into it and the activations run there. In train mode each activated
+gate block is then copied into the trace, so a trace's gate block takes one
+write a step. No ufunc of the four loops reads and writes the same strided
+view of a gate block: at the few rows a step computes, such an in-place
+pass costs about twice one over contiguous memory. The GRU directions write
 their h into their own column slices of one array, the LSTM input, which
 no concatenation copies. That input is whole before the LSTM starts: its
 first step reads the reverse GRU's output at the first token, which that
@@ -51,8 +56,9 @@ checkpoint's tensor shapes off it. Adam's moments and the best epoch's
 copy lay the same blocks over vectors of their own (ModelParams.like). A
 gradient does too, or holds only some embedding rows: a training batch's
 gradient (zero_grads with rows) keeps only the rows its tokens read.
-The backward pass writes each row's gate pre-activation gradients over
-that row's gates in the trace, gathers the state each row's step read
+The backward pass builds each step's gate pre-activation gradients in
+contiguous scratch and writes each over its gate's rows of the trace with
+its last product, gathers the state each row's step read
 (Packing.previous) and adds each weight gradient into its block with one
 matrix product after the loop; the embedding gradient is scattered into
 each token's row with np.add.at. It consumes its cache, dropping each
@@ -432,20 +438,24 @@ def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
     spans, gates = _span_gates(packing, 3 * k, trace, reverse)
     out = GruTrace(h=h_out, gates=gates if trace else None)
     h = np.zeros((B, k))
-    tmp_zr, tmp, tmp2 = np.empty((B, 2 * k)), np.empty((B, k)), np.empty((B, k))
+    zr_all, hc_all, tmp = np.empty((B, 2 * k)), np.empty((B, k)), np.empty((B, k))
     for a0, e0, steps in spans:
-        # the span's input projections; each step adds its recurrent products in place
+        # the span's input projections, which each step adds to its recurrent products
         span = np.matmul(X[a0:e0], W_x, out=gates[:e0 - a0])
         span += p.b
         for t in steps:
             s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-            hs, v, w, g = h[s:], tmp[s:], tmp2[s:], span[a - a0:e - a0]
-            zr, z, r, h_cand = g[:, :2 * k], g[:, :k], g[:, k:2 * k], g[:, 2 * k:]
-            zr += np.matmul(hs, W_zr, out=tmp_zr[s:])
+            hs, v, zr, h_cand, g = h[s:], tmp[s:], zr_all[s:], hc_all[s:], span[a - a0:e - a0]
+            np.matmul(hs, W_zr, out=zr)
+            zr += g[:, :2 * k]
             sigmoid(zr, out=zr)
+            z, r = zr[:, :k], zr[:, k:]
             np.multiply(r, hs, out=v)
-            h_cand += np.matmul(v, W_hh, out=w)
+            np.matmul(v, W_hh, out=h_cand)
+            h_cand += g[:, 2 * k:]
             np.tanh(h_cand, out=h_cand)
+            if trace:
+                g[:, :2 * k], g[:, 2 * k:] = zr, h_cand
             np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
             v *= z
             hs += v
@@ -472,20 +482,25 @@ def lstm_scan(p, X, packing, trace=True):
         out.h, out.c, out.tanh_c = (np.empty((len(X), m)) for _ in range(3))
     h = out.h_last
     C = np.zeros((B, m))
-    tmp_a, tmp = np.empty((B, 4 * m)), np.empty((B, m))
+    ga_all, tmp = np.empty((B, 4 * m)), np.empty((B, m))
     for a0, e0, steps in spans:
-        # the span's input projections; each step adds its recurrent product in place
+        # the span's input projections, which each step adds to its recurrent product
         span = np.matmul(X[a0:e0], W_x, out=gates[:e0 - a0])
         span += p.b
         for t in steps:
             s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-            hs, Cs, v, g = h[s:], C[s:], tmp[s:], span[a - a0:e - a0]
-            f, i, o, c_cand = (g[:, j * m:(j + 1) * m] for j in range(4))
-            g += np.matmul(hs, W_h, out=tmp_a[s:])
-            sigmoid(g[:, :3 * m], out=g[:, :3 * m])
-            np.tanh(c_cand, out=c_cand)
+            hs, Cs, ga, v, g = h[s:], C[s:], ga_all[s:], tmp[s:], span[a - a0:e - a0]
+            np.matmul(hs, W_h, out=ga)
+            ga += g
+            # c_cand goes to v first, so the sigmoid can take all 4m columns in
+            # one contiguous pass, faster than a strided one over the 3m it needs
+            np.tanh(ga[:, 3 * m:], out=v)
+            sigmoid(ga, out=ga)
+            f, i, o = (ga[:, j * m:(j + 1) * m] for j in range(3))
+            if trace:
+                g[:, :3 * m], g[:, 3 * m:] = ga[:, :3 * m], v
             Cs *= f
-            np.multiply(i, c_cand, out=v)
+            v *= i  # i * c_cand
             Cs += v
             tanh_c = out.tanh_c[a:e] if trace else v
             np.tanh(Cs, out=tanh_c)
@@ -674,22 +689,29 @@ def _previous_states(H, prev):
     return out
 
 
-def _dsigmoid_in_place(y, scratch, *factors):
-    """y = y * (1 - y) * factors, in place, with 1 - y left in scratch: the
-    derivative of y = sigmoid(a)."""
-    y *= np.subtract(1.0, y, out=scratch)
-    for f in factors:
-        y *= f
-    return y
+def _dsigmoid(out, y, scratch, *factors):
+    """out = y * (1 - y) * factors: the derivative of y = sigmoid(a), times the
+    factors. See _times for where the products go."""
+    np.subtract(1.0, y, out=scratch)
+    np.multiply(y, scratch, out=scratch)
+    return _times(out, scratch, *factors)
 
 
-def _times_dtanh(out, y, *factors):
-    """out = (1 - y^2) * factors, which may be y itself: the derivative of y = tanh(a)."""
-    np.multiply(y, y, out=out)
-    np.subtract(1.0, out, out=out)
-    for f in factors:
-        out *= f
-    return out
+def _dtanh(out, y, scratch, *factors):
+    """out = (1 - y^2) * factors: the derivative of y = tanh(a), times the
+    factors. See _times for where the products go."""
+    np.multiply(y, y, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    return _times(out, scratch, *factors)
+
+
+def _times(out, scratch, *factors):
+    """out = scratch * factors, multiplied left to right in contiguous
+    scratch; only the last product writes out, which may be scratch or a
+    strided gate view that no factor reads."""
+    for f in factors[:-1]:
+        scratch *= f
+    return np.multiply(scratch, factors[-1], out=out)
 
 
 def _lstm_backward(p, cache, prev, dh_last, grad):
@@ -697,9 +719,10 @@ def _lstm_backward(p, cache, prev, dh_last, grad):
 
     Takes the LSTM trace and input out of `cache` and drops each array after
     its last read. `prev` is packing.previous(). Step t updates only the rows
-    of block t; the other batch rows carry their gradient. Each step writes
-    its gates' pre-activation gradients df, di, do and dcc over its rows of
-    the gates block, keeping the f and i it still reads in scratch rows.
+    of block t; the other batch rows carry their gradient. Each step builds
+    its gates' pre-activation gradients df, di, do and dcc in scratch rows
+    and writes each over its gate's rows of the gates block, keeping the f
+    it still reads in scratch.
     """
     trace, U, packing = cache.lstm, cache.lstm_in, cache.packing
     cache.lstm = cache.lstm_in = None
@@ -708,22 +731,22 @@ def _lstm_backward(p, cache, prev, dh_last, grad):
     da = trace.gates
     dh = np.array(dh_last, dtype=np.float64)
     dc = np.zeros_like(dh)
-    tmp, f_kept, i_kept = (np.empty_like(dh) for _ in range(3))
+    tmp, tmp2, f_kept = (np.empty_like(dh) for _ in range(3))
     for t in range(len(packing.first) - 1, -1, -1):
         s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
         d, tc = da[a:e], trace.tanh_c[a:e]
         f, i, o, cc = (d[:, g * m:(g + 1) * m] for g in range(4))  # -> df, di, do, dcc
-        dhs, dcs, v, f0, i0 = dh[s:], dc[s:], tmp[s:], f_kept[s:], i_kept[s:]
-        dcs += _times_dtanh(v, tc, o, dhs)
+        dhs, dcs, v, w, f0 = dh[s:], dc[s:], tmp[s:], tmp2[s:], f_kept[s:]
+        dcs += _dtanh(v, tc, v, o, dhs)
         np.copyto(f0, f)
-        np.copyto(i0, i)
         if t:  # block t's rows are the last rows of block t - 1
-            _dsigmoid_in_place(f, v, trace.c[2 * a - e:a], dcs)
+            _dsigmoid(f, f, v, trace.c[2 * a - e:a], dcs)
         else:  # the zero initial state
             f.fill(0.0)
-        _dsigmoid_in_place(i, v, cc, dcs)
-        _dsigmoid_in_place(o, v, tc, dhs)
-        _times_dtanh(cc, cc, i0, dcs)
+        _dtanh(w, cc, w, i)  # dcc but its last factor: di still reads c_cand
+        _dsigmoid(i, i, v, cc, dcs)
+        np.multiply(w, dcs, out=cc)
+        _dsigmoid(o, o, v, tc, dhs)
         np.matmul(d, W_h, out=dhs)
         dcs *= f0
     trace.c = trace.tanh_c = None
@@ -742,10 +765,11 @@ def _gru_backward(p, trace, X, packing, prev, dH, grad, reverse=False):
 
     `prev` is packing.previous(reverse). For the reverse scan the recurrent
     neighbour of step t is t+1, so the gradient sweep runs t = 1..T instead
-    of t = T..1. Step t updates only the rows of block t. Each step writes
-    its gates' pre-activation gradients dz, dr and dhc over its rows of the
-    gates block, and r * h_prev, which the W_hh gradient reads, over its rows
-    of h, which nothing reads once h_prev is gathered.
+    of t = T..1. Step t updates only the rows of block t. Each step builds
+    its gates' pre-activation gradients dz, dr and dhc in scratch rows and
+    writes each over its gate's rows of the gates block, and r * h_prev,
+    which the W_hh gradient reads, over its rows of h, which nothing reads
+    once h_prev is gathered.
     """
     k = p.hidden_size
     W_zr, W_hh = p.W[:2 * k, :k], p.W[2 * k:, :k]
@@ -763,11 +787,13 @@ def _gru_backward(p, trace, X, packing, prev, dH, grad, reverse=False):
         dhs += dH[a:e]
         np.multiply(hp, r, out=rh[a:e])
         np.subtract(hc, hp, out=w)
-        _times_dtanh(hc, hc, z, dhs)
+        _dtanh(hc, hc, dv, z, dhs)
         np.matmul(hc, W_hh, out=dv)  # d(loss)/d(r * h_prev)
-        _dsigmoid_in_place(z, nz, dhs, w)
+        np.subtract(1.0, z, out=nz)
+        np.multiply(z, nz, out=rdv)
+        _times(z, rdv, dhs, w)  # dz = z * (1 - z) * dhs * (h_cand - h_prev)
         np.multiply(dv, r, out=rdv)
-        _dsigmoid_in_place(r, w, hp, dv)
+        _dsigmoid(r, r, w, hp, dv)
         dhs *= nz  # d(loss)/d(h_prev), nz = 1 - z
         dhs += rdv
         np.matmul(d[:, :2 * k], W_zr, out=dv)

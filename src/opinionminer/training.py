@@ -15,7 +15,9 @@ Checkpoint layout (all integers little-endian, versioned, checksummed):
 
 A load reads the file once, in order, each payload straight into its view
 of the parameter vector, so that vector is its only parameter-length
-allocation. The file crc32 is checked last but wins over any other error.
+allocation. Each payload's crc32 is computed once, and the file's running
+crc32 takes it in through _crc32_combine. The file crc32 is checked last
+but wins over any other error.
 Training allocates no others but the parameters, the best epoch's copy and
 Adam's m and v. Each batch's gradient holds only the embedding rows the
 batch reads, beside every other block.
@@ -459,6 +461,33 @@ def save_checkpoint(params, config, vocab, path, stopwords=None, whitelist=None)
     replace_file(path, parts + [struct.pack("<I", crc)])
 
 
+def _crc32_times(a, b):
+    """a(x) * b(x) modulo the crc32 polynomial, both in its reflected bit order."""
+    p = 0
+    for bit in range(31, -1, -1):  # the top bit holds the coefficient of x^0
+        if a >> bit & 1:
+            p ^= b
+        b = (b >> 1) ^ 0xEDB88320 if b & 1 else b >> 1  # b * x
+    return p
+
+
+_X_POW_2K = [1 << 30]  # x^(2^k) modulo the crc32 polynomial, k = 0..31
+while len(_X_POW_2K) < 32:
+    _X_POW_2K.append(_crc32_times(_X_POW_2K[-1], _X_POW_2K[-1]))
+
+
+def _crc32_combine(crc_a, crc_b, len_b):
+    """zlib.crc32(a + b) from zlib.crc32(a), zlib.crc32(b) and len(b), as
+    zlib's crc32_combine computes it: crc_a times x^(8 len_b), plus crc_b."""
+    shift, k = 1 << 31, 3  # x^0; 8 len_b = len_b * 2^3
+    while len_b:
+        if len_b & 1:
+            shift = _crc32_times(_X_POW_2K[k & 31], shift)
+        len_b >>= 1
+        k += 1
+    return _crc32_times(shift, crc_a) ^ crc_b
+
+
 class _Reader:
     """Bounded reads from an open checkpoint file, with the crc32 of every byte read."""
 
@@ -483,12 +512,15 @@ class _Reader:
         return out
 
     def into(self, buffer):
-        """Fill a writable buffer (a contiguous array or a memoryview) with the next bytes."""
+        """Fill a writable buffer (a contiguous array or a memoryview) with the
+        next bytes, and return their crc32, which the file's crc32 takes in."""
         view = memoryview(buffer).cast("B")
         self._advance(len(view))
         if self.fh.readinto(view) != len(view):
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        self.file_crc = zlib.crc32(view, self.file_crc)
+        crc = zlib.crc32(view)
+        self.file_crc = _crc32_combine(self.file_crc, crc, len(view))
+        return crc
 
     def u16(self):
         return struct.unpack("<H", self.take(2))[0]
@@ -557,8 +589,7 @@ def _read_checkpoint(r, path):
             raise ModelMismatchError(
                 f"{path}: tensor {name} has shape {shape} but the vocabulary "
                 f"({len(vocab_tokens)} tokens) and config give {view.shape}")
-        r.into(view)
-        if zlib.crc32(view) != r.u32():
+        if r.into(view) != r.u32():
             raise CheckpointError(f"{path}: checksum failure in tensor {name}")
     if r.pos != r.end:
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")

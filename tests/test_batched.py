@@ -273,6 +273,35 @@ def test_infer_spans_match_one_span(stack, lengths, span_rows, seed):
     assert_close(got.lstm_in, want.lstm_in, "lstm_in")
 
 
+def assert_train_mode_has_the_infer_bits(params, seqs):
+    # train mode computes each step's gates in the same scratch as infer
+    # mode and only copies them into its trace, so without dropout it gives
+    # the same bytes
+    train = forward_batch(params, seqs, mode="train", dropout_rate=0.0)
+    infer = forward_batch(params, seqs, mode="infer")
+    assert train.yhat.tobytes() == infer.yhat.tobytes()
+    assert train.lstm_in.tobytes() == infer.lstm_in.tobytes()
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=12),
+       seed=st.integers(0, 2**16))
+def test_train_mode_without_dropout_gives_the_infer_bits(stack, lengths, seed):
+    params = random_params(stack, seed)
+    rng = np.random.default_rng(seed)
+    seqs = [TokenSequence(rng.integers(1, VOCAB.size, size=n)) for n in sorted(lengths)]
+    assert_train_mode_has_the_infer_bits(params, seqs)
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_train_mode_without_dropout_gives_the_infer_bits_at_full_size(stack):
+    # 512 tokens: infer mode projects them in several spans, train mode in one
+    params, seqs = full_size_batch(stack)
+    assert sum(seq.true_length for seq in seqs) > layers.SPAN_ROWS
+    assert_train_mode_has_the_infer_bits(params, seqs)
+
+
 @pytest.mark.parametrize("upstream", [1.0, np.array([1.0]), np.ones(3), np.ones((2, 1))],
                          ids=["scalar", "(1,)", "(3,)", "(2, 1)"])
 def test_an_upstream_gradient_not_of_shape_b_rejected_before_any_write(upstream):

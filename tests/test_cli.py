@@ -96,6 +96,24 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="batch_size"):
             build_settings({"batch_size": "many"})
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ("evaluate", "predict", "compare")
+        for flag in ("--config", "--seed", "--deterministic", "--out")
+        if (command, flag) != ("evaluate", "--out")])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                               command, flag):
+        # only train reads --config, --seed and --deterministic, and only
+        # train and evaluate read --out; no file named here exists, so a
+        # command that ran would exit 3
+        argv = {"evaluate": ["evaluate", "--checkpoint", "none.ckpt", "--data", "none.csv"],
+                "predict": ["predict", "--checkpoint", "none.ckpt", "--text", "good film"],
+                "compare": ["compare", "a.txt", "b.txt"]}[command]
+        value = {"--seed": "5", "--deterministic": "true"}.get(flag, str(tmp_path / "x"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_flags_override_file(self):
         config, extras = build_settings({"seed": "1", "out": "a"},
                                         overrides={"seed": 9, "out": "b"})

@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _memory import traced_peak
@@ -46,7 +46,7 @@ from opinionminer.training import (
     train_epoch,
     validate_checkpoint,
 )
-from opinionminer.training import _example_seed, _parse_header
+from opinionminer.training import _crc32_combine, _example_seed, _parse_header
 
 
 class TestBce:
@@ -659,6 +659,17 @@ class TestSizeBounds:
                   "stopwords": None, "whitelist": None}
         with pytest.raises(CheckpointError, match=key):
             _parse_header(json.dumps(header).encode("utf-8"), "hostile.ckpt")
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.binary(max_size=64),
+       b=st.one_of(st.binary(max_size=40), st.binary(min_size=1000, max_size=5000)))
+@example(a=b"", b=b"")
+@example(a=b"header", b=b"")
+@example(a=b"header", b=bytes(range(256)) * 16 + b"odd")
+def test_crc32_combine_gives_the_crc32_of_the_concatenation(a, b):
+    # the checkpoint load folds each payload's crc32 into the file's with it
+    assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
 
 
 class TestCheckpoint:
