@@ -60,10 +60,18 @@ The backward pass builds each step's gate pre-activation gradients in
 contiguous scratch and writes each over its gate's rows of the trace with
 its last product, gathers the state each row's step read
 (Packing.previous) and adds each weight gradient into its block with one
-matrix product after the loop; the embedding gradient is scattered into
-each token's row with np.add.at. It consumes its cache, dropping each
-array after its last read: the LSTM's c and tanh_c after its loop, its h
-once gathered, the rest of its trace before the GRU passes and each GRU
+matrix product after the loop (the LSTM's input weights one gate's rows at
+a time); the embedding gradient is scattered into each token's row with
+np.add.at. A train pass keeps per token only what the backward pass cannot
+take again bit for bit: its index, each GRU direction's gates, the LSTM
+input before dropout and its dropout mask, and the LSTM's gates, h and c.
+The backward pass takes the rest again where it reads it, with the forward
+pass's own operation on the same values: tanh(c) step by step in scratch
+(LstmTrace.tanh_c), the dropped-out LSTM input once, for its input
+weights' gradient (apply_dropout), and the embedded inputs once, for the
+GRU input weights' gradients (embed_lookup). It consumes its cache,
+dropping each array after its last read: the LSTM's c after its loop, its
+h once gathered, the rest of its trace before the GRU passes and each GRU
 direction's trace before the next.
 `sub_batches` sorts sequences by length and cuts them into groups of at
 most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
@@ -95,7 +103,11 @@ STACKS = {
 
 # Most real tokens one sub-batch may hold, which bounds its traces and
 # backward temporaries: a train pass projects all of a sub-batch's inputs
-# into its gate traces, an infer pass only SPAN_ROWS-sized spans of them.
+# into its gate traces, an infer pass only SPAN_ROWS-sized spans of them. A
+# train pass keeps per token the GRU and LSTM gates, the LSTM input with its
+# dropout mask, and the LSTM's h and c (see BatchCache); at most one
+# dropped-out copy of the LSTM input, lstm_scan's or _lstm_backward's, lives
+# beside them.
 # TRAIN_PEAK_PER_TOKEN and INFER_PEAK_PER_TOKEN in tests/test_batched.py
 # bound the bytes a token takes at full size. On the train_reviews
 # benchmark, budgets of 1024 to 3072 tokens trained at the same speed
@@ -391,8 +403,8 @@ class GruTrace:
 class LstmTrace:
     """The final state of each sequence, (B, m), and per-token values: the
     gates block (N, 4m), whose column blocks of m are f, i, o and c_cand in
-    that order (np.split(gates, 4, axis=1) gives the four), and h, c and
-    tanh_c (N, m).
+    that order (np.split(gates, 4, axis=1) gives the four), and h and c
+    (N, m). tanh(c) is not kept: tanh_c gives it again, bit for bit.
 
     When the scan kept only what the dense head reads, the per-token values
     are None. The backward pass overwrites gates with their pre-activation
@@ -402,7 +414,12 @@ class LstmTrace:
     gates: Optional[np.ndarray] = None
     h: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
-    tanh_c: Optional[np.ndarray] = None
+
+    def tanh_c(self, a, e, out=None):
+        """tanh(c) of rows a:e, into out if given. For a step block a:e this is
+        the scan's own np.tanh over contiguous rows of the same shape, so it
+        has the bits the scan's h read."""
+        return np.tanh(self.c[a:e], out=out)
 
 
 def embed_lookup(index, emb):
@@ -463,30 +480,32 @@ def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
     return out
 
 
-def lstm_scan(p, X, packing, trace=True):
+def lstm_scan(p, X, packing, trace=True, mask=None, rate=0.0):
     """Run the LSTM over packed (N, in_dim) inputs, each sequence from a zero state.
 
     Step t computes the rows of `packing`'s block t only, so each sequence's
     final state is that of its last token. The input projection is taken
-    span by span, as in gru_scan. Without `trace` only the final states are
-    kept.
+    span by span, as in gru_scan. With a dropout mask (N, in_dim) the scan
+    reads apply_dropout(X, mask, rate), a copy that lives for its span's
+    projection only; in train mode that is gone before the trace's h and c
+    are allocated. Without `trace` only the final states are kept.
     """
     _check_rows(X, packing)
     m = p.hidden_size
     B = len(packing.lengths)
     W_x, W_h = p.W[:, m:].T, p.W[:, :m].T
     spans, gates = _span_gates(packing, 4 * m, trace)
-    out = LstmTrace(h_last=np.zeros((B, m)))
-    if trace:
-        out.gates = gates
-        out.h, out.c, out.tanh_c = (np.empty((len(X), m)) for _ in range(3))
+    out = LstmTrace(h_last=np.zeros((B, m)), gates=gates if trace else None)
     h = out.h_last
     C = np.zeros((B, m))
     ga_all, tmp = np.empty((B, 4 * m)), np.empty((B, m))
     for a0, e0, steps in spans:
         # the span's input projections, which each step adds to its recurrent product
-        span = np.matmul(X[a0:e0], W_x, out=gates[:e0 - a0])
+        span_mask = None if mask is None else mask[a0:e0]
+        span = np.matmul(apply_dropout(X[a0:e0], span_mask, rate), W_x, out=gates[:e0 - a0])
         span += p.b
+        if trace:  # the one span: its dropped-out copy is gone
+            out.h, out.c = np.empty((len(X), m)), np.empty((len(X), m))
         for t in steps:
             s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
             hs, Cs, ga, v, g = h[s:], C[s:], ga_all[s:], tmp[s:], span[a - a0:e - a0]
@@ -502,9 +521,8 @@ def lstm_scan(p, X, packing, trace=True):
             Cs *= f
             v *= i  # i * c_cand
             Cs += v
-            tanh_c = out.tanh_c[a:e] if trace else v
-            np.tanh(Cs, out=tanh_c)
-            np.multiply(o, tanh_c, out=hs)
+            np.tanh(Cs, out=v)  # what LstmTrace.tanh_c gives again
+            np.multiply(o, v, out=hs)
             if trace:
                 out.c[a:e], out.h[a:e] = Cs, hs
     return out
@@ -549,8 +567,11 @@ class BatchCache:
 
     The GRU and LSTM traces hold their gate blocks (`gates`, one per
     trace) only in train mode, the one mode whose caches backward_batch
-    accepts. The GRU traces' h are column slices of one array, which is
-    lstm_in itself unless a dropout mask was applied to it. backward_batch
+    accepts. The GRU traces' h are column slices of one array, lstm_in.
+    The cache keeps no array that the backward pass can give again bit for
+    bit: not the embedded inputs (embed_lookup(index, params.embedding)),
+    not the dropped-out LSTM input (apply_dropout(lstm_in, seq_mask,
+    dropout_rate)) and not tanh(c) (LstmTrace.tanh_c). backward_batch
     consumes a cache: it drops grus, seq_mask, lstm_in and lstm (set to (),
     None, None and None) after their last read, and overwrites the traces'
     gate blocks with their pre-activation gradients and each GRU trace's h
@@ -561,14 +582,24 @@ class BatchCache:
     dropout_rate: float
     packing: Packing
     index: np.ndarray            # (N,) token indices
-    x: np.ndarray                # (N, d) embedded inputs
     grus: tuple                  # one GruTrace per STACKS direction, in order
     seq_mask: Optional[np.ndarray]   # (N, in_dim) dropout mask, LSTM input
-    lstm_in: Optional[np.ndarray]    # (N, in_dim) sequence the LSTM consumed
+    lstm_in: Optional[np.ndarray]    # (N, in_dim) LSTM input before dropout: H, or x
     lstm: Optional[LstmTrace]
     out_mask: Optional[np.ndarray]   # (B, m) dropout mask, final hidden state
     h_final: np.ndarray          # (B, m) rows the dense head consumed
     yhat: np.ndarray             # (B,)
+
+
+def apply_dropout(X, mask, rate, out=None):
+    """Inverted dropout: X * mask / (1 - rate), into out if given, else a new
+    array; X itself where mask is None. The forward and backward passes both
+    take it here, so a value taken again has the bits it had."""
+    if mask is None:
+        return X
+    out = np.multiply(X, mask, out=out)
+    out /= 1.0 - rate
+    return out
 
 
 def _check_mode(mode, dropout_rate):
@@ -608,26 +639,24 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
         grus = tuple(gru_scan(getattr(params, block), x, packing, reverse, trace,
                               H[:, j * k:(j + 1) * k])
                      for j, (block, reverse) in enumerate(directions))
+    del x  # the GRU scans have read it; backward_batch gathers it again
 
     # inverted dropout; raw embeddings are not dropped, so the sequence
     # mask is drawn only after a GRU and always before the final-state mask.
-    # The masked copy leaves H, which the GRU traces view, as it is.
+    # lstm_scan applies it to its own copy of H, which the GRU traces view.
     rngs = [np.random.default_rng(seed) for seed in seeds] if train else []
     seq_mask = out_mask = None
     if train and grus:
         seq_mask = np.concatenate([rng.random((n, H.shape[1])) >= dropout_rate
                                    for rng, n in zip(rngs, packing.lengths)])[packing.order]
-        H = H * seq_mask
-        H /= 1.0 - dropout_rate
 
-    lt = lstm_scan(params.lstm, H, packing, trace)
-    h_final = lt.h_last
+    lt = lstm_scan(params.lstm, H, packing, trace, seq_mask, dropout_rate)
     if train:
-        out_mask = np.stack([rng.random(h_final.shape[1]) >= dropout_rate for rng in rngs])
-        h_final = h_final * out_mask / (1.0 - dropout_rate)
+        out_mask = np.stack([rng.random(lt.h_last.shape[1]) >= dropout_rate for rng in rngs])
+    h_final = apply_dropout(lt.h_last, out_mask, dropout_rate)
     return BatchCache(
         stack=params.stack, mode=mode, dropout_rate=dropout_rate, packing=packing,
-        index=index, x=x, grus=grus, seq_mask=seq_mask, lstm_in=H, lstm=lt,
+        index=index, grus=grus, seq_mask=seq_mask, lstm_in=H, lstm=lt,
         out_mask=out_mask, h_final=h_final, yhat=dense_sigmoid(params.dense, h_final),
     )
 
@@ -719,22 +748,24 @@ def _lstm_backward(p, cache, prev, dh_last, grad):
 
     Takes the LSTM trace and input out of `cache` and drops each array after
     its last read. `prev` is packing.previous(). Step t updates only the rows
-    of block t; the other batch rows carry their gradient. Each step builds
-    its gates' pre-activation gradients df, di, do and dcc in scratch rows
-    and writes each over its gate's rows of the gates block, keeping the f
-    it still reads in scratch.
+    of block t; the other batch rows carry their gradient. Each step takes
+    tanh(c) of its rows again (LstmTrace.tanh_c) and builds its gates'
+    pre-activation gradients df, di, do and dcc in scratch rows, writing each
+    over its gate's rows of the gates block and keeping the f it still reads
+    in scratch. The dropped-out input is taken again for the input weights'
+    gradient only, once c, h and the gathered h_prev are gone.
     """
-    trace, U, packing = cache.lstm, cache.lstm_in, cache.packing
+    trace, X, packing = cache.lstm, cache.lstm_in, cache.packing
     cache.lstm = cache.lstm_in = None
     m = p.hidden_size
     W_h = p.W[:, :m]
     da = trace.gates
     dh = np.array(dh_last, dtype=np.float64)
     dc = np.zeros_like(dh)
-    tmp, tmp2, f_kept = (np.empty_like(dh) for _ in range(3))
+    tmp, tmp2, f_kept, tc_all = (np.empty_like(dh) for _ in range(4))
     for t in range(len(packing.first) - 1, -1, -1):
         s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-        d, tc = da[a:e], trace.tanh_c[a:e]
+        d, tc = da[a:e], trace.tanh_c(a, e, out=tc_all[s:])
         f, i, o, cc = (d[:, g * m:(g + 1) * m] for g in range(4))  # -> df, di, do, dcc
         dhs, dcs, v, w, f0 = dh[s:], dc[s:], tmp[s:], tmp2[s:], f_kept[s:]
         dcs += _dtanh(v, tc, v, o, dhs)
@@ -749,14 +780,19 @@ def _lstm_backward(p, cache, prev, dh_last, grad):
         _dsigmoid(o, o, v, tc, dhs)
         np.matmul(d, W_h, out=dhs)
         dcs *= f0
-    trace.c = trace.tanh_c = None
+    trace.c = None
     h_prev = _previous_states(trace.h, prev)
     trace.h = None
     grad.W[:, :m] += da.T @ h_prev
     del h_prev
-    grad.W[:, m:] += da.T @ U
+    # a gate's rows at a time, so the product's temporary beside U is
+    # (m, in_dim), not (4m, in_dim); a product's rows have the same bits
+    # however many rows it takes at once, as the infer-mode spans rely on
+    U = apply_dropout(X, cache.seq_mask, cache.dropout_rate)
+    for g in range(4):
+        grad.W[g * m:(g + 1) * m, m:] += da[:, g * m:(g + 1) * m].T @ U
+    del U, X  # the input gradient does not read them
     grad.b += da.sum(axis=0)
-    del U  # the input gradient does not read it
     return da @ p.W[:, m:]
 
 
@@ -838,7 +874,7 @@ def backward_batch(params, cache, dL_dyhat, grads):
         raise ValueError(
             f"cache stack {cache.stack!r} does not match params stack {params.stack!r}"
         )
-    if cache.x.shape[1] != params.embedding.dim or \
+    if cache.lstm_in.shape[1] != params.lstm.W.shape[1] - params.lstm.hidden_size or \
             cache.lstm.h.shape[1] != params.lstm.hidden_size:
         raise ValueError("stale cache: shapes do not match params")
     B = len(cache.packing.lengths)
@@ -851,27 +887,24 @@ def backward_batch(params, cache, dL_dyhat, grads):
     ds = dL_dyhat * cache.yhat * (1.0 - cache.yhat)
     grads.dense.W += ds @ cache.h_final
     grads.dense.b += ds.sum()
-    dh_final = params.dense.W[0] * ds[:, np.newaxis]
-
-    if cache.out_mask is not None:
-        dh_final = dh_final * cache.out_mask / (1.0 - cache.dropout_rate)
+    dh_final = apply_dropout(params.dense.W[0] * ds[:, np.newaxis], cache.out_mask,
+                             cache.dropout_rate)
 
     packing = cache.packing
     prev = packing.previous()
     dU = _lstm_backward(params.lstm, cache, prev, dh_final, grads.lstm)
-
-    if cache.seq_mask is not None:
-        dU *= cache.seq_mask
-        dU /= 1.0 - cache.dropout_rate
-        cache.seq_mask = None
+    apply_dropout(dU, cache.seq_mask, cache.dropout_rate, out=dU)
+    cache.seq_mask = None
 
     # each GRU direction owns an equal slice of the LSTM input columns; its
-    # trace leaves the cache for the call, so it goes when the call returns
+    # trace leaves the cache for the call, so it goes when the call returns.
+    # Their input weights' gradients read the embedded inputs, gathered again.
     grus, cache.grus = list(cache.grus), ()
+    x = embed_lookup(cache.index, params.embedding) if grus else None
     dX = dU
     for j, (block, reverse) in enumerate(STACKS[params.stack]):
         k = dU.shape[1] // len(STACKS[params.stack])
-        dXj = _gru_backward(getattr(params, block), grus.pop(0), cache.x, packing,
+        dXj = _gru_backward(getattr(params, block), grus.pop(0), x, packing,
                             packing.previous(True) if reverse else prev,
                             dU[:, j * k:(j + 1) * k], getattr(grads, block), reverse)
         dX = dXj if j == 0 else np.add(dX, dXj, out=dX)

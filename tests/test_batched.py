@@ -21,7 +21,9 @@ from opinionminer import layers
 from opinionminer.layers import (
     STACKS,
     Packing,
+    apply_dropout,
     backward_batch,
+    embed_lookup,
     forward_batch,
     gru_scan,
     init_model_params,
@@ -151,9 +153,12 @@ def test_a_token_without_a_gradient_row_rejected_before_any_write():
 def test_per_token_arrays_hold_the_real_tokens_only(stack):
     lengths = [1, 3, 3, 8]
     seqs = [TokenSequence(np.arange(n) % 9 + 1) for n in lengths]
-    cache = forward_batch(random_params(stack, 3), seqs, mode="train", dropout_rate=0.2,
-                          seeds=[1, 2, 3, 4])
-    arrays = {"index": cache.index, "x": cache.x, "lstm_in": cache.lstm_in}
+    params = random_params(stack, 3)
+    cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2, seeds=[1, 2, 3, 4])
+    # the embedded inputs and the dropped-out LSTM input as backward_batch takes them again
+    arrays = {"index": cache.index, "x": embed_lookup(cache.index, params.embedding),
+              "lstm_in": cache.lstm_in,
+              "dropped": apply_dropout(cache.lstm_in, cache.seq_mask, cache.dropout_rate)}
     if cache.seq_mask is not None:
         arrays["seq_mask"] = cache.seq_mask
     for i, trace in enumerate(cache.grus + (cache.lstm,)):
@@ -171,33 +176,56 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
 # Most bytes a real token of a forward_batch (+ backward_batch in train mode)
 # may take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM
 # units): in train mode with dropout 0.2 on 8 reviews of 64 tokens, in infer
-# mode on 12 reviews of 128 tokens (one ROW_BUDGET group). Measured 31.7,
-# 19.1 and 8.6 KB a token in train mode, 6.15, 4.11 and 1.73 KB in infer
-# mode (hbgru_lstm, gru_lstm, lstm_only). Allocating each backward gate
-# gradient beside its gate and concatenating the GRU outputs took 37.8, 25.2
-# and 14.5 KB (train); dropping no trace before the backward pass ends took
-# 45.0 and 31.4 KB on the GRU stacks. Projecting each scan's whole input
-# before its time loop in infer mode took 11.4, 9.4 and 5.2 KB.
-TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 32_500, "gru_lstm": 19_600, "lstm_only": 8_850}
+# mode on 12 reviews of 128 tokens (one ROW_BUDGET group). Measured 26.6,
+# 15.9 and 7.6 KB a token in train mode, 6.15, 4.11 and 1.73 KB in infer
+# mode (hbgru_lstm, gru_lstm, lstm_only). Keeping the embedded inputs,
+# tanh(c) and the dropped-out LSTM input in the train cache, and taking the
+# LSTM input weights' gradient in one product, took 31.7, 19.1 and 8.6 KB;
+# allocating each backward gate gradient beside its gate and
+# concatenating the GRU outputs took 37.8, 25.2 and 14.5 KB (train);
+# dropping no trace before the backward pass ends took 45.0 and 31.4 KB on
+# the GRU stacks. Projecting each scan's whole input before its time loop in
+# infer mode took 11.4, 9.4 and 5.2 KB.
+TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 27_400, "gru_lstm": 16_350, "lstm_only": 7_850}
 INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 6_300, "gru_lstm": 4_200, "lstm_only": 1_775}
-EMBEDDING_DIM, GRU_UNITS = 128, 256
+EMBEDDING_DIM, GRU_UNITS, LSTM_UNITS = 128, 256, 128
 
 
 def full_size_batch(stack, count=8, length=64):
-    params = init_model_params(1000, EMBEDDING_DIM, GRU_UNITS, 128, stack=stack, seed=0)
+    params = init_model_params(1000, EMBEDDING_DIM, GRU_UNITS, LSTM_UNITS, stack=stack, seed=0)
     rng = np.random.default_rng(0)
     return params, [TokenSequence(rng.integers(1, 1000, size=length)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("stack", sorted(STACKS))
-def test_train_pass_peak_per_token(stack):
-    params, seqs = full_size_batch(stack)
+def train_pass_peak(stack, count, length):
+    params, seqs = full_size_batch(stack, count, length)
     grads = zero_grads(params)
     with traced_peak() as peak:
         cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2,
-                              seeds=list(range(8)))
-        backward_batch(params, cache, np.ones(8), grads)
-    assert peak.bytes < TRAIN_PEAK_PER_TOKEN[stack] * 512
+                              seeds=list(range(count)))
+        backward_batch(params, cache, np.ones(count), grads)
+    return peak.bytes
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_train_pass_peak_per_token(stack):
+    assert train_pass_peak(stack, 8, 64) < TRAIN_PEAK_PER_TOKEN[stack] * 512
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_train_pass_peak_grows_by_the_kept_trace_only(stack):
+    # an added token holds what the cache keeps: its GRU gates and LSTM
+    # input row (x itself for lstm_only), its LSTM gates, h and c, its
+    # dropout mask row and its index. The backward pass takes the embedded
+    # input, tanh(c) and the dropped-out LSTM input again where it reads
+    # them; the 10% covers the one such copy alive at a time, with each
+    # added review's (B, width) scan state
+    directions = len(STACKS[stack])
+    width = GRU_UNITS * directions or EMBEDDING_DIM
+    floats = 3 * GRU_UNITS * directions + width + 6 * LSTM_UNITS
+    kept = 8 * floats + (width if directions else 0) + 8
+    grown = train_pass_peak(stack, 16, 128) - train_pass_peak(stack, 4, 128)
+    assert grown <= 1.1 * kept * 12 * 128
 
 
 def infer_pass_peak(stack, count):

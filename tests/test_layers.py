@@ -20,6 +20,7 @@ from opinionminer.layers import (
     LstmParams,
     Packing,
     STACKS,
+    apply_dropout,
     classify,
     dense_sigmoid,
     embed_lookup,
@@ -159,8 +160,9 @@ class TestBgru:
         _, c2 = model_forward(other, seq)
         npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
         assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
+        x = embed_lookup(c2.index, other.embedding)  # as backward_batch gathers it again
         npt.assert_array_equal(c2.lstm_in[:, 2:],
-                               gru_scan(other.gru_bwd, c2.x, c2.packing, reverse=True).h)
+                               gru_scan(other.gru_bwd, x, c2.packing, reverse=True).h)
 
 
 class TestLstm:
@@ -303,7 +305,9 @@ class TestDropout:
         H = np.concatenate([trace.h for trace in cache.grus], axis=1)
         assert cache.seq_mask.shape == H.shape == (100, 1000)
         assert abs(cache.seq_mask.mean() - 0.8) < 0.01
-        for mask, raw, out in ((cache.seq_mask, H, cache.lstm_in),
+        # the LSTM input the scan projected, as backward_batch takes it again
+        dropped = apply_dropout(cache.lstm_in, cache.seq_mask, cache.dropout_rate)
+        for mask, raw, out in ((cache.seq_mask, H, dropped),
                                (cache.out_mask, cache.lstm.h_last, cache.h_final)):
             assert mask.any() and not mask.all()
             npt.assert_array_equal(out[~mask], 0.0)
@@ -364,8 +368,10 @@ class TestModelForward:
         yhat, cache = model_forward(params, seq, mode="train", dropout_rate=0.25, seed=4)
         # dense head replay from the cached final state is bit-exact
         assert dense_sigmoid(params.dense, cache.h_final[0]) == yhat
-        # LSTM replay from the cached (post-dropout) input sequence
-        h = lstm_scan(params.lstm, cache.lstm_in, cache.packing).h_last
+        # LSTM replay from the cached input sequence, dropped out as the
+        # backward pass takes it again
+        U = apply_dropout(cache.lstm_in, cache.seq_mask, cache.dropout_rate)
+        h = lstm_scan(params.lstm, U, cache.packing).h_last
         npt.assert_array_equal(h, cache.lstm.h_last)
 
     @pytest.mark.parametrize("stack", sorted(STACKS))

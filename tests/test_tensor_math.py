@@ -86,7 +86,7 @@ class TestActivate:
         p = LstmParams(W=np.zeros((4, 2)), b=np.zeros(4))
         trace = lstm_scan(p, np.full((1, 1), 3.0), Packing([1]))
         assert trace.gates[0, 3] == 0.0 and trace.c[0, 0] == 0.0  # c_cand, the 4th gate
-        assert trace.tanh_c[0, 0] == 0.0 and trace.h[0, 0] == 0.0
+        assert trace.tanh_c(0, 1)[0, 0] == 0.0 and trace.h[0, 0] == 0.0
 
     def test_sigmoid_symmetry(self):
         for x in (0.5, 2.0, 10.0):
