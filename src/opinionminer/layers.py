@@ -28,28 +28,40 @@ the batch rows [first[t]:] still inside their sequence. Each step of the
 four time loops (both scans and their backward passes) computes that block
 only. Each sequence starts from the zero state, the reverse GRU at its last
 token, and the LSTM's final state is that of its last token, so a
-sequence's outputs do not depend on the others in its batch. The time loop
-projects its inputs, X W_x^T + b, one span at a time (Packing.spans: whole
-step blocks in scan order), each span with one matrix product when the
-loop reaches it. In train mode the one span is the whole batch, projected
-into the trace's gates block; in infer mode spans of at least SPAN_ROWS
-rows are projected in turn into one scratch block, so an infer pass holds
-no gate block as long as the batch. Each step computes its gates in
-contiguous (B, ...) scratch, allocated once per loop like every temporary:
-its recurrent products go into the scratch, its rows of the projection are
-added into it and the activations run there. In train mode each activated
+sequence's outputs do not depend on the others in its batch. The scans
+run span by span (Packing.spans: whole step blocks in scan order, whose
+rows are contiguous): a scan call runs one span from the state the call
+before it left, on inputs that hold the span's rows only (the embedded
+rows are gathered a span at a time), and projects them, X W_x^T + b, with
+one matrix product. In train mode the one span is the whole batch,
+projected into the trace's gates block; in infer mode the spans hold at
+least SPAN_ROWS rows and every scan projects into one scratch block, so
+an infer pass holds no gate block as long as the batch. Each step
+computes its gates in contiguous (B, ...) scratch, allocated once per
+scan call like every temporary: its recurrent products go into the
+scratch, its rows of the projection are added into it and the
+activations run there. In train mode each activated
 gate block is then copied into the trace, so a trace's gate block takes one
 write a step. No ufunc of the four loops reads and writes the same strided
 view of a gate block: at the few rows a step computes, such an in-place
 pass costs about twice one over contiguous memory. The GRU directions write
 their h into their own column slices of one array, the LSTM input, which
-no concatenation copies. That input is whole before the LSTM starts: its
-first step reads the reverse GRU's output at the first token, which that
-scan computes last. Each layer stores its gates stacked in one matrix,
-whose columns split into the recurrent and the input weights; the
-checkpoint tensors W_z, b_z, ... are row views of it. All block arrays
-are slices of one
-vector, ModelParams.flat, whose layout _layout states once for a stack and
+no concatenation copies. The LSTM's first step reads the reverse GRU's
+output at the first token, which that scan computes last, so the reverse
+GRU runs first, over the whole batch. The forward GRU and the LSTM then
+run in lockstep, span by span: the forward GRU writes the span's h into
+its columns of the LSTM input, the reverse GRU's rows of the span are
+copied into theirs, and the LSTM projects that input and runs the span's
+steps; its projection may take the shared scratch block because the
+forward GRU's steps over the span are done. In train mode the LSTM input
+holds the whole batch, which the cache keeps; in infer mode it holds one
+span, so an infer pass keeps whole only the token indices and the reverse
+GRU's output. Where one forward span covers the batch (train mode, or a
+short infer batch), the reverse GRU writes into the LSTM input itself,
+with nothing to copy, and the embedded rows are gathered once. Each layer stores its gates stacked in one matrix, whose
+columns split into the recurrent and the input weights; the checkpoint
+tensors W_z, b_z, ... are row views of it. All block arrays are slices of
+one vector, ModelParams.flat, whose layout _layout states once for a stack and
 its sizes: ModelParams.zeros lays it over a new vector, which initialization
 draws into and checkpoint loading copies into, and param_shapes reads the
 checkpoint's tensor shapes off it. Adam's moments and the best epoch's
@@ -102,12 +114,12 @@ STACKS = {
 }
 
 # Most real tokens one sub-batch may hold, which bounds its traces and
-# backward temporaries: a train pass projects all of a sub-batch's inputs
-# into its gate traces, an infer pass only SPAN_ROWS-sized spans of them. A
-# train pass keeps per token the GRU and LSTM gates, the LSTM input with its
-# dropout mask, and the LSTM's h and c (see BatchCache); at most one
-# dropped-out copy of the LSTM input, lstm_scan's or _lstm_backward's, lives
-# beside them.
+# backward temporaries. A train pass keeps per token the GRU and LSTM
+# gates, the LSTM input with its dropout mask, and the LSTM's h and c (see
+# BatchCache); at most one dropped-out copy of the LSTM input, lstm_scan's
+# or _lstm_backward's, lives beside them. An infer pass keeps per token
+# only its index and the reverse GRU's output; the rest of it lives in
+# buffers of one SPAN_ROWS-sized span.
 # TRAIN_PEAK_PER_TOKEN and INFER_PEAK_PER_TOKEN in tests/test_batched.py
 # bound the bytes a token takes at full size. On the train_reviews
 # benchmark, budgets of 1024 to 3072 tokens trained at the same speed
@@ -116,8 +128,11 @@ STACKS = {
 # its gate gradients beside the gates).
 ROW_BUDGET = 1536
 
-# Fewest rows an infer-mode scan projects in one matrix product (see
-# Packing.spans), unless its whole sub-batch has fewer. Each product packs
+# Fewest rows an infer-mode span holds (see Packing.spans), unless its
+# whole sub-batch has fewer. A scan call projects one span's inputs in one
+# matrix product, into a gate block all the scans share, and the forward
+# GRU and the LSTM run in lockstep over the spans, so the LSTM input, the
+# embedded rows and that block hold one span at a time. Each product packs
 # the whole input weight block again, so short spans cost speed: on a
 # 2-core Xeon at 2 OpenBLAS threads the LSTM's 512 x 512 projection ran at
 # 58, 83 and 90 GFLOP/s in spans of 128 and 256 rows and in one product of
@@ -379,10 +394,9 @@ class Packing:
         return spans
 
 
-def _check_rows(X, packing):
-    if len(X) != packing.off[-1]:
-        raise ValueError(f"{len(X)} input rows do not match a packing of "
-                         f"{packing.off[-1]} tokens")
+def _check_rows(X, rows):
+    if len(X) != rows:
+        raise ValueError(f"{len(X)} input rows do not match the {rows} tokens scanned")
 
 
 @dataclass
@@ -430,21 +444,24 @@ def embed_lookup(index, emb):
     return emb.E[index]
 
 
-def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
-    """Run a GRU over packed (N, in_dim) inputs, each sequence from a zero state.
+def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None, span=None, h=None,
+             scratch=None):
+    """Run a GRU over packed inputs, each sequence from a zero state.
 
     Step t computes the rows of `packing`'s block t only. reverse=True scans
     t = T..1, so row (t, j)'s previous state is that of (t+1, j), and the
     zero state at the sequence's last token; the rows keep their packed
-    order either way. The input projection X W_x^T + b is one matrix
-    product per span (Packing.spans), taken when the loop reaches the span:
-    with `trace` there is one span, projected into the trace's gates block;
-    without it only h is kept, and spans of SPAN_ROWS rows or more are
-    projected in turn into one scratch block. h is written into h_out, an
-    (N, k) array such as a column slice of the LSTM input, or into a new
-    array.
+    order either way. The scan runs one span (a0, e0, steps) of
+    Packing.spans, by default the whole batch, from the (B, k) state h,
+    zero by default, which it updates in place: X holds the span's
+    (e0 - a0, in_dim) input rows. Its input projection X W_x^T + b is one
+    matrix product, into the trace's gates block with `trace`, else into
+    the front of the flat buffer `scratch` if given. h is written into
+    h_out, an (e0 - a0, k) array such as a column slice of the LSTM input,
+    or into a new array.
     """
-    _check_rows(X, packing)
+    a0, e0, steps = span or packing.spans(packing.off[-1], reverse)[0]
+    _check_rows(X, e0 - a0)
     k = p.hidden_size
     B = len(packing.lengths)
     if h_out is None:
@@ -452,89 +469,88 @@ def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None):
     elif h_out.shape != (len(X), k):
         raise ValueError(f"h_out has shape {h_out.shape}, not {(len(X), k)}")
     W_x, W_zr, W_hh = p.W[:, k:].T, p.W[:2 * k, :k].T, p.W[2 * k:, :k].T
-    spans, gates = _span_gates(packing, 3 * k, trace, reverse)
+    gates = np.matmul(X, W_x, out=_block(scratch, len(X), 3 * k))
+    gates += p.b  # the input projections, which each step adds to its recurrent products
     out = GruTrace(h=h_out, gates=gates if trace else None)
-    h = np.zeros((B, k))
+    h = np.zeros((B, k)) if h is None else h
     zr_all, hc_all, tmp = np.empty((B, 2 * k)), np.empty((B, k)), np.empty((B, k))
-    for a0, e0, steps in spans:
-        # the span's input projections, which each step adds to its recurrent products
-        span = np.matmul(X[a0:e0], W_x, out=gates[:e0 - a0])
-        span += p.b
-        for t in steps:
-            s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-            hs, v, zr, h_cand, g = h[s:], tmp[s:], zr_all[s:], hc_all[s:], span[a - a0:e - a0]
-            np.matmul(hs, W_zr, out=zr)
-            zr += g[:, :2 * k]
-            sigmoid(zr, out=zr)
-            z, r = zr[:, :k], zr[:, k:]
-            np.multiply(r, hs, out=v)
-            np.matmul(v, W_hh, out=h_cand)
-            h_cand += g[:, 2 * k:]
-            np.tanh(h_cand, out=h_cand)
-            if trace:
-                g[:, :2 * k], g[:, 2 * k:] = zr, h_cand
-            np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
-            v *= z
-            hs += v
-            out.h[a:e] = hs
+    for t in steps:
+        s, a, e = packing.first[t], packing.off[t] - a0, packing.off[t + 1] - a0
+        hs, v, zr, h_cand, g = h[s:], tmp[s:], zr_all[s:], hc_all[s:], gates[a:e]
+        np.matmul(hs, W_zr, out=zr)
+        zr += g[:, :2 * k]
+        sigmoid(zr, out=zr)
+        z, r = zr[:, :k], zr[:, k:]
+        np.multiply(r, hs, out=v)
+        np.matmul(v, W_hh, out=h_cand)
+        h_cand += g[:, 2 * k:]
+        np.tanh(h_cand, out=h_cand)
+        if trace:
+            g[:, :2 * k], g[:, 2 * k:] = zr, h_cand
+        np.subtract(h_cand, hs, out=v)  # h = h_prev + z * (h_cand - h_prev)
+        v *= z
+        hs += v
+        h_out[a:e] = hs
     return out
 
 
-def lstm_scan(p, X, packing, trace=True, mask=None, rate=0.0):
-    """Run the LSTM over packed (N, in_dim) inputs, each sequence from a zero state.
+def lstm_scan(p, X, packing, trace=True, mask=None, rate=0.0, span=None, state=None,
+              scratch=None):
+    """Run the LSTM over packed inputs, each sequence from a zero state.
 
     Step t computes the rows of `packing`'s block t only, so each sequence's
-    final state is that of its last token. The input projection is taken
-    span by span, as in gru_scan. With a dropout mask (N, in_dim) the scan
-    reads apply_dropout(X, mask, rate), a copy that lives for its span's
-    projection only; in train mode that is gone before the trace's h and c
-    are allocated. Without `trace` only the final states are kept.
+    final state is that of its last token. The scan runs one span from a
+    state and projects its inputs as gru_scan does; its state is the pair
+    (h, C) of (B, m) arrays, and h_last is its h. With a dropout mask of
+    X's shape the scan reads apply_dropout(X, mask, rate), a copy that
+    lives for the projection only, so in train mode it is gone before the
+    trace's h and c are allocated. Without `trace` only the final states
+    are kept.
     """
-    _check_rows(X, packing)
+    a0, e0, steps = span or packing.spans(packing.off[-1])[0]
+    _check_rows(X, e0 - a0)
     m = p.hidden_size
     B = len(packing.lengths)
     W_x, W_h = p.W[:, m:].T, p.W[:, :m].T
-    spans, gates = _span_gates(packing, 4 * m, trace)
-    out = LstmTrace(h_last=np.zeros((B, m)), gates=gates if trace else None)
-    h = out.h_last
-    C = np.zeros((B, m))
+    # the block, the state and the step scratch come before the dropped-out
+    # copy: allocated after it, they kept glibc from trimming its heap after
+    # a train pass (train_reviews peak_rss_mb rose by 4 MB)
+    gates = _block(scratch, len(X), 4 * m)
+    h, C = (np.zeros((B, m)), np.zeros((B, m))) if state is None else state
+    out = LstmTrace(h_last=h, gates=gates if trace else None)
     ga_all, tmp = np.empty((B, 4 * m)), np.empty((B, m))
-    for a0, e0, steps in spans:
-        # the span's input projections, which each step adds to its recurrent product
-        span_mask = None if mask is None else mask[a0:e0]
-        span = np.matmul(apply_dropout(X[a0:e0], span_mask, rate), W_x, out=gates[:e0 - a0])
-        span += p.b
-        if trace:  # the one span: its dropped-out copy is gone
-            out.h, out.c = np.empty((len(X), m)), np.empty((len(X), m))
-        for t in steps:
-            s, a, e = packing.first[t], packing.off[t], packing.off[t + 1]
-            hs, Cs, ga, v, g = h[s:], C[s:], ga_all[s:], tmp[s:], span[a - a0:e - a0]
-            np.matmul(hs, W_h, out=ga)
-            ga += g
-            # c_cand goes to v first, so the sigmoid can take all 4m columns in
-            # one contiguous pass, faster than a strided one over the 3m it needs
-            np.tanh(ga[:, 3 * m:], out=v)
-            sigmoid(ga, out=ga)
-            f, i, o = (ga[:, j * m:(j + 1) * m] for j in range(3))
-            if trace:
-                g[:, :3 * m], g[:, 3 * m:] = ga[:, :3 * m], v
-            Cs *= f
-            v *= i  # i * c_cand
-            Cs += v
-            np.tanh(Cs, out=v)  # what LstmTrace.tanh_c gives again
-            np.multiply(o, v, out=hs)
-            if trace:
-                out.c[a:e], out.h[a:e] = Cs, hs
+    # the input projections, which each step adds to its recurrent product
+    np.matmul(apply_dropout(X, mask, rate), W_x, out=gates)
+    gates += p.b
+    if trace:  # the dropped-out copy is gone
+        out.h, out.c = np.empty((len(X), m)), np.empty((len(X), m))
+    for t in steps:
+        s, a, e = packing.first[t], packing.off[t] - a0, packing.off[t + 1] - a0
+        hs, Cs, ga, v, g = h[s:], C[s:], ga_all[s:], tmp[s:], gates[a:e]
+        np.matmul(hs, W_h, out=ga)
+        ga += g
+        # c_cand goes to v first, so the sigmoid can take all 4m columns in
+        # one contiguous pass, faster than a strided one over the 3m it needs
+        np.tanh(ga[:, 3 * m:], out=v)
+        sigmoid(ga, out=ga)
+        f, i, o = (ga[:, j * m:(j + 1) * m] for j in range(3))
+        if trace:
+            g[:, :3 * m], g[:, 3 * m:] = ga[:, :3 * m], v
+        Cs *= f
+        v *= i  # i * c_cand
+        Cs += v
+        np.tanh(Cs, out=v)  # what LstmTrace.tanh_c gives again
+        np.multiply(o, v, out=hs)
+        if trace:
+            out.c[a:e], out.h[a:e] = Cs, hs
     return out
 
 
-def _span_gates(packing, width, trace, reverse=False):
-    """The spans a scan projects its inputs in, and the (rows, width) block
-    they are projected into: in train mode one span, into the trace's gates
-    (a row per token), else spans of SPAN_ROWS rows or more, each in turn
-    into one scratch block as long as the longest."""
-    spans = packing.spans(packing.off[-1] if trace else SPAN_ROWS, reverse)
-    return spans, np.empty((max(e - a for a, e, _ in spans), width))
+def _block(scratch, rows, width):
+    """A (rows, width) block: the front of the flat buffer scratch, or a new array."""
+    if scratch is None:
+        return np.empty((rows, width))
+    return scratch[:rows * width].reshape(rows, width)
 
 
 def dense_sigmoid(p, h):
@@ -565,13 +581,15 @@ def classify(yhat):
 class BatchCache:
     """A forward_batch call: per-token arrays in the packed order of `packing`.
 
-    The GRU and LSTM traces hold their gate blocks (`gates`, one per
-    trace) only in train mode, the one mode whose caches backward_batch
-    accepts. The GRU traces' h are column slices of one array, lstm_in.
-    The cache keeps no array that the backward pass can give again bit for
-    bit: not the embedded inputs (embed_lookup(index, params.embedding)),
-    not the dropped-out LSTM input (apply_dropout(lstm_in, seq_mask,
-    dropout_rate)) and not tanh(c) (LstmTrace.tanh_c). backward_batch
+    Only train mode, the one mode whose caches backward_batch accepts,
+    keeps the GRU traces, each with its gates block and an h that is a
+    column slice of one array, lstm_in, and the LSTM's per-token trace. An
+    infer-mode cache holds no per-token array but index: grus is (),
+    lstm_in is None and lstm holds only h_last. The cache keeps no array
+    that the backward pass can give again bit for bit: not the embedded
+    inputs (embed_lookup(index, params.embedding)), not the dropped-out
+    LSTM input (apply_dropout(lstm_in, seq_mask, dropout_rate)) and not
+    tanh(c) (LstmTrace.tanh_c). backward_batch
     consumes a cache: it drops grus, seq_mask, lstm_in and lstm (set to (),
     None, None and None) after their last read, and overwrites the traces'
     gate blocks with their pre-activation gradients and each GRU trace's h
@@ -582,9 +600,9 @@ class BatchCache:
     dropout_rate: float
     packing: Packing
     index: np.ndarray            # (N,) token indices
-    grus: tuple                  # one GruTrace per STACKS direction, in order
+    grus: tuple                  # train mode: one GruTrace per STACKS direction, in order
     seq_mask: Optional[np.ndarray]   # (N, in_dim) dropout mask, LSTM input
-    lstm_in: Optional[np.ndarray]    # (N, in_dim) LSTM input before dropout: H, or x
+    lstm_in: Optional[np.ndarray]    # train mode: (N, in_dim) LSTM input before dropout: H, or x
     lstm: Optional[LstmTrace]
     out_mask: Optional[np.ndarray]   # (B, m) dropout mask, final hidden state
     h_final: np.ndarray          # (B, m) rows the dense head consumed
@@ -616,8 +634,9 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     them; Packing raises ValueError otherwise. Train mode with dropout
     draws sequence j's masks from a generator seeded with seeds[j], the
     LSTM-input mask first, as model_forward does for one sequence. Infer
-    mode keeps only what each next layer reads, which is enough for the
-    probabilities but not for backward_batch.
+    mode runs the forward GRU and the LSTM span by span (see the module
+    docstring) and keeps only what each next layer reads, which is enough
+    for the probabilities but not for backward_batch.
     """
     _check_mode(mode, dropout_rate)
     trace = mode == "train"
@@ -628,36 +647,72 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
                          f"got {got} for {len(seqs)} sequences")
     packing = Packing([seq.true_length for seq in seqs])
     index = np.concatenate([seq.indices for seq in seqs])[packing.order]
-    x = embed_lookup(index, params.embedding)
-
-    # each GRU direction writes its h into its own columns of the LSTM input
-    directions = STACKS[params.stack]
-    H, grus = x, ()
-    if directions:
-        k = params.gru_fwd.hidden_size
-        H = np.empty((len(x), k * len(directions)))
-        grus = tuple(gru_scan(getattr(params, block), x, packing, reverse, trace,
-                              H[:, j * k:(j + 1) * k])
-                     for j, (block, reverse) in enumerate(directions))
-    del x  # the GRU scans have read it; backward_batch gathers it again
-
-    # inverted dropout; raw embeddings are not dropped, so the sequence
-    # mask is drawn only after a GRU and always before the final-state mask.
-    # lstm_scan applies it to its own copy of H, which the GRU traces view.
+    N, B = len(index), len(seqs)
     rngs = [np.random.default_rng(seed) for seed in seeds] if train else []
-    seq_mask = out_mask = None
-    if train and grus:
-        seq_mask = np.concatenate([rng.random((n, H.shape[1])) >= dropout_rate
-                                   for rng, n in zip(rngs, packing.lengths)])[packing.order]
 
-    lt = lstm_scan(params.lstm, H, packing, trace, seq_mask, dropout_rate)
+    # train mode scans the batch as one span into a whole LSTM input, H;
+    # infer mode scans spans of SPAN_ROWS rows or more with a span-sized H,
+    # and every scan projects into one shared scratch block. A scan of
+    # several spans carries its state from each span to the next.
+    spans = {reverse: packing.spans(N if trace else SPAN_ROWS, reverse)
+             for reverse in (False, True)}
+    grus = [(getattr(params, block), reverse) for block, reverse in STACKS[params.stack]]
+    k, m = grus[0][0].hidden_size if grus else 0, params.lstm.hidden_size
+    cols = [slice(j * k, (j + 1) * k) for j in range(len(grus))]
+    rows = max(e - a for both in spans.values() for a, e, _ in both)
+    whole = len(spans[False]) == 1  # H holds every row, and x is gathered once
+    x = embed_lookup(index, params.embedding) if whole else None
+    H = np.empty((rows, k * len(grus))) if grus else None
+    scratch = None if trace else np.empty(rows * max(3 * k, 4 * m))
+    states = [np.zeros((B, k)) if len(spans[reverse]) > 1 else None for _, reverse in grus]
+    traces, outs = [None] * len(grus), [None] * len(grus)
+
+    # a reverse direction runs first, over the whole batch: the LSTM's first
+    # step reads its output at the first token, which it computes last. It
+    # writes into H if H holds every row, else into an array of its own
+    for j, (p, reverse) in enumerate(grus):
+        if reverse:
+            outs[j] = H[:, cols[j]] if whole else np.empty((N, k))
+            for a0, e0, steps in spans[True]:
+                X = x[a0:e0] if whole else embed_lookup(index[a0:e0], params.embedding)
+                traces[j] = gru_scan(p, X, packing, True, trace, outs[j][a0:e0], (a0, e0, steps),
+                                     states[j], scratch)
+
+    # the forward direction and the LSTM in lockstep, span by span: each GRU
+    # direction's rows of the span go into its columns of H, which the LSTM
+    # then projects
+    seq_mask = out_mask = lstm_state = None
+    if not whole:
+        lstm_state = (np.zeros((B, m)), np.zeros((B, m)))
+    for a0, e0, steps in spans[False]:
+        X = x if whole else embed_lookup(index[a0:e0], params.embedding)
+        if grus:
+            U = H[:e0 - a0]
+            for j, (p, reverse) in enumerate(grus):
+                if not reverse:
+                    traces[j] = gru_scan(p, X, packing, False, trace, U[:, cols[j]],
+                                         (a0, e0, steps), states[j], scratch)
+                elif not whole:
+                    U[:, cols[j]] = outs[j][a0:e0]
+            X, x = U, None  # the GRU scans have read x; backward_batch gathers it again
+        # inverted dropout; raw embeddings are not dropped, so only a GRU
+        # stack draws the sequence mask (in train mode, one span), always
+        # before the final-state mask. lstm_scan applies it to its own copy
+        # of H, which the GRU traces view.
+        if train and grus:
+            seq_mask = np.concatenate([rng.random((n, H.shape[1])) >= dropout_rate
+                                       for rng, n in zip(rngs, packing.lengths)])[packing.order]
+        lt = lstm_scan(params.lstm, X, packing, trace, seq_mask, dropout_rate,
+                       (a0, e0, steps), lstm_state, scratch)
+
     if train:
         out_mask = np.stack([rng.random(lt.h_last.shape[1]) >= dropout_rate for rng in rngs])
     h_final = apply_dropout(lt.h_last, out_mask, dropout_rate)
     return BatchCache(
         stack=params.stack, mode=mode, dropout_rate=dropout_rate, packing=packing,
-        index=index, grus=grus, seq_mask=seq_mask, lstm_in=H, lstm=lt,
-        out_mask=out_mask, h_final=h_final, yhat=dense_sigmoid(params.dense, h_final),
+        index=index, grus=tuple(traces) if trace else (), seq_mask=seq_mask,
+        lstm_in=X if trace else None, lstm=lt, out_mask=out_mask, h_final=h_final,
+        yhat=dense_sigmoid(params.dense, h_final),
     )
 
 

@@ -177,17 +177,18 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
 # may take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM
 # units): in train mode with dropout 0.2 on 8 reviews of 64 tokens, in infer
 # mode on 12 reviews of 128 tokens (one ROW_BUDGET group). Measured 26.6,
-# 15.9 and 7.6 KB a token in train mode, 6.15, 4.11 and 1.73 KB in infer
+# 15.9 and 7.6 KB a token in train mode, 3.80, 1.45 and 0.85 KB in infer
 # mode (hbgru_lstm, gru_lstm, lstm_only). Keeping the embedded inputs,
 # tanh(c) and the dropped-out LSTM input in the train cache, and taking the
 # LSTM input weights' gradient in one product, took 31.7, 19.1 and 8.6 KB;
 # allocating each backward gate gradient beside its gate and
 # concatenating the GRU outputs took 37.8, 25.2 and 14.5 KB (train);
 # dropping no trace before the backward pass ends took 45.0 and 31.4 KB on
-# the GRU stacks. Projecting each scan's whole input before its time loop in
-# infer mode took 11.4, 9.4 and 5.2 KB.
+# the GRU stacks. In infer mode, holding the whole embedded input and the
+# whole LSTM input took 6.13, 4.08 and 1.72 KB; projecting each scan's
+# whole input before its time loop as well took 11.4, 9.4 and 5.2 KB.
 TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 27_400, "gru_lstm": 16_350, "lstm_only": 7_850}
-INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 6_300, "gru_lstm": 4_200, "lstm_only": 1_775}
+INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 3_925, "gru_lstm": 1_500, "lstm_only": 875}
 EMBEDDING_DIM, GRU_UNITS, LSTM_UNITS = 128, 256, 128
 
 
@@ -242,14 +243,21 @@ def test_infer_pass_peak_per_token(stack):
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
-def test_infer_pass_peak_grows_by_the_embedding_and_lstm_input_only(stack):
-    # the scans project their inputs span by span into buffers of a fixed
-    # size, so an added token holds only its x and its LSTM input row (x
-    # itself for lstm_only); the 10% covers each added review's (B, width)
-    # scan state
-    width = EMBEDDING_DIM + GRU_UNITS * len(STACKS[stack])
+def test_infer_pass_peak_grows_by_the_index_and_reverse_gru_output_only(stack):
+    # an infer pass keeps whole only the token indices, with their rows of
+    # the Packing (order and mask), and the reverse GRU's output, whose row
+    # at the first token the LSTM's first step reads; the other GRU and the
+    # LSTM run span by span in buffers of a fixed size. An added review adds
+    # a row to each (B, .) scan state and scratch array, and at most one to
+    # each span-sized buffer (LSTM input, embedded rows, gate block)
+    directions = STACKS[stack]
+    k, m, d = GRU_UNITS, LSTM_UNITS, EMBEDDING_DIM
+    token = 8 + 8 + 1 + 8 * k * sum(reverse for _, reverse in directions)
+    state = (k + 4 * k) * len(directions) + 7 * m
+    spans = (k * len(directions) or d) + d + max(3 * k * bool(directions), 4 * m)
+    review = 8 * (state + spans)
     grown = infer_pass_peak(stack, 16) - infer_pass_peak(stack, 4)
-    assert grown <= 1.1 * width * 8 * 12 * 128
+    assert grown <= 1.1 * (token * 12 * 128 + review * 12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,7 +297,8 @@ def test_the_last_span_takes_a_remainder_under_the_limit(lengths, reverse, want)
 @given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=12),
        span_rows=st.integers(1, 7), seed=st.integers(0, 2**16))
 def test_infer_spans_match_one_span(stack, lengths, span_rows, seed):
-    # the LSTM input holds both GRU directions' outputs on hbgru_lstm
+    # the LSTM's final state reads every row of its input, which holds both
+    # GRU directions' outputs on hbgru_lstm
     params = random_params(stack, seed)
     rng = np.random.default_rng(seed)
     seqs = [TokenSequence(rng.integers(1, VOCAB.size, size=n)) for n in sorted(lengths)]
@@ -298,17 +307,18 @@ def test_infer_spans_match_one_span(stack, lengths, span_rows, seed):
     with mock.patch.object(layers, "SPAN_ROWS", sum(lengths)):
         want = forward_batch(params, seqs)
     assert_close(got.yhat, want.yhat, "yhat")
-    assert_close(got.lstm_in, want.lstm_in, "lstm_in")
+    assert_close(got.lstm.h_last, want.lstm.h_last, "h_last")
 
 
 def assert_train_mode_has_the_infer_bits(params, seqs):
     # train mode computes each step's gates in the same scratch as infer
     # mode and only copies them into its trace, so without dropout it gives
-    # the same bytes
+    # the same bytes: the LSTM's final state reads every row of the LSTM
+    # input, which infer mode keeps only a span of at a time
     train = forward_batch(params, seqs, mode="train", dropout_rate=0.0)
     infer = forward_batch(params, seqs, mode="infer")
     assert train.yhat.tobytes() == infer.yhat.tobytes()
-    assert train.lstm_in.tobytes() == infer.lstm_in.tobytes()
+    assert train.lstm.h_last.tobytes() == infer.lstm.h_last.tobytes()
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))

@@ -151,13 +151,14 @@ class TestBgru:
 
     def test_direction_independence(self):
         # the model's backward direction is gru_scan(reverse=True) and leaves
-        # the forward half of the LSTM input alone
+        # the forward half of the LSTM input alone; train mode without
+        # dropout keeps that input and gives the infer bits
         params = tiny_params(seed=4)
         other = tiny_params(seed=4)
         other.gru_bwd = random_gru(np.random.default_rng(4), 2, 2)
         seq = TokenSequence(np.array([2, 4, 3, 1, 2]))
-        _, c1 = model_forward(params, seq)
-        _, c2 = model_forward(other, seq)
+        _, c1 = model_forward(params, seq, mode="train", dropout_rate=0.0)
+        _, c2 = model_forward(other, seq, mode="train", dropout_rate=0.0)
         npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
         assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
         x = embed_lookup(c2.index, other.embedding)  # as backward_batch gathers it again
@@ -359,7 +360,7 @@ class TestModelForward:
         seq = TokenSequence(np.array([2, 3]))
         for stack, width in [("hbgru_lstm", 4), ("gru_lstm", 2), ("lstm_only", 2)]:
             params = tiny_params(stack=stack, seed=1)
-            _, cache = model_forward(params, seq)
+            _, cache = model_forward(params, seq, mode="train", dropout_rate=0.0)
             assert cache.lstm_in.shape == (2, width)
 
     def test_cache_replays_output(self):
