@@ -58,11 +58,13 @@ holds the whole batch, which the cache keeps; in infer mode it holds one
 span, so an infer pass keeps whole only the token indices and the reverse
 GRU's output. Where one forward span covers the batch (train mode, or a
 short infer batch), the reverse GRU writes into the LSTM input itself,
-with nothing to copy, and the embedded rows are gathered once. Each layer stores its gates stacked in one matrix, whose
-columns split into the recurrent and the input weights; the checkpoint
-tensors W_z, b_z, ... are row views of it. All block arrays are slices of
-one vector, ModelParams.flat, whose layout _layout states once for a stack and
-its sizes: ModelParams.zeros lays it over a new vector, which initialization
+with nothing to copy, and the embedded rows are gathered once.
+
+Each layer stores its gates stacked in one matrix, whose columns split
+into the recurrent and the input weights; the checkpoint tensors W_z,
+b_z, ... are row views of it. All block arrays are slices of one vector,
+ModelParams.flat, whose layout _layout states once for a stack and its
+sizes: ModelParams.zeros lays it over a new vector, which initialization
 draws into and checkpoint loading copies into, and param_shapes reads the
 checkpoint's tensor shapes off it. Adam's moments and the best epoch's
 copy lay the same blocks over vectors of their own (ModelParams.like). A
@@ -85,9 +87,14 @@ GRU input weights' gradients (embed_lookup). It consumes its cache,
 dropping each array after its last read: the LSTM's c after its loop, its
 h once gathered, the rest of its trace before the GRU passes and each GRU
 direction's trace before the next.
-`sub_batches` sorts sequences by length and cuts them into groups of at
-most ROW_BUDGET tokens, which bounds the trace memory. `model_forward` and
-`model_backward` are the engine at B = 1.
+
+`sub_batches` sorts sequences by length and cuts them into groups of a
+bounded cost: training's of at most ROW_BUDGET tokens, which bounds the
+trace memory, and predict_proba's of at most INFER_BUDGET bytes, counted
+as an infer pass keeps them (a row of the reverse GRU's output a token, a
+row of each (B, .) and span-sized array a sequence), so a score file runs
+as few, full groups. `model_forward` and `model_backward` are the engine
+at B = 1.
 
 Dropout is inverted (train-time scaling by 1/(1-rate)), applied to the
 recurrent output sequence and to the final hidden state in train mode only.
@@ -113,20 +120,36 @@ STACKS = {
     "gru_lstm": (("gru_fwd", False),),
 }
 
-# Most real tokens one sub-batch may hold, which bounds its traces and
-# backward temporaries. A train pass keeps per token the GRU and LSTM
-# gates, the LSTM input with its dropout mask, and the LSTM's h and c (see
-# BatchCache); at most one dropped-out copy of the LSTM input, lstm_scan's
-# or _lstm_backward's, lives beside them. An infer pass keeps per token
-# only its index and the reverse GRU's output; the rest of it lives in
-# buffers of one SPAN_ROWS-sized span.
-# TRAIN_PEAK_PER_TOKEN and INFER_PEAK_PER_TOKEN in tests/test_batched.py
-# bound the bytes a token takes at full size. On the train_reviews
-# benchmark, budgets of 1024 to 3072 tokens trained at the same speed
-# within the run-to-run noise, and 2048 and 3072 raised the peak RSS by 23
-# and 77 MB over 1536 (measured while the backward pass still allocated
-# its gate gradients beside the gates).
+# Most real tokens one training sub-batch may hold, which bounds its
+# traces and backward temporaries. A train pass keeps per token the GRU
+# and LSTM gates, the LSTM input with its dropout mask, and the LSTM's h
+# and c (see BatchCache); at most one dropped-out copy of the LSTM input,
+# lstm_scan's or _lstm_backward's, lives beside them.
+# TRAIN_PEAK_PER_TOKEN in tests/test_batched.py bounds the bytes a token
+# takes at full size. On the train_reviews benchmark, budgets of 1024 to
+# 3072 tokens trained at the same speed within the run-to-run noise, and
+# 2048 and 3072 raised the peak RSS by 23 and 77 MB over 1536 (measured
+# while the backward pass still allocated its gate gradients beside the
+# gates, and the train cache still kept the embedded inputs, tanh(c) and
+# the dropped-out LSTM input). The groups set the bits of training's sums.
 ROW_BUDGET = 1536
+
+# Most bytes one infer sub-batch (predict_proba) may keep, counted by
+# _infer_bytes: an infer pass keeps per token only its index and the
+# reverse GRU's output, and per sequence a row of each (B, .) array and of
+# each span-sized buffer. At the full-size widths on hbgru_lstm that is
+# 2,064 bytes a token and 38,912 a review, so each 128-review file of the
+# score_reviews benchmark (4,311 to 4,383 tokens, about 14 MB) is one
+# group of 200 steps, where 1,536-token groups took three of 280 to 286
+# steps in all. Over 10 alternating 25 s runs a seed on a 2-core Xeon at 2
+# OpenBLAS threads, that raised the median reviews/s from 510.8 to 558.0
+# at seed 1 (faster in 10 of 10 pairs) and from 541.7 to 575.3 at seed 5
+# (9 of 10), and the peak RSS from 109.1 to 116.3 MB, the merged group's
+# reverse-GRU output. The per-review term bounds a group of many short
+# reviews, whose (B, .) arrays a token budget alone leaves unbounded:
+# 5,000 one-token reviews peaked at 33.4 MB in 1,536-token groups and at
+# 9.1 MB in these.
+INFER_BUDGET = 16 * 2**20
 
 # Fewest rows an infer-mode span holds (see Packing.spans), unless its
 # whole sub-batch has fewer. A scan call projects one span's inputs in one
@@ -343,9 +366,11 @@ class Packing:
 
     Every per-token array of a batch holds its N = sum(lengths) real tokens
     as rows in time-major order, which is padded[mask] of the post-padded
-    (T, B) batch. So the rows of step t are one block off[t]:off[t+1], and
-    they belong to the batch rows first[t]: still inside their sequence.
-    order[r] is row r's position in the sequences concatenated whole.
+    (T, B) batch, mask marking the real tokens. So the rows of step t are
+    one block off[t]:off[t+1], and they belong to the batch rows first[t]:
+    still inside their sequence. order[r] is row r's position in the
+    sequences concatenated whole. Nothing (T, B) is built: every array is
+    O(N + T).
     """
 
     def __init__(self, lengths):
@@ -354,24 +379,38 @@ class Packing:
             raise ValueError("a batch needs sequences with at least one token")
         if (lengths[1:] < lengths[:-1]).any():
             raise ValueError("a batch must be sorted shortest-first, as sub_batches yields it")
-        steps = np.arange(lengths[-1])[:, np.newaxis]
-        self.lengths = lengths
-        self.mask = steps < lengths
-        counts = self.mask.sum(axis=1)
-        self.first = (len(lengths) - counts).tolist()
-        self.off = [0] + np.cumsum(counts).tolist()
-        self.order = (steps + (np.cumsum(lengths) - lengths))[self.mask]
+        # the sequences that end before step t are the first first[t]; the
+        # other counts[t] are step t's rows
+        first = np.searchsorted(lengths, np.arange(lengths[-1]), side="right")
+        counts = len(lengths) - first
+        off = np.concatenate([[0], np.cumsum(counts)])
+        self.lengths, self.first, self.off = lengths, first.tolist(), off.tolist()
+        # row r of step t holds token t of batch row first[t] + r - off[t]
+        step = np.repeat(np.arange(len(counts)), counts)
+        batch_row = np.arange(off[-1]) - (off[:-1] - first)[step]
+        self.order = (np.cumsum(lengths) - lengths)[batch_row] + step
 
     def previous(self, reverse=False):
         """Row of the state each row's step read, or -1 where it read the zero state.
 
         That is the same sequence's row one step earlier in scan order: t-1,
         or t+1 for a reverse scan, which starts at each sequence's last token.
+        A block's last rows are the sequences that go on to the next step, so
+        row r of step t reads r - counts[t], or r + counts[t + 1] in reverse,
+        counts[t] being the rows of step t.
         """
-        T, B = self.mask.shape
-        row = np.full((T + 1, B), -1)  # row[T] stays -1: the zero state
-        row[:T][self.mask] = np.arange(self.off[-1])
-        return (row[1:] if reverse else row[np.arange(-1, T - 1)])[self.mask]
+        off = np.asarray(self.off)
+        counts = np.diff(off)
+        row = np.arange(off[-1])
+        if not reverse:
+            row -= np.repeat(counts, counts)
+            row[:off[1]] = -1  # step 0
+            return row
+        going_on = np.append(counts[1:], 0)
+        ended = row < np.repeat(off[1:] - going_on, counts)
+        row += np.repeat(going_on, counts)
+        row[ended] = -1
+        return row
 
     def spans(self, limit, reverse=False):
         """The scan cut into spans of at least `limit` rows, as (a, e, steps).
@@ -730,38 +769,60 @@ def model_forward(params, seq, mode="infer", dropout_rate=0.0, seed=0):
     return float(cache.yhat[0]), cache
 
 
-def sub_batches(seqs):
-    """Index lists of length-sorted groups of at most ROW_BUDGET tokens.
+def sub_batches(seqs, per_token=1, per_review=0, budget=None):
+    """Index lists of length-sorted groups that cost at most `budget`.
 
+    A group costs per_token for each of its tokens and per_review for each
+    of its sequences. The default is training's: ROW_BUDGET tokens.
     Sorting by length lets a group's scans step only the rows still inside
     their sequence (sequence bucketing). Groups are filled from the longest
     sequence down, so the long tail shares as few time steps as the budget
     allows: each step reads the whole recurrent weight block, however few
     rows it computes. All-PAD sequences are left out: they score 0.5 and
-    have no gradient. A sequence longer than the budget gets a group of its
-    own.
+    have no gradient. A sequence that costs more than the budget gets a
+    group of its own.
     """
+    budget = ROW_BUDGET if budget is None else budget
     lengths = [seq.true_length for seq in seqs]
+    costs = [per_token * n + per_review for n in lengths]
     order = [j for j in np.argsort(lengths, kind="stable") if lengths[j] > 0]
     groups, end = [], len(order)
     while end:
-        start, tokens = end - 1, lengths[order[end - 1]]
-        while start and tokens + lengths[order[start - 1]] <= ROW_BUDGET:
+        start, cost = end - 1, costs[order[end - 1]]
+        while start and cost + costs[order[start - 1]] <= budget:
             start -= 1
-            tokens += lengths[order[start]]
+            cost += costs[order[start]]
         groups.append(order[start:end])
         end = start
     return groups[::-1]
 
 
+def _infer_bytes(params):
+    """(bytes a token, bytes a sequence) that an infer pass keeps (see INFER_BUDGET).
+
+    A token keeps its index, its row of Packing.order and, on hbgru_lstm,
+    its reverse-GRU output row. A sequence adds a row to each scan's (B, .)
+    state and step scratch and to each span-sized buffer: the LSTM input,
+    the embedded rows and the gate block all the scans share.
+    """
+    grus = STACKS[params.stack]
+    k = params.gru_fwd.hidden_size if grus else 0
+    m, d = params.lstm.hidden_size, params.embedding.dim
+    token = 8 + 8 + 8 * k * sum(reverse for _, reverse in grus)
+    state = (k + 4 * k) * len(grus) + 7 * m
+    spans = (k * len(grus) or d) + d + max(3 * k, 4 * m)
+    return token, 8 * (state + spans)
+
+
 def predict_proba(params, seqs):
     """Infer-mode probabilities of encoded sequences, in input order.
 
-    Runs the length-sorted sub-batches keeping only what each next layer
-    reads; an all-PAD sequence gets 0.5, as in model_forward.
+    Runs length-sorted sub-batches of at most INFER_BUDGET bytes, keeping
+    only what each next layer reads; an all-PAD sequence gets 0.5, as in
+    model_forward.
     """
     yhat = np.full(len(seqs), 0.5)
-    for rows in sub_batches(seqs):
+    for rows in sub_batches(seqs, *_infer_bytes(params), INFER_BUDGET):
         yhat[rows] = forward_batch(params, [seqs[j] for j in rows]).yhat
     return yhat
 

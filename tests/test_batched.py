@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _memory import traced_peak
-from opinionminer import layers
+from opinionminer import layers, training
 from opinionminer.layers import (
     STACKS,
     Packing,
@@ -66,12 +66,28 @@ def random_params(stack, seed):
     return params
 
 
+def infer_groups(params, seqs):
+    """predict_proba(params, seqs), and the lengths of each sub-batch it ran."""
+    groups = []
+
+    def spy(params, group):
+        groups.append([seq.true_length for seq in group])
+        return forward_batch(params, group)
+
+    with mock.patch.object(layers, "forward_batch", spy):
+        yhat = predict_proba(params, seqs)
+    return yhat, groups
+
+
 def check_against_batch_size_one(params, data, dropout_rate):
+    """Check the batched passes against model_forward and model_backward;
+    returns the lengths of each sub-batch predict_proba ran."""
     seqs = [seq for seq, _ in data]
     seeds = list(range(100, 100 + len(data)))
 
     single = [model_forward(params, seq)[0] for seq in seqs]
-    assert_close(predict_proba(params, seqs), np.array(single), "infer yhat")
+    yhat, groups = infer_groups(params, seqs)
+    assert_close(yhat, np.array(single), "infer yhat")
 
     grads = zero_grads(params)
     yhat = batch_gradients(params, data, dropout_rate, seeds, grads)
@@ -85,6 +101,7 @@ def check_against_batch_size_one(params, data, dropout_rate):
     assert_close(yhat, np.array(want_yhat), "train yhat")
     for name, g in grads.named_arrays():
         assert_close(g, want[name], name)
+    return groups
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
@@ -92,12 +109,15 @@ def check_against_batch_size_one(params, data, dropout_rate):
 @settings(max_examples=30, deadline=None)
 @given(rows=reviews, budget=st.integers(1, 3 * MAX_LEN), seed=st.integers(0, 2**16))
 def test_sub_batches_match_batch_size_one(stack, dropout_rate, rows, budget, seed):
-    # a small row budget splits even a short list into several sub-batches
+    # a small row budget splits even a short list into several training
+    # sub-batches; a toy review costs an infer pass 300 to 1,100 bytes, so
+    # 250 bytes for each token of the row budget cut the infer passes too
     params = random_params(stack, seed)
     data = [(encode(words), label) for words, label in rows]
-    with mock.patch.object(layers, "ROW_BUDGET", budget):
+    with mock.patch.object(layers, "ROW_BUDGET", budget), \
+            mock.patch.object(layers, "INFER_BUDGET", 250 * budget):
         groups = sub_batches([seq for seq, _ in data])
-        check_against_batch_size_one(params, data, dropout_rate)
+        infer = check_against_batch_size_one(params, data, dropout_rate)
 
     lengths = [seq.true_length for seq, _ in data]
     assert sorted(j for group in groups for j in group) == \
@@ -105,6 +125,8 @@ def test_sub_batches_match_batch_size_one(stack, dropout_rate, rows, budget, see
     for group in groups:
         assert [lengths[j] for j in group] == sorted(lengths[j] for j in group)
         assert len(group) == 1 or sum(lengths[j] for j in group) <= budget
+    assert sorted(n for group in infer for n in group) == sorted(n for n in lengths if n > 0)
+    assert all(group == sorted(group) for group in infer)
 
 
 def test_groups_fill_from_the_longest():
@@ -124,7 +146,30 @@ def test_full_row_budget_spans_several_sub_batches():
     data = [(encode(list(rng.choice(words, size=n))), int(n % 2))
             for n in rng.integers(0, MAX_LEN + 4, size=300)]
     assert len(sub_batches([seq for seq, _ in data])) >= 2
-    check_against_batch_size_one(random_params("hbgru_lstm", 1), data, 0.2)
+    # the full infer budget holds every toy review in one group; 20,000
+    # bytes hold about 20
+    params = random_params("hbgru_lstm", 1)
+    with mock.patch.object(layers, "INFER_BUDGET", 20_000):
+        assert len(check_against_batch_size_one(params, data, 0.2)) >= 4
+
+
+def test_training_groups_stay_cut_at_the_row_budget():
+    # training's sub-batches set the bits of its gradient sums, so a fixed
+    # batch keeps its cut at ROW_BUDGET tokens whatever predict_proba does:
+    # (reviews, tokens) of each group, the all-PAD review left out
+    rng = np.random.default_rng(30)
+    lengths = rng.integers(0, 121, size=100)
+    data = [(TokenSequence(rng.integers(1, VOCAB.size, size=n)), int(n % 2)) for n in lengths]
+    params = random_params("lstm_only", 0)
+    groups = []
+
+    def spy(params, group, **kwargs):
+        groups.append((len(group), sum(seq.true_length for seq in group)))
+        return forward_batch(params, group, **kwargs)
+
+    with mock.patch.object(training, "forward_batch", spy):
+        batch_gradients(params, data, 0.2, list(range(len(data))), zero_grads(params))
+    assert groups == [(47, 1218), (23, 1526), (16, 1461), (13, 1449)]
 
 
 def test_all_pad_batch_scores_half():
@@ -170,13 +215,14 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
     padded = np.zeros((max(lengths), len(lengths)), dtype=np.int64)
     for j, seq in enumerate(seqs):
         padded[:len(seq.indices), j] = seq.indices
-    np.testing.assert_array_equal(cache.index, padded[cache.packing.mask])
+    mask = np.arange(max(lengths))[:, np.newaxis] < lengths
+    np.testing.assert_array_equal(cache.index, padded[mask])
 
 
 # Most bytes a real token of a forward_batch (+ backward_batch in train mode)
 # may take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM
 # units): in train mode with dropout 0.2 on 8 reviews of 64 tokens, in infer
-# mode on 12 reviews of 128 tokens (one ROW_BUDGET group). Measured 26.6,
+# mode on 12 reviews of 128 tokens. Measured 26.6,
 # 15.9 and 7.6 KB a token in train mode, 3.80, 1.45 and 0.85 KB in infer
 # mode (hbgru_lstm, gru_lstm, lstm_only). Keeping the embedded inputs,
 # tanh(c) and the dropped-out LSTM input in the train cache, and taking the
@@ -245,19 +291,81 @@ def test_infer_pass_peak_per_token(stack):
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_infer_pass_peak_grows_by_the_index_and_reverse_gru_output_only(stack):
     # an infer pass keeps whole only the token indices, with their rows of
-    # the Packing (order and mask), and the reverse GRU's output, whose row
-    # at the first token the LSTM's first step reads; the other GRU and the
-    # LSTM run span by span in buffers of a fixed size. An added review adds
-    # a row to each (B, .) scan state and scratch array, and at most one to
-    # each span-sized buffer (LSTM input, embedded rows, gate block)
+    # Packing.order, and the reverse GRU's output, whose row at the first
+    # token the LSTM's first step reads; the other GRU and the LSTM run span
+    # by span in buffers of a fixed size. An added review adds a row to each
+    # (B, .) scan state and scratch array, and at most one to each
+    # span-sized buffer (LSTM input, embedded rows, gate block). predict_proba
+    # cuts its sub-batches by these bytes
     directions = STACKS[stack]
     k, m, d = GRU_UNITS, LSTM_UNITS, EMBEDDING_DIM
-    token = 8 + 8 + 1 + 8 * k * sum(reverse for _, reverse in directions)
+    token = 8 + 8 + 8 * k * sum(reverse for _, reverse in directions)
     state = (k + 4 * k) * len(directions) + 7 * m
     spans = (k * len(directions) or d) + d + max(3 * k * bool(directions), 4 * m)
     review = 8 * (state + spans)
     grown = infer_pass_peak(stack, 16) - infer_pass_peak(stack, 4)
     assert grown <= 1.1 * (token * 12 * 128 + review * 12)
+    assert layers._infer_bytes(full_size_batch(stack, 0)[0]) == (token, review)
+
+
+# What a predict_proba call may take beyond INFER_BUDGET: the span-sized
+# buffers' rows that no review adds (a span holds 2 * SPAN_ROWS rows or
+# fewer besides one a review of its sub-batch), 11,264 bytes a row on
+# hbgru_lstm at the full-size widths, and 1 MB for the rest
+INFER_MARGIN = 2 * layers.SPAN_ROWS * 11_264 + 1_000_000
+
+
+def predict_peak(seqs):
+    params = full_size_batch("hbgru_lstm", 0)[0]
+    with traced_peak() as peak:
+        predict_proba(params, seqs)
+    return peak.bytes
+
+
+def test_predict_peak_holds_to_the_budget_on_many_short_reviews():
+    # a token budget alone put 1,536 one-token reviews in a sub-batch, whose
+    # (B, .) arrays peaked at 33.4 MB
+    seqs = [TokenSequence(np.array([j % 999 + 1])) for j in range(5000)]
+    assert predict_peak(seqs) < layers.INFER_BUDGET + INFER_MARGIN
+
+
+def test_predict_peak_does_not_grow_with_the_input():
+    # 128-token reviews fill a sub-batch at 55: 60 and 240 reviews peak in
+    # the same full one (measured 18.503 and 18.512 MB)
+    seqs = full_size_batch("hbgru_lstm", 60, 128)[1]
+    few, many = predict_peak(seqs), predict_peak(seqs * 4)
+    assert many < layers.INFER_BUDGET + INFER_MARGIN
+    assert abs(many - few) < 256 * 1024
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=12))
+def test_packing_matches_the_padded_batch(lengths):
+    # the oracle builds the (T, B) padded layout that Packing describes
+    lengths = sorted(lengths)
+    T, B = max(lengths), len(lengths)
+    mask = np.arange(T)[:, np.newaxis] < np.array(lengths)
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(T)[:, np.newaxis] + starts  # in the sequences concatenated whole
+    row = np.full((T + 2, B), -1)  # rows 0 and T + 1 stay -1: the zero state
+    row[1:T + 1][mask] = np.arange(mask.sum())
+    packing = Packing(lengths)
+    assert packing.first == [int(B - mask[t].sum()) for t in range(T)]
+    assert packing.off == [0] + np.cumsum(mask.sum(axis=1)).tolist()
+    np.testing.assert_array_equal(packing.order, position[mask])
+    np.testing.assert_array_equal(packing.previous(), row[:T][mask])
+    np.testing.assert_array_equal(packing.previous(reverse=True), row[2:][mask])
+
+
+def test_packing_builds_no_time_by_batch_array():
+    # 4,000 one-token reviews and one of 4,096 tokens: 8,096 rows over
+    # 4,096 steps. A (T, B) mask takes 16.4 MB at a byte an entry; building
+    # it densely peaked at 148 MB, and previous() besides at 279 MB
+    with traced_peak() as peak:
+        packing = Packing([1] * 4000 + [4096])
+        packing.previous()
+        packing.previous(reverse=True)
+    assert peak.bytes < 2_000_000
 
 
 @settings(max_examples=200, deadline=None)
