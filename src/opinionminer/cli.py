@@ -9,6 +9,7 @@ overridable by a command-line flag.
 import argparse
 import dataclasses
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -190,7 +191,13 @@ def _checked_out(out, names):
     except OSError as exc:
         raise DataError(f"cannot write to output directory {out_dir}: {exc}") from exc
     for name in names:
-        if (out_dir / name).is_dir():
+        try:
+            mode = os.stat(out_dir / name).st_mode
+        except FileNotFoundError:
+            continue
+        except OSError as exc:  # say, a name longer than the file system takes
+            raise DataError(f"cannot write to output directory {out_dir}: {exc}") from exc
+        if stat.S_ISDIR(mode):
             raise DataError(f"cannot write {out_dir / name}: it is a directory")
     return out_dir
 

@@ -32,11 +32,12 @@ sequence's outputs do not depend on the others in its batch. The scans
 run span by span (Packing.spans: whole step blocks in scan order, whose
 rows are contiguous): a scan call runs one span from the state the call
 before it left, on inputs that hold the span's rows only (the embedded
-rows are gathered a span at a time), and projects them, X W_x^T + b, with
-one matrix product. In train mode the one span is the whole batch,
-projected into the trace's gates block; in infer mode the spans hold at
-least SPAN_ROWS rows and every scan projects into one scratch block, so
-an infer pass holds no gate block as long as the batch. Each step
+rows are gathered a span at a time, from indices checked once a pass),
+and projects them, X W_x^T + b, with one matrix product. In train mode
+the one span is the whole batch, projected into the trace's gates block;
+in infer mode the spans hold at least SPAN_ROWS rows and every scan
+projects into one scratch block, so an infer pass holds no gate block as
+long as the batch. Each step
 computes its gates in contiguous (B, ...) scratch, allocated once per
 scan call like every temporary: its recurrent products go into the
 scratch, its rows of the projection are added into it and the
@@ -475,11 +476,16 @@ class LstmTrace:
         return np.tanh(self.c[a:e], out=out)
 
 
+def _check_index(index, emb):
+    """IndexError unless every entry of an integer array indexes a row of E."""
+    if index.size and (index.min() < 0 or index.max() >= emb.vocab_size):
+        raise IndexError("token index out of embedding range")
+
+
 def embed_lookup(index, emb):
     """Rows of E for an integer index array of any shape, as (..., d)."""
     index = np.asarray(index)
-    if index.size and (index.min() < 0 or index.max() >= emb.vocab_size):
-        raise IndexError("token index out of embedding range")
+    _check_index(index, emb)
     return emb.E[index]
 
 
@@ -700,7 +706,9 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     cols = [slice(j * k, (j + 1) * k) for j in range(len(grus))]
     rows = max(e - a for both in spans.values() for a, e, _ in both)
     whole = len(spans[False]) == 1  # H holds every row, and x is gathered once
-    x = embed_lookup(index, params.embedding) if whole else None
+    _check_index(index, params.embedding)  # once: every span gathers a slice of index
+    E = params.embedding.E
+    x = E[index] if whole else None
     H = np.empty((rows, k * len(grus))) if grus else None
     scratch = None if trace else np.empty(rows * max(3 * k, 4 * m))
     states = [np.zeros((B, k)) if len(spans[reverse]) > 1 else None for _, reverse in grus]
@@ -713,7 +721,7 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
         if reverse:
             outs[j] = H[:, cols[j]] if whole else np.empty((N, k))
             for a0, e0, steps in spans[True]:
-                X = x[a0:e0] if whole else embed_lookup(index[a0:e0], params.embedding)
+                X = x[a0:e0] if whole else E[index[a0:e0]]
                 traces[j] = gru_scan(p, X, packing, True, trace, outs[j][a0:e0], (a0, e0, steps),
                                      states[j], scratch)
 
@@ -724,7 +732,7 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     if not whole:
         lstm_state = (np.zeros((B, m)), np.zeros((B, m)))
     for a0, e0, steps in spans[False]:
-        X = x if whole else embed_lookup(index[a0:e0], params.embedding)
+        X = x if whole else E[index[a0:e0]]
         if grus:
             U = H[:e0 - a0]
             for j, (p, reverse) in enumerate(grus):

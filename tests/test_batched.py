@@ -418,6 +418,20 @@ def test_infer_spans_match_one_span(stack, lengths, span_rows, seed):
     assert_close(got.lstm.h_last, want.lstm.h_last, "h_last")
 
 
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("bad", [-1, VOCAB.size])
+def test_an_index_out_of_range_in_the_last_span_raises(stack, bad):
+    # an infer pass checks its indices once, then gathers each span's rows
+    # from E; the longest review's last token lies in the last forward span
+    params = random_params(stack, 3)
+    seqs = [TokenSequence(np.arange(1, n + 1)) for n in (2, 5, 9)]
+    seqs[-1].indices[-1] = bad
+    assert len(Packing([2, 5, 9]).spans(2, False)) > 1
+    with mock.patch.object(layers, "SPAN_ROWS", 2):
+        with pytest.raises(IndexError, match="^token index out of embedding range$"):
+            forward_batch(params, seqs)
+
+
 def assert_train_mode_has_the_infer_bits(params, seqs):
     # train mode computes each step's gates in the same scratch as infer
     # mode and only copies them into its trace, so without dropout it gives

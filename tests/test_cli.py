@@ -1,7 +1,9 @@
 import builtins
 import errno
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _toy import toy_reviews, write_toy_csv
-from opinionminer import text_pipeline
+from opinionminer import cli, text_pipeline, training
 from opinionminer.cli import build_settings, main, parse_config_file
 from opinionminer.evaluation import parse_report
 from opinionminer.layers import EmbeddingParams, init_model_params
@@ -113,6 +115,23 @@ class TestConfigHandling:
             main(argv + [flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("balance, kept", [("true", 30), ("false", 50), ("No", 50)])
+    def test_balance_false_trains_on_every_review(self, tmp_path, capsys, balance, kept):
+        # 35 positive reviews and 15 negative ones become 15 and 15 when balanced
+        data = write_toy_csv(tmp_path / "d.csv", 30, seed=0)
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("good film plot,1\n" * 20)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("embedding_dim = 8\ngru_units = 4\nlstm_units = 3\nmax_epochs = 1\n"
+                       f"balance = {balance}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        train, val, test = map(int, re.match(
+            r"training hbgru_lstm on (\d+) reviews \((\d+) validation, (\d+) test\)",
+            line).groups())
+        assert train + val + test == kept
 
     def test_flags_override_file(self):
         config, extras = build_settings({"seed": "1", "out": "a"},
@@ -259,12 +278,14 @@ def unusable_out(tmp_path, shape):
     if shape == "a file in the path":
         (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
         return tmp_path / "file" / "out"
+    if shape == "a name too long":  # no file system takes a 300-byte name
+        return tmp_path / ("o" * 300)
     out = tmp_path / "out"  # "<name> is a directory"
     (out / shape.split()[0]).mkdir(parents=True)
     return out
 
 
-PATH_SHAPES = ["an existing file", "a file in the path"]
+PATH_SHAPES = ["an existing file", "a file in the path", "a name too long"]
 
 
 class TestOutputPaths:
@@ -293,6 +314,24 @@ class TestOutputPaths:
         assert code == 3
         assert "cannot write" in err and str(out) in err
         assert "none.ckpt" not in err and "none.csv" not in err
+
+    def test_a_file_put_at_out_during_the_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        # --out is checked before any input is read; a file that another
+        # process puts there meanwhile fails the mkdir before the report
+        ckpt, out = zero_checkpoint(tmp_path), tmp_path / "out"
+        data = write_toy_csv(tmp_path / "d.csv", 10, seed=0)
+        score = cli.evaluate_model
+
+        def score_then_take_out(*args):
+            out.write_text("taken\n", encoding="utf-8")
+            return score(*args)
+
+        monkeypatch.setattr(cli, "evaluate_model", score_then_take_out)
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)])
+        assert code == 3
+        assert "cannot write to output directory" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "taken\n"
 
     def test_train_creates_a_nested_out(self, tmp_path):
         data = write_toy_csv(tmp_path / "reviews.csv", 40, seed=5, keywords=1)
@@ -476,6 +515,27 @@ class TestPretrainedEmbeddings:
         assert code == 3
         assert f"w2v.txt: line 1: count {count!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("3\ngood 0.1 0.2 0.3\n", "line 1: expected 'count dim' header"),
+        ("1 3 0\ngood 0.1 0.2 0.3\n", "line 1: expected 'count dim' header"),
+        ("1 three\ngood 0.1 0.2 0.3\n", "line 1: bad dimension 'three'"),
+        ("2 3\ngood 0.1 0.2 0.3\nbad 0.1 0.2\n", "line 3: expected token plus 3 values"),
+        ("1 3\ngood 0.1 x 0.3\n", "line 2: bad vector value"),
+    ], ids=["one_field_header", "three_field_header", "bad_dimension", "short_line",
+            "bad_value"])
+    def test_malformed_vector_file_exits_3(self, tmp_path, capsys, text, named):
+        (tmp_path / "w2v.txt").write_text(text, encoding="utf-8")
+        data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "embedding_dim = 3\ngru_units = 4\nlstm_units = 3\nmax_epochs = 1\n"
+            f"embeddings = {tmp_path / 'w2v.txt'}\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"w2v.txt: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_train_with_pretrained_runs(self, tmp_path):
         self.write_vectors(tmp_path / "w2v.txt", ["good", "bad"], 8)
         data = write_toy_csv(tmp_path / "d.csv", 40, seed=2)
@@ -556,6 +616,14 @@ class TestJsonlDataFormat:
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 0
 
+    def test_a_row_without_text_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"text": "good film", "label": 1}\n{"label": 0}\n', encoding="utf-8")
+        code = main(["evaluate", "--checkpoint", str(zero_checkpoint(tmp_path)),
+                     "--data", str(data), "--format", "jsonl", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "d.jsonl: line 2: missing text" in capsys.readouterr().err
+
 
 class TestModelMismatch:
     def test_inconsistent_checkpoint_exits_4(self, tmp_path, capsys):
@@ -573,15 +641,28 @@ class TestModelMismatch:
         assert "vocabulary" in capsys.readouterr().err
 
 
+def rewrite_body(path, edit):
+    """Replace a checkpoint's bytes before its file crc32 by edit(bytes), under a
+    valid file crc32."""
+    body = edit(path.read_bytes()[:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def header_bytes(raw):
+    """A body edit putting raw in place of the JSON header."""
+    def edit(body):
+        (size,) = struct.unpack("<I", body[8:12])
+        return body[:8] + struct.pack("<I", len(raw)) + raw + body[12 + size:]
+    return edit
+
+
 def rewrite_header(path, edit):
     """Apply `edit` to a checkpoint's JSON header, keeping every checksum valid."""
-    body = path.read_bytes()[:-4]
+    body = path.read_bytes()
     (size,) = struct.unpack("<I", body[8:12])
     header = json.loads(body[12:12 + size])
     edit(header)
-    raw = json.dumps(header).encode("utf-8")
-    body = body[:8] + struct.pack("<I", len(raw)) + raw + body[12 + size:]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    rewrite_body(path, header_bytes(json.dumps(header).encode("utf-8")))
 
 
 def narrow_lstm(params):
@@ -643,6 +724,9 @@ CHECKPOINT_PROBES = {
     "vocab_duplicate_token": (None, store_vocab(["<pad>", "<unk>", "good", "good", "film"]),
                               3, "vocab"),
     "vocab_over_max_parameters": (None, widen_past_max_parameters, 3, "vocab"),
+    "stopwords_not_strings": (None, lambda h: h.update(stopwords=["the", 1]), 3,
+                              "lists of strings"),
+    "whitelist_not_a_list": (None, lambda h: h.update(whitelist="not"), 3, "lists of strings"),
 }
 
 
@@ -676,6 +760,106 @@ def test_gate_tensor_of_another_shape_exits_4(tmp_path, capsys, shape):
     assert err.startswith("model mismatch") and "gru_fwd.W_r" in err
 
 
+def test_fewer_tensors_than_the_stack_exits_4(tmp_path, capsys):
+    # a stand-in, as above, writes every tensor but the last, dense.b
+    arrays = list(toy_params().named_arrays())[:-1]
+    path = tmp_path / "probe.ckpt"
+    save_checkpoint(SimpleNamespace(stack="hbgru_lstm", named_arrays=lambda: arrays),
+                    CONFIG, VOCAB, path)
+    assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("model mismatch") and "'dense.b'" in err
+
+
+def test_a_stack_other_than_the_configs_exits_4(tmp_path, capsys):
+    # the header's stack names the tensors, which load; the config's is another
+    path = tmp_path / "probe.ckpt"
+    save_checkpoint(init_model_params(VOCAB.size, 4, 2, 2, stack="gru_lstm", seed=0), CONFIG,
+                    VOCAB, path)
+    assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("model mismatch") and "'gru_lstm'" in err and "'hbgru_lstm'" in err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda body: body + bytes(4), "trailing bytes"),
+    (header_bytes(b"[]"), "not a JSON object"),
+    (header_bytes(b'"hbgru_lstm"'), "not a JSON object"),
+], ids=["trailing_bytes", "header_list", "header_string"])
+def test_malformed_checkpoint_body_exits_3(tmp_path, capsys, edit, named):
+    path = zero_checkpoint(tmp_path)
+    rewrite_body(path, edit)
+    assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and named in err
+
+
+class ShortRead(io.BufferedReader):
+    def read(self, n=-1):
+        return super().read(n)[:-1]
+
+
+class ShortReadinto(io.BufferedReader):
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:-1])
+
+
+@pytest.mark.parametrize("reader", [ShortRead, ShortReadinto])
+def test_a_read_short_of_the_bytes_asked_for_exits_3(tmp_path, capsys, monkeypatch, reader):
+    # reads that return fewer bytes than asked for, as from a file that
+    # shrinks while it is read: the first read (the magic) and the first
+    # readinto (a tensor) lie inside the file, so only their check can fail
+    path = zero_checkpoint(tmp_path)
+    monkeypatch.setattr(training, "open", lambda p, mode: reader(io.FileIO(p, mode)),
+                        raising=False)
+    assert main(["predict", "--checkpoint", str(path), "--text", "good film"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "truncated checkpoint" in err
+
+
+# runs its argument commands in order, each reported on a `probe:` line;
+# with "blocked" first, any import of SciPy raises ImportError
+SCIPY_PROBE = """\
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from opinionminer.cli import main
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    print(f"probe: {argv[0]} exit {code} scipy {sys.modules.get('scipy') is not None}")
+"""
+
+
+@pytest.mark.parametrize("scipy", ["importable", "blocked"])
+def test_no_command_loads_scipy(tmp_path, scipy):
+    # a fresh interpreter runs all four commands: none imports SciPy, so each
+    # exits 0 with SciPy blocked too, and compare prints the same p-value
+    data = write_toy_csv(tmp_path / "toy.csv", 40, seed=2)
+    config = tmp_path / "toy.cfg"
+    config.write_text("embedding_dim = 8\ngru_units = 4\nlstm_units = 3\nmax_epochs = 1\n"
+                      "batch_size = 8\nmax_len = 12\nvocab_size = 60\n", encoding="utf-8")
+    texts = tmp_path / "three.txt"
+    texts.write_text("good film\nbad plot\nstory\n", encoding="utf-8")
+    reports = [str(write_report(tmp_path / f"{name}.txt", *counts))
+               for name, counts in MODEL_COUNTS.items()]
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    commands = [
+        ["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "run")],
+        ["evaluate", "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "eval")],
+        ["predict", "--checkpoint", ckpt, "--input", str(texts)],
+        ["compare", *reports],
+    ]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, scipy, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    lines = out.stdout.splitlines()
+    assert [line for line in lines if line.startswith("probe: ")] == [
+        f"probe: {argv[0]} exit 0 scipy False" for argv in commands]
+    assert "p_value = 5.024391e-101" in lines
+    assert len([line for line in lines if line.endswith(("\t0", "\t1"))]) == 3
+
+
 class TestCompareCommand:
     def test_reference_table_statistic(self, tmp_path, capsys):
         paths = [write_report(tmp_path / f"{name}.txt", *counts)
@@ -685,25 +869,6 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "chi_square_statistic = 495.60" in out
         assert "degrees_of_freedom = 9" in out
-
-    def test_only_compare_loads_scipy(self, tmp_path):
-        # a fresh interpreter: importing the CLI leaves SciPy out; compare loads
-        # it and prints the same p-value line as with SciPy imported up front
-        paths = [str(write_report(tmp_path / f"{name}.txt", *counts))
-                 for name, counts in MODEL_COUNTS.items()]
-        probe = ("import sys\n"
-                 "import opinionminer.cli\n"
-                 "print('scipy' in sys.modules)\n"
-                 "code = opinionminer.cli.main(['compare'] + sys.argv[1:])\n"
-                 "print('scipy' in sys.modules, code)\n")
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        out = subprocess.run([sys.executable, "-c", probe, *paths], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
-        lines = out.stdout.splitlines()
-        assert lines[0] == "False"
-        assert "p_value = 5.024391e-101" in lines
-        assert lines[-1] == "True 0"
 
     def test_identical_reports_statistic_zero(self, tmp_path, capsys):
         a = write_report(tmp_path / "a.txt", 40, 40, 10, 10)

@@ -1,8 +1,15 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 from opinionminer.evaluation import (
     ConfusionCounts,
+    chi_square_sf,
     chi_square_test,
     classification_report,
     confusion_matrix,
@@ -101,6 +108,43 @@ class TestClassificationReport:
                 lo = min(report.precision_pos, report.recall_pos)
                 hi = max(report.precision_pos, report.recall_pos)
                 assert lo - 1e-12 <= report.f1_pos <= hi + 1e-12
+
+
+# derandomized: where p sits at a rounding boundary of %.6e, the closed form
+# and SciPy may print different digits, so a run must not draw new examples
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(statistic=st.floats(0.0, 1e4), df=st.integers(1, 300))
+@example(statistic=495.6, df=9)
+@example(statistic=1e-300, df=300)
+@example(statistic=1486.4, df=2)
+@example(statistic=5e-324, df=1)
+def test_chi_square_sf_matches_gammaincc(statistic, df):
+    p = chi_square_sf(statistic, df)
+    want = float(gammaincc(df / 2.0, statistic / 2.0))
+    assert 0.0 <= p <= 1.0
+    if want >= sys.float_info.min:
+        assert abs(p - want) <= 1e-12 * want
+        assert f"{p:.6e}" == f"{want:.6e}"
+    else:  # SciPy's subnormal tail reads 0.0
+        assert p == 0.0
+
+
+@pytest.mark.parametrize("df", [1, 2, 9, 300])
+def test_chi_square_sf_at_statistic_zero_is_one(df):
+    assert chi_square_sf(0.0, df) == 1.0
+
+
+@pytest.mark.parametrize("statistic, df", [(1486.4, 2), (math.inf, 1), (math.inf, 9)])
+def test_chi_square_sf_below_the_normal_floats_is_zero(statistic, df):
+    # at df 2 and 1486.4 the raw sum is 1.5e-323, a subnormal
+    assert chi_square_sf(statistic, df) == 0.0
+
+
+@pytest.mark.parametrize("df", [1, 2, 9])
+def test_chi_square_sf_of_nan_is_nan(df):
+    # as gammaincc gives: an overflowed table's statistic is NaN, not a p of 0
+    assert math.isnan(chi_square_sf(math.nan, df))
+    assert math.isnan(gammaincc(df / 2.0, math.nan))
 
 
 class TestChiSquare:

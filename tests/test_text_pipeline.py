@@ -96,6 +96,24 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"float\.jsonl: line 2: label must be 0 or 1"):
             load_dataset(path, "jsonl")
 
+    @pytest.mark.parametrize("fmt, blank", [("csv", "\n"), ("jsonl", "\n"), ("jsonl", " \t\n")])
+    def test_blank_lines_leave_the_corpus_unchanged(self, tmp_path, fmt, blank):
+        rows = {"csv": ["text,label\n", "loved it,1\n", "hated it,0\n"],
+                "jsonl": ['{"text": "loved it", "label": 1}\n',
+                          '{"text": "hated it", "label": 0}\n']}[fmt]
+        plain, spaced = tmp_path / f"plain.{fmt}", tmp_path / f"spaced.{fmt}"
+        plain.write_text("".join(rows), encoding="utf-8")
+        spaced.write_text(blank.join(rows[:-1] + ["", rows[-1], ""]), encoding="utf-8")
+        assert load_dataset(spaced, fmt) == load_dataset(plain, fmt)
+
+    @pytest.mark.parametrize("row", ['{"label": 1}', '{"text": 5, "label": 1}',
+                                     '{"text": " ", "label": 0}'])
+    def test_jsonl_missing_text_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"text": "x", "label": 1}\n' + row + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.jsonl: line 2: missing text"):
+            load_dataset(path, "jsonl")
+
     def test_non_utf8_csv_names_line(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"text,label\ngood film,1\nna\xefve plot,0\n")
