@@ -1,9 +1,9 @@
 """Batch command-line interface: train, evaluate, predict, compare.
 
 Exit codes are a stable contract: 0 success, 2 config/usage error, 3
-data/IO error, 4 model mismatch, 1 internal failure. Configuration comes
-from a `key = value` file (`#` starts a comment line) with every key
-overridable by a command-line flag.
+data/IO error or out of memory, 4 model mismatch, 1 internal failure.
+Configuration comes from a `key = value` file (`#` starts a comment line)
+with every key overridable by a command-line flag.
 """
 
 import argparse
@@ -49,7 +49,6 @@ from .training import (
     load_checkpoint,
     replace_file,
     save_checkpoint,
-    validate_checkpoint,
 )
 
 CHECKPOINT_NAME = "model.ckpt"
@@ -282,7 +281,7 @@ def run_train(args):
 
 def run_evaluate(args):
     out_dir = _checked_out(args.out or ".", (REPORT_NAME,))
-    ckpt = validate_checkpoint(load_checkpoint(args.checkpoint))
+    ckpt = load_checkpoint(args.checkpoint)
     corpus = load_dataset(args.data, args.format)
     cleaned = clean_corpus(corpus, ckpt.stopwords, ckpt.whitelist)
     encoded = encode_corpus(cleaned, ckpt.vocab, ckpt.config.max_len)
@@ -294,7 +293,7 @@ def run_evaluate(args):
 
 
 def run_predict(args):
-    ckpt = validate_checkpoint(load_checkpoint(args.checkpoint))
+    ckpt = load_checkpoint(args.checkpoint)
     texts = list(args.text or [])
     if args.input:
         texts.extend(line.rstrip("\r\n") for line in read_lines(args.input))
@@ -387,6 +386,9 @@ def main(argv=None):
     except ModelMismatchError as exc:
         print(f"model mismatch: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"out of memory in {args.command}: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

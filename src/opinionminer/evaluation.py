@@ -162,19 +162,25 @@ def chi_square_test(table):
     """Pearson chi-square independence test over a counts table.
 
     Expected counts are row_total * col_total / N; the p-value is the
-    chi-square upper tail at the statistic (chi_square_sf).
+    chi-square upper tail at the statistic (chi_square_sf). Counts whose
+    arithmetic overflows float64 raise ValueError, not a NaN statistic.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ValueError("chi_square_test needs a table with >= 2 rows and >= 2 columns")
     if np.any(table < 0) or not np.all(table == np.floor(table)):
         raise ValueError("chi_square_test needs non-negative integer counts")
-    row_sums = table.sum(axis=1)
-    col_sums = table.sum(axis=0)
-    if np.any(row_sums == 0) or np.any(col_sums == 0):
-        raise ValueError("chi_square_test: every row and column total must be > 0")
-    expected = np.outer(row_sums, col_sums) / table.sum()
-    statistic = float(((table - expected) ** 2 / expected).sum())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            row_sums = table.sum(axis=1)
+            col_sums = table.sum(axis=0)
+            if np.any(row_sums == 0) or np.any(col_sums == 0):
+                raise ValueError("chi_square_test: every row and column total must be > 0")
+            expected = np.outer(row_sums, col_sums) / table.sum()
+            statistic = float(((table - expected) ** 2 / expected).sum())
+    except FloatingPointError as exc:
+        raise ValueError(f"chi_square_test: the counts are too large for float64 "
+                         f"arithmetic ({exc})") from exc
     df = (table.shape[0] - 1) * (table.shape[1] - 1)
     return ChiSquareResult(statistic=statistic, degrees_of_freedom=df,
                            p_value=chi_square_sf(statistic, df))

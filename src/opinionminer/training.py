@@ -334,13 +334,18 @@ def _all_finite(values):
                for lo in range(0, flat.size, _ADAM_CHUNK))
 
 
+def _non_finite_tensor(params):
+    """The name of the first tensor, in checkpoint order, with a NaN or an inf, or None."""
+    return next((name for name, arr in params.named_arrays() if not _all_finite(arr)), None)
+
+
 def _check_finite(epoch, params, train_loss, val_loss):
     """ConfigError naming the first non-finite loss or tensor of a diverged epoch."""
-    values = [("train loss", train_loss), ("validation loss", val_loss)]
-    if not _all_finite(params.flat):
-        values += [(f"tensor {name}", arr) for name, arr in params.named_arrays()]
-    for what, value in values:
-        if not _all_finite(value):
+    name = _non_finite_tensor(params)
+    for what, finite in (("train loss", math.isfinite(train_loss)),
+                         ("validation loss", math.isfinite(val_loss)),
+                         (f"tensor {name}", name is None)):
+        if not finite:
             raise ConfigError(f"training diverged in epoch {epoch}: {what} is not finite "
                               f"(try a smaller learning_rate)")
 
@@ -550,9 +555,9 @@ def load_checkpoint(path):
     Raises CheckpointError on any corruption or malformed header, and
     ModelMismatchError when the tensor names are not the stack's, in order,
     or a shape differs from param_shapes. Each tensor's name and shape are
-    checked before its payload is read and its crc32 checked. When the pass
-    fails, the rest of the file is read, and a whole-file checksum failure
-    is raised instead if the file's crc32 does not match.
+    checked before its payload is read and its crc32 checked; validate_checkpoint
+    runs last. When the pass fails, the rest of the file is read, and a
+    whole-file checksum failure is raised instead if the file's crc32 differs.
     """
     try:
         with open(path, "rb") as fh:
@@ -569,15 +574,15 @@ def load_checkpoint(path):
 
 
 def _read_checkpoint(r, path):
-    """The Checkpoint in the bytes before the file crc32, not yet checked against it."""
+    """The validated Checkpoint before the file crc32, not yet checked against it."""
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
-    stack, config, vocab_tokens, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
-    params = ModelParams.zeros(stack, len(vocab_tokens), config.embedding_dim,
+    stack, config, vocab, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
+    params = ModelParams.zeros(stack, vocab.size, config.embedding_dim,
                                config.gru_units, config.lstm_units)
     views = list(params.named_arrays())
     count = r.u32()
@@ -592,7 +597,7 @@ def _read_checkpoint(r, path):
         if shape != view.shape:
             raise ModelMismatchError(
                 f"{path}: tensor {name} has shape {shape} but the vocabulary "
-                f"({len(vocab_tokens)} tokens) and config give {view.shape}")
+                f"({vocab.size} tokens) and config give {view.shape}")
         if r.into(view) != r.u32():
             raise CheckpointError(f"{path}: checksum failure in tensor {name}")
     if r.pos != r.end:
@@ -602,16 +607,12 @@ def _read_checkpoint(r, path):
                                  f"stores {views[count][0]!r} there")
     if sys.byteorder == "big":  # every crc32 above was of the file's bytes
         params.flat.byteswap(inplace=True)
-    return Checkpoint(
-        params=params, config=config,
-        vocab=Vocabulary.from_content_tokens(vocab_tokens[2:]),  # past PAD and UNK
-        stopwords=frozenset(stopwords) if stopwords is not None else None,
-        whitelist=frozenset(whitelist) if whitelist is not None else None,
-    )
+    words = (None if tokens is None else frozenset(tokens) for tokens in (stopwords, whitelist))
+    return validate_checkpoint(Checkpoint(params, config, vocab, *words))
 
 
 def _parse_header(raw, path):
-    """(stack, config, vocab, stopwords, whitelist) from the JSON header bytes."""
+    """(stack, config, Vocabulary, stopwords, whitelist) from the JSON header bytes."""
     try:
         header = json.loads(str(raw, "utf-8"))
     except ValueError as exc:
@@ -631,27 +632,26 @@ def _parse_header(raw, path):
                                  if header[k] is not None]
     if not all(isinstance(v, list) and all(isinstance(t, str) for t in v) for v in lists):
         raise CheckpointError(f"{path}: vocab and word lists must be lists of strings")
-    vocab = header["vocab"]
-    if vocab[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(vocab)) != len(vocab):
+    vocab = Vocabulary({t: i for i, t in enumerate(header["vocab"])}, tuple(header["vocab"]))
+    if header["vocab"][:2] != [PAD_TOKEN, UNK_TOKEN] or len(vocab.token_to_index) != vocab.size:
         raise CheckpointError(f"{path}: vocab must start with {PAD_TOKEN!r}, {UNK_TOKEN!r} "
                               f"and hold no token twice")
-    sizes = (len(vocab), config.embedding_dim, config.gru_units, config.lstm_units)
+    sizes = (vocab.size, config.embedding_dim, config.gru_units, config.lstm_units)
     count = _parameter_count(header["stack"], *sizes)  # the load allocates them first
     if count > MAX_PARAMETERS:
-        raise CheckpointError(f"{path}: a vocab of {len(vocab)} tokens gives {count} "
+        raise CheckpointError(f"{path}: a vocab of {vocab.size} tokens gives {count} "
                               f"parameters with the stored config, more than {MAX_PARAMETERS}")
     return header["stack"], config, vocab, header["stopwords"], header["whitelist"]
 
 
 def validate_checkpoint(ckpt):
     """Check the stack against the config's (ModelMismatchError) and every
-    tensor's values for NaN and inf (CheckpointError)."""
+    tensor for NaN and inf (CheckpointError); every load_checkpoint runs it."""
     if ckpt.params.stack != ckpt.config.stack:
         raise ModelMismatchError(
             f"checkpoint stack {ckpt.params.stack!r} does not match config "
             f"stack {ckpt.config.stack!r}")
-    if not _all_finite(ckpt.params.flat):
-        for name, arr in ckpt.params.named_arrays():
-            if not _all_finite(arr):
-                raise CheckpointError(f"tensor {name} holds a non-finite value")
+    name = _non_finite_tensor(ckpt.params)
+    if name is not None:
+        raise CheckpointError(f"tensor {name} holds a non-finite value")
     return ckpt

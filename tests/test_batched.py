@@ -9,6 +9,7 @@ review's rows reach another's outputs, and a batch that is not sorted
 shortest-first is refused.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -547,6 +548,14 @@ def test_unsorted_batch_is_refused():
                  lambda: lstm_scan(params.lstm, np.zeros((3, 8)), packing, trace=False)):
         with pytest.raises(ValueError, match="input rows do not match"):
             scan()
+
+
+def test_an_output_buffer_or_mode_of_another_kind_is_refused():
+    params = random_params("hbgru_lstm", 2)
+    with pytest.raises(ValueError, match=re.escape("h_out has shape (4, 3), not (4, 4)")):
+        gru_scan(params.gru_fwd, np.zeros((4, 3)), Packing([1, 3]), h_out=np.empty((4, 3)))
+    with pytest.raises(ValueError, match="unknown mode: 'eval'"):
+        forward_batch(params, [encode(["w1"])], mode="eval")
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))

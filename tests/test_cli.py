@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -183,6 +184,15 @@ class TestConfigHandling:
         assert err.startswith("config error") and "data_format" in err
         assert not out.exists()
 
+    def test_a_bool_key_other_than_true_or_false_exits_2(self, tmp_path, capsys):
+        # the dataset does not exist: a config that passed would exit 3 on it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("balance = maybe\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "absent.csv")])
+        assert code == 2
+        assert "invalid value for balance: 'maybe' (expected true/false)" in \
+            capsys.readouterr().err
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"seed = 3\nstack = caf\xe9\n")
@@ -234,6 +244,27 @@ class TestTrainCommand:
     def test_no_data_key_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "out")]) == 2
 
+    def test_out_of_memory_exits_3(self, tmp_path):
+        # a child capped at 400 MiB of address space trains a 14.7 M-parameter
+        # model, 112 MiB a parameter-length vector, and cannot hold the four
+        # that training needs; this process allocates nothing large
+        data = write_toy_csv(tmp_path / "toy.csv", 80, seed=5, keywords=1)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("embedding_dim = 512\ngru_units = 1024\nlstm_units = 512\n"
+                       "max_epochs = 1\nbatch_size = 8\nmax_len = 12\nvocab_size = 40\n",
+                       encoding="utf-8")
+        limit = 400 * 2**20
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "opinionminer.cli", "train", "--config", str(cfg),
+             "--data", str(data), "--out", str(tmp_path / "out")],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.startswith("out of memory in train: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvaluateCommand:
     def test_evaluate_training_file(self, trained_run, tmp_path, capsys):
@@ -266,6 +297,13 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "eval")])
         assert code == 3
         assert "checksum" in capsys.readouterr().err
+
+    def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "missing.ckpt"
+        code = main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(write_toy_csv(tmp_path / "d.csv", 10, seed=0))])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {path}: ")
 
 
 def unusable_out(tmp_path, shape):
@@ -383,6 +421,14 @@ class TestPredictCommand:
         first = capsys.readouterr().out
         main(["predict", "--checkpoint", str(ckpt), "--text", "great film"])
         assert capsys.readouterr().out == first
+
+    def test_out_of_memory_names_the_command(self, capsys, monkeypatch):
+        # in process: an allocation that fails while a checkpoint loads
+        def fail(path):
+            raise MemoryError("Unable to allocate 763. MiB")
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        assert main(["predict", "--checkpoint", "model.ckpt", "--text", "good film"]) == 3
+        assert capsys.readouterr().err == "out of memory in predict: Unable to allocate 763. MiB\n"
 
     def test_empty_input_exits_2(self, tmp_path):
         ckpt = zero_checkpoint(tmp_path)
@@ -912,6 +958,19 @@ class TestCompareCommand:
         b = write_report(tmp_path / "b.txt", 10 ** 400, 40, 10, 10)
         assert main(["compare", str(a), str(b)]) == 3
         assert "chi-square" in capsys.readouterr().err
+
+    def test_counts_too_large_for_float64_exit_3(self, tmp_path, capsys):
+        # each count is a finite float, but the product of two margins is not;
+        # no RuntimeWarning escapes, which this suite's filterwarnings would fail
+        e = 10 ** 200
+        a = write_report(tmp_path / "a.txt", e, 3 * e, e, e)
+        b = write_report(tmp_path / "b.txt", 3 * e, e, e, e)
+        assert main(["compare", str(a), str(b)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("data error: cannot run the chi-square test over these "
+                                "reports: chi_square_test: the counts are too large for "
+                                "float64 arithmetic (overflow encountered in multiply)\n")
+        assert captured.out == ""
 
     def test_degenerate_table_exits_3(self, tmp_path, capsys):
         # two perfect classifiers leave the FP and FN columns all zero, so

@@ -202,6 +202,15 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi_square_test([[1, 2]])
 
+    def test_counts_too_large_for_float64_rejected(self):
+        # each count is a finite float, but a product of two margins is not
+        e = 1e200
+        with pytest.raises(ValueError, match=r"too large for float64 arithmetic "
+                                             r"\(overflow encountered in multiply\)"):
+            chi_square_test([[e, 3 * e, e, e], [3 * e, e, e, e]])
+        # margins whose products stay finite still give a statistic
+        assert chi_square_test([[1e150, 3e150], [3e150, 1e150]]).p_value == 0.0
+
 
 class TestEvaluateModel:
     def encoded(self, labels):
@@ -254,6 +263,15 @@ class TestReportSerialization:
         assert values["tp"] == 5573
         assert values["accuracy"] == report.accuracy
         assert values["percent_loss"] == report.percent_loss
+
+    def test_comment_and_blank_lines_skipped(self):
+        report = classification_report(ConfusionCounts(3, 2, 1, 0), mean_test_loss=0.25)
+        text = format_report(report)
+        assert parse_report("# a comment\n\n" + text) == parse_report(text)
+
+    def test_report_of_no_example_rejected(self):
+        with pytest.raises(ValueError, match="classification_report needs at least one"):
+            classification_report(ConfusionCounts(0, 0, 0, 0), mean_test_loss=0.0)
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):

@@ -156,6 +156,16 @@ def test_backward_rejects_mismatched_stack():
         model_backward(other, cache, 1.0)
 
 
+def test_backward_rejects_a_cache_of_another_width():
+    params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
+                               lstm_units=2, seed=2)
+    wider = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
+                              lstm_units=3, seed=2)
+    _, cache = model_forward(params, TokenSequence(np.array([2, 3])), mode="train")
+    with pytest.raises(ValueError, match="stale cache: shapes do not match params"):
+        model_backward(wider, cache, 1.0)
+
+
 def test_degenerate_cache_gives_zero_grads():
     params = init_model_params(vocab_size=6, embedding_dim=2, gru_units=2,
                                lstm_units=2, seed=2)

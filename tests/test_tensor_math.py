@@ -41,6 +41,14 @@ class TestAffine:
         with pytest.raises(ValueError):
             affine(np.eye(2), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("W, v, b", [(np.zeros(2), np.zeros(2), np.zeros(2)),
+                                         (np.eye(2), np.float64(1.0), np.zeros(2)),
+                                         (np.eye(2), np.zeros(2), np.zeros((1, 2)))])
+    def test_rank_mismatch(self, W, v, b):
+        with pytest.raises(ValueError, match="affine expects a 2-D matrix, an array of "
+                                             "vectors and a 1-D bias"):
+            affine(W, v, b)
+
     def test_linearity(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -462,6 +462,21 @@ def test_default_stopwords_loaded():
     assert {"not", "no", "never", "nor", "very", "too", "so"} <= set(DEFAULT_WHITELIST)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: load_dataset("reviews.xml", fmt="xml"), "unknown dataset format: 'xml'"),
+    (lambda: build_vocabulary(corpus_of(("a b", 1)), max_size=2), "max_size must be >= 3, got 2"),
+    (lambda: build_vocabulary(corpus_of(("a b", 1)), max_size=10, min_freq=0),
+     "min_freq must be >= 1, got 0"),
+    (lambda: encode_sequence("a b", build_vocabulary(corpus_of(("a b", 1)), max_size=10),
+                             max_len=0), "max_len must be >= 1, got 0"),
+    (lambda: stratified_split(corpus_of(("a", 1), ("b", 0)), 1.0, seed=0),
+     "test_fraction must be in (0, 1), got 1.0"),
+], ids=["format", "max_size", "min_freq", "max_len", "test_fraction"])
+def test_an_argument_out_of_range_is_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_review_label_validated():
     with pytest.raises(ValueError):
         Review("x", 2)

@@ -7,6 +7,7 @@ import struct
 import sys
 import tempfile
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -312,6 +313,15 @@ class TestMakeBatches:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_batches([], 4, seed=0, epoch=0)
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            make_batches(self.data(3), 0, seed=0, epoch=0)
+
+
+def test_evaluate_loss_of_no_example_rejected():
+    with pytest.raises(ValueError, match="evaluate_loss needs a non-empty dataset"):
+        evaluate_loss(tiny_model(seed=1), [])
 
 
 class TestTrainEpoch:
@@ -865,6 +875,38 @@ class TestCheckpoint:
             validate_checkpoint(Checkpoint(params, config, vocab, None, None))
         with pytest.raises(ConfigError, match=f"epoch 3: tensor {name} is not finite"):
             training._check_finite(3, params, 0.5, 0.5)
+
+    @pytest.mark.parametrize("fault", ["nan_weight", "other_stack"])
+    @pytest.mark.parametrize("file_crc", ["sealed", "broken"])
+    def test_load_alone_checks_the_stack_and_the_values(self, tmp_path, fault, file_crc):
+        params, config, vocab = self.make_artifacts()
+        if fault == "nan_weight":
+            dict(params.named_arrays())["lstm.W_f"][0, 0] = np.nan
+            error, message = CheckpointError, "tensor lstm.W_f holds a non-finite value"
+        else:  # the tensors are gru_lstm's, which load; the config says hbgru_lstm
+            params, _, _ = self.make_artifacts("gru_lstm")
+            error, message = training.ModelMismatchError, (
+                "checkpoint stack 'gru_lstm' does not match config stack 'hbgru_lstm'")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, config, vocab, path)
+        if file_crc == "broken":  # a whole-file checksum failure wins
+            data = bytearray(path.read_bytes())
+            data[-1] ^= 0x01
+            path.write_bytes(bytes(data))
+            error, message = CheckpointError, f"{path}: whole-file checksum failure"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    def test_a_tensor_of_rank_3_is_not_saved(self, tmp_path):
+        # save_checkpoint reads only `stack` and `named_arrays` of its params
+        params, config, vocab = self.make_artifacts()
+        arrays = dict(params.named_arrays())
+        arrays["lstm.W_f"] = np.zeros((2, 2, 2))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="tensor lstm.W_f has unsupported rank 3"):
+            save_checkpoint(SimpleNamespace(stack="hbgru_lstm", named_arrays=arrays.items),
+                            config, vocab, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("output, writes",
                              [("model.ckpt", 0), ("model.ckpt", 1), ("model.ckpt", 4),
