@@ -90,12 +90,11 @@ h once gathered, the rest of its trace before the GRU passes and each GRU
 direction's trace before the next.
 
 `sub_batches` sorts sequences by length and cuts them into groups of a
-bounded cost: training's of at most ROW_BUDGET tokens, which bounds the
-trace memory, and predict_proba's of at most INFER_BUDGET bytes, counted
-as an infer pass keeps them (a row of the reverse GRU's output a token, a
-row of each (B, .) and span-sized array a sequence), so a score file runs
-as few, full groups. `model_forward` and `model_backward` are the engine
-at B = 1.
+bounded cost, counted in the bytes `pass_bytes` says a pass keeps a token
+and a sequence: training's groups keep at most training.TRAIN_BUDGET and
+hold at most ROW_BUDGET tokens, predict_proba's keep at most INFER_BUDGET,
+so a score file runs as few, full groups. `model_forward` and
+`model_backward` are the engine at B = 1.
 
 Dropout is inverted (train-time scaling by 1/(1-rate)), applied to the
 recurrent output sequence and to the final hidden state in train mode only.
@@ -121,35 +120,21 @@ STACKS = {
     "gru_lstm": (("gru_fwd", False),),
 }
 
-# Most real tokens one training sub-batch may hold, which bounds its
-# traces and backward temporaries. A train pass keeps per token the GRU
-# and LSTM gates, the LSTM input with its dropout mask, and the LSTM's h
-# and c (see BatchCache); at most one dropped-out copy of the LSTM input,
-# lstm_scan's or _lstm_backward's, lives beside them.
-# TRAIN_PEAK_PER_TOKEN in tests/test_batched.py bounds the bytes a token
-# takes at full size. On the train_reviews benchmark, budgets of 1024 to
-# 3072 tokens trained at the same speed within the run-to-run noise, and
-# 2048 and 3072 raised the peak RSS by 23 and 77 MB over 1536 (measured
-# while the backward pass still allocated its gate gradients beside the
-# gates, and the train cache still kept the embedded inputs, tanh(c) and
-# the dropped-out LSTM input). The groups set the bits of training's sums.
+# Most real tokens one training sub-batch may hold. The groups set the
+# bits of training's sums, so this cut is kept as it is; a byte budget
+# counted by pass_bytes (training.TRAIN_BUDGET) cuts sooner only the
+# groups of configs that keep more than the stock one. Budgets of 1,024 to
+# 3,072 tokens train train_reviews at the same speed within the run-to-run
+# noise, and wider ones raise the peak (ROADMAP.md, the ROW_BUDGET table).
 ROW_BUDGET = 1536
 
 # Most bytes one infer sub-batch (predict_proba) may keep, counted by
-# _infer_bytes: an infer pass keeps per token only its index and the
-# reverse GRU's output, and per sequence a row of each (B, .) array and of
-# each span-sized buffer. At the full-size widths on hbgru_lstm that is
-# 2,064 bytes a token and 38,912 a review, so each 128-review file of the
-# score_reviews benchmark (4,311 to 4,383 tokens, about 14 MB) is one
-# group of 200 steps, where 1,536-token groups took three of 280 to 286
-# steps in all. Over 10 alternating 25 s runs a seed on a 2-core Xeon at 2
-# OpenBLAS threads, that raised the median reviews/s from 510.8 to 558.0
-# at seed 1 (faster in 10 of 10 pairs) and from 541.7 to 575.3 at seed 5
-# (9 of 10), and the peak RSS from 109.1 to 116.3 MB, the merged group's
-# reverse-GRU output. The per-review term bounds a group of many short
-# reviews, whose (B, .) arrays a token budget alone leaves unbounded:
-# 5,000 one-token reviews peaked at 33.4 MB in 1,536-token groups and at
-# 9.1 MB in these.
+# pass_bytes. A 128-review file of the score_reviews benchmark (about 14 MB
+# at the full-size widths) runs as one group of 200 steps, where
+# 1,536-token groups took three of 280 to 286: 558.0 against 510.8
+# reviews/s at seed 1, 2-core Xeon, 2 OpenBLAS threads. The per-sequence
+# term bounds a group of many short reviews: 5,000 one-token reviews peak
+# at 9.1 MB.
 INFER_BUDGET = 16 * 2**20
 
 # Fewest rows an infer-mode span holds (see Packing.spans), unless its
@@ -280,6 +265,12 @@ class ModelParams:
         """The shape of every block array, in the order of flat."""
         blocks = [getattr(self, block) for block, _ in _blocks(self.stack)]
         return [getattr(b, f.name).shape for b in blocks for f in fields(b)]
+
+    def widths(self):
+        """(stack, embedding_dim, gru_units, lstm_units), as pass_bytes takes
+        them; gru_units is 0 on a stack without a GRU."""
+        k = self.gru_fwd.hidden_size if STACKS[self.stack] else 0
+        return self.stack, self.embedding.dim, k, self.lstm.hidden_size
 
     def like(self, flat):
         """The same layout over another vector of flat's size."""
@@ -777,60 +768,92 @@ def model_forward(params, seq, mode="infer", dropout_rate=0.0, seed=0):
     return float(cache.yhat[0]), cache
 
 
-def sub_batches(seqs, per_token=1, per_review=0, budget=None):
+def sub_batches(seqs, per_token, per_review, budget, max_tokens=math.inf):
     """Index lists of length-sorted groups that cost at most `budget`.
 
     A group costs per_token for each of its tokens and per_review for each
-    of its sequences. The default is training's: ROW_BUDGET tokens.
+    of its sequences (pass_bytes gives both in bytes), and holds at most
+    max_tokens tokens.
     Sorting by length lets a group's scans step only the rows still inside
     their sequence (sequence bucketing). Groups are filled from the longest
     sequence down, so the long tail shares as few time steps as the budget
     allows: each step reads the whole recurrent weight block, however few
     rows it computes. All-PAD sequences are left out: they score 0.5 and
-    have no gradient. A sequence that costs more than the budget gets a
-    group of its own.
+    have no gradient. A sequence over the budget or max_tokens on its own
+    gets a group of its own.
     """
-    budget = ROW_BUDGET if budget is None else budget
     lengths = [seq.true_length for seq in seqs]
     costs = [per_token * n + per_review for n in lengths]
     order = [j for j in np.argsort(lengths, kind="stable") if lengths[j] > 0]
     groups, end = [], len(order)
     while end:
-        start, cost = end - 1, costs[order[end - 1]]
-        while start and cost + costs[order[start - 1]] <= budget:
+        start, cost, tokens = end - 1, costs[order[end - 1]], lengths[order[end - 1]]
+        while start and cost + costs[order[start - 1]] <= budget \
+                and tokens + lengths[order[start - 1]] <= max_tokens:
             start -= 1
             cost += costs[order[start]]
+            tokens += lengths[order[start]]
         groups.append(order[start:end])
         end = start
     return groups[::-1]
 
 
-def _infer_bytes(params):
-    """(bytes a token, bytes a sequence) that an infer pass keeps (see INFER_BUDGET).
+def pass_bytes(mode, stack, embedding_dim, gru_units, lstm_units):
+    """(bytes a token, bytes a sequence, fixed bytes) a pass of `mode` keeps.
 
-    A token keeps its index, its row of Packing.order and, on hbgru_lstm,
-    its reverse-GRU output row. A sequence adds a row to each scan's (B, .)
-    state and step scratch and to each span-sized buffer: the LSTM input,
-    the embedded rows and the gate block all the scans share.
+    The memory model of the engine, stated once: a forward_batch pass over
+    B sequences of N tokens in all (in train mode with its backward_batch
+    pass and dropout) keeps at most token * N + sequence * B + fixed bytes
+    of arrays. The sub-batchers cut their groups by the first two; fixed
+    is what a pass keeps whatever its size.
+
+    Infer: a token keeps its index, its row of Packing.order and, on
+    hbgru_lstm, its reverse-GRU output row. A sequence keeps a row of each
+    scan's (B, .) state and step scratch and of each span-sized buffer:
+    the LSTM input, the embedded rows and the gate block all the scans
+    share. Those buffers hold at most 2 * SPAN_ROWS rows besides (fixed).
+
+    Train: a token keeps its index, its rows of Packing.order and of
+    Packing.previous (and of the reverse scan's, in the GRU passes), its
+    gradient row and, on a GRU stack, a dropout mask row of a byte an
+    entry. Beside these it keeps each GRU direction's gates and the LSTM
+    input until the GRU passes, and the larger of two sets. In the LSTM's
+    passes: its gates, with either its h and c or one array of the input's
+    width (the dropped-out input, or the input gradient). In the GRU
+    passes: the LSTM input gradient, the embedded inputs, the input
+    gradient being summed and one array of the GRU's or the embedding's
+    width (the gathered previous states, or one direction's input
+    gradient). A sequence keeps the LSTM's state and backward scratch and
+    the dense head's rows, or a GRU pass's state and scratch. Each weight
+    gradient is added from one matrix product; the largest such temporary
+    is fixed.
     """
-    grus = STACKS[params.stack]
-    k = params.gru_fwd.hidden_size if grus else 0
-    m, d = params.lstm.hidden_size, params.embedding.dim
-    token = 8 + 8 + 8 * k * sum(reverse for _, reverse in grus)
-    state = (k + 4 * k) * len(grus) + 7 * m
-    spans = (k * len(grus) or d) + d + max(3 * k, 4 * m)
-    return token, 8 * (state + spans)
+    grus = STACKS[stack]
+    k, m, d = gru_units if grus else 0, lstm_units, embedding_dim
+    w = k * len(grus) or d  # the LSTM input's width
+    if mode == "infer":
+        span_row = w + d + max(3 * k, 4 * m)
+        token = 16 + 8 * k * sum(reverse for _, reverse in grus)
+        return token, 8 * (5 * k * len(grus) + 7 * m + span_row), 8 * 2 * SPAN_ROWS * span_row
+    mask = w if grus else 0
+    lstm = 4 * m + max(2 * m, w)
+    gru = w + 2 * d + max(k, d) if grus else 0
+    token = 40 + mask + 8 * (3 * k * len(grus) + w + max(lstm, gru))
+    sequence = 8 * max(9 * m, 5 * k + 2 * m)
+    fixed = 8 * max(2 * k * k, 3 * k * d, 4 * m * m, m * w)
+    return token, sequence, fixed
 
 
 def predict_proba(params, seqs):
     """Infer-mode probabilities of encoded sequences, in input order.
 
-    Runs length-sorted sub-batches of at most INFER_BUDGET bytes, keeping
-    only what each next layer reads; an all-PAD sequence gets 0.5, as in
-    model_forward.
+    Runs length-sorted sub-batches that keep at most INFER_BUDGET bytes
+    (pass_bytes), keeping only what each next layer reads; an all-PAD
+    sequence gets 0.5, as in model_forward.
     """
     yhat = np.full(len(seqs), 0.5)
-    for rows in sub_batches(seqs, *_infer_bytes(params), INFER_BUDGET):
+    token, review, _ = pass_bytes("infer", *params.widths())
+    for rows in sub_batches(seqs, token, review, INFER_BUDGET):
         yhat[rows] = forward_batch(params, [seqs[j] for j in rows]).yhat
     return yhat
 

@@ -169,7 +169,7 @@ def _load_jsonl(path):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise DataError(f"{path}: line {line_num}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {line_num}: expected a JSON object")

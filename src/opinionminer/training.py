@@ -23,8 +23,9 @@ Adam's m and v. Each batch's gradient holds only the embedding rows the
 batch reads, beside every other block.
 
 Each mini-batch is sorted by length and run through the batched engine in
-sub-batches of at most `layers.ROW_BUDGET` real tokens; the gradients of
-every sub-batch add into the batch's gradient before the Adam step. Batch
+sub-batches of at most `layers.ROW_BUDGET` real tokens that keep at most
+TRAIN_BUDGET bytes (`layers.pass_bytes`); the gradients of every sub-batch
+add into the batch's gradient before the Adam step. Batch
 composition, the shuffle and the per-example dropout seeds do not depend
 on the sub-batching. Nothing
 depends on timing or scheduling, so identical (config, corpus, seed)
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layers
 from .evaluation import bce_grad, bce_loss, score  # callers look up training.bce_loss
 from .layers import (
     STACKS,
@@ -55,6 +57,7 @@ from .layers import (
     forward_batch,
     init_model_params,
     param_shapes,
+    pass_bytes,
     predict_proba,
     sub_batches,
     zero_grads,
@@ -69,13 +72,8 @@ CHECKPOINT_VERSION = 1
 _ADAM_CHUNK = 2**15
 
 # Size bounds TrainConfig.validate checks before anything is allocated. A
-# review of MAX_LEN tokens gets a sub-batch of its own, whose traces and
-# temporaries take MAX_LEN times a token's bytes (TRAIN_PEAK_PER_TOKEN in
-# tests/test_batched.py bounds those at full size). A train pass keeps per
-# token only what its backward pass cannot take again bit for bit (the
-# gates, the LSTM input and its dropout mask, the LSTM's h and c): on a
-# 1,536-token sub-batch at the full-size widths, hbgru_lstm peaks at 25.6 KB
-# a token.
+# review of MAX_LEN tokens gets a training sub-batch of its own, which
+# keeps what layers.pass_bytes gives for MAX_LEN tokens and one sequence.
 # MAX_PARAMETERS floats take 800 MB. Initialization and checkpoint loading
 # each allocate one vector that long, the parameters themselves. Training
 # holds four (the parameters, the best epoch's, Adam's m and v), 3.2 GB at
@@ -156,6 +154,21 @@ class TrainConfig:
             raise ConfigError(f"invalid sizes: {given} give {count} parameters, "
                               f"more than {MAX_PARAMETERS}")
         return self
+
+
+def _group_bytes(config, tokens, reviews):
+    """Bytes a training group of these tokens and reviews keeps (layers.pass_bytes)."""
+    token, review, _ = pass_bytes("train", config.stack, config.embedding_dim,
+                                  config.gru_units, config.lstm_units)
+    return token * tokens + review * reviews
+
+
+# Most bytes one training sub-batch may keep: what a full ROW_BUDGET group
+# of the stock config keeps, batch_size reviews at the default widths. A
+# config no wider than that, with batch_size at most 128, is cut at
+# ROW_BUDGET tokens first, so its groups and bits stay as they were; a
+# wider one gets smaller groups.
+TRAIN_BUDGET = _group_bytes(TrainConfig(), layers.ROW_BUDGET, TrainConfig().batch_size)
 
 
 def _parameter_count(stack, vocab_size, embedding_dim, gru_units, lstm_units):
@@ -277,14 +290,16 @@ def batch_gradients(params, batch, dropout_rate, seeds, grads):
     goes into `grads`, which is zero-filled first. `grads` comes from
     zero_grads, with every embedding row or at least those the batch reads.
 
-    Runs the length-sorted sub-batches of `sub_batches`; example j draws its
+    Runs the length-sorted sub-batches of `sub_batches`, cut at
+    layers.ROW_BUDGET tokens or TRAIN_BUDGET bytes; example j draws its
     dropout masks from seeds[j]. An all-PAD example scores 0.5 and adds no
     gradient. Returns yhat in batch order.
     """
     seqs = [seq for seq, _ in batch]
     yhat = np.full(len(batch), 0.5)
     grads.flat.fill(0.0)
-    for rows in sub_batches(seqs):
+    token, review, _ = pass_bytes("train", *params.widths())
+    for rows in sub_batches(seqs, token, review, TRAIN_BUDGET, layers.ROW_BUDGET):
         cache = forward_batch(params, [seqs[j] for j in rows], mode="train",
                               dropout_rate=dropout_rate, seeds=[seeds[j] for j in rows])
         yhat[rows] = cache.yhat
@@ -615,7 +630,7 @@ def _parse_header(raw, path):
     """(stack, config, Vocabulary, stopwords, whitelist) from the JSON header bytes."""
     try:
         header = json.loads(str(raw, "utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")

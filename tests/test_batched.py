@@ -10,6 +10,8 @@ shortest-first is refused.
 """
 
 import re
+from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -117,7 +119,7 @@ def test_sub_batches_match_batch_size_one(stack, dropout_rate, rows, budget, see
     data = [(encode(words), label) for words, label in rows]
     with mock.patch.object(layers, "ROW_BUDGET", budget), \
             mock.patch.object(layers, "INFER_BUDGET", 250 * budget):
-        groups = sub_batches([seq for seq, _ in data])
+        groups = sub_batches([seq for seq, _ in data], 1, 0, budget)
         infer = check_against_batch_size_one(params, data, dropout_rate)
 
     lengths = [seq.true_length for seq, _ in data]
@@ -135,8 +137,7 @@ def test_groups_fill_from_the_longest():
     # shortest up ([2] * 10, [5, 9], [10]) takes 21
     lengths = [9, 2, 2, 10, 2, 2, 5, 2, 2, 2, 2, 2, 2]
     seqs = [TokenSequence(np.ones(n, dtype=np.int64)) for n in lengths]
-    with mock.patch.object(layers, "ROW_BUDGET", 20):
-        groups = sub_batches(seqs)
+    groups = sub_batches(seqs, 1, 0, 20)
     assert [[lengths[j] for j in group] for group in groups] == \
         [[2] * 3, [2] * 7 + [5], [9, 10]]
 
@@ -146,7 +147,7 @@ def test_full_row_budget_spans_several_sub_batches():
     words = [f"w{i}" for i in range(10)]
     data = [(encode(list(rng.choice(words, size=n))), int(n % 2))
             for n in rng.integers(0, MAX_LEN + 4, size=300)]
-    assert len(sub_batches([seq for seq, _ in data])) >= 2
+    assert len(sub_batches([seq for seq, _ in data], 1, 0, layers.ROW_BUDGET)) >= 2
     # the full infer budget holds every toy review in one group; 20,000
     # bytes hold about 20
     params = random_params("hbgru_lstm", 1)
@@ -220,22 +221,10 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
     np.testing.assert_array_equal(cache.index, padded[mask])
 
 
-# Most bytes a real token of a forward_batch (+ backward_batch in train mode)
-# may take at the full-size widths (128-d embeddings, 256 GRU and 128 LSTM
-# units): in train mode with dropout 0.2 on 8 reviews of 64 tokens, in infer
-# mode on 12 reviews of 128 tokens. Measured 26.6,
-# 15.9 and 7.6 KB a token in train mode, 3.80, 1.45 and 0.85 KB in infer
-# mode (hbgru_lstm, gru_lstm, lstm_only). Keeping the embedded inputs,
-# tanh(c) and the dropped-out LSTM input in the train cache, and taking the
-# LSTM input weights' gradient in one product, took 31.7, 19.1 and 8.6 KB;
-# allocating each backward gate gradient beside its gate and
-# concatenating the GRU outputs took 37.8, 25.2 and 14.5 KB (train);
-# dropping no trace before the backward pass ends took 45.0 and 31.4 KB on
-# the GRU stacks. In infer mode, holding the whole embedded input and the
-# whole LSTM input took 6.13, 4.08 and 1.72 KB; projecting each scan's
-# whole input before its time loop as well took 11.4, 9.4 and 5.2 KB.
-TRAIN_PEAK_PER_TOKEN = {"hbgru_lstm": 27_400, "gru_lstm": 16_350, "lstm_only": 7_850}
-INFER_PEAK_PER_TOKEN = {"hbgru_lstm": 3_925, "gru_lstm": 1_500, "lstm_only": 875}
+# What a pass may take beyond what layers.pass_bytes counts: numpy's two
+# ufunc buffers of 8,192 floats (128 KiB), which adding a weight gradient
+# into its strided block takes, and the Python objects of the pass
+MARGIN = 256 * 1024
 EMBEDDING_DIM, GRU_UNITS, LSTM_UNITS = 128, 256, 128
 
 
@@ -245,48 +234,76 @@ def full_size_batch(stack, count=8, length=64):
     return params, [TokenSequence(rng.integers(1, 1000, size=length)) for _ in range(count)]
 
 
-def train_pass_peak(stack, count, length):
-    params, seqs = full_size_batch(stack, count, length)
-    grads = zero_grads(params)
+def pass_peak(params, seqs, mode):
+    """Traced peak of a forward_batch pass over seqs, sorted shortest-first;
+    in train mode with dropout 0.2 and its backward_batch pass into a
+    gradient that holds the batch's embedding rows, as training's does."""
+    if mode == "infer":
+        with traced_peak() as peak:
+            forward_batch(params, seqs)
+        return peak.bytes
+    grads = zero_grads(params, np.union1d([0], np.concatenate([seq.indices for seq in seqs])))
     with traced_peak() as peak:
         cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2,
-                              seeds=list(range(count)))
-        backward_batch(params, cache, np.ones(count), grads)
+                              seeds=list(range(len(seqs))))
+        backward_batch(params, cache, np.ones(len(seqs)), grads)
     return peak.bytes
+
+
+def modelled(params, seqs, mode):
+    """(what pass_bytes says a pass over seqs keeps a token and a sequence,
+    the pass's fixed bytes)."""
+    token, sequence, fixed = layers.pass_bytes(mode, *params.widths())
+    return token * sum(seq.true_length for seq in seqs) + sequence * len(seqs), fixed
+
+
+@lru_cache(maxsize=None)
+def full_size_peak(stack, mode, count):
+    """(traced peak, modelled bytes, fixed bytes) of a pass over count
+    reviews of 128 tokens at the full-size widths."""
+    params, seqs = full_size_batch(stack, count, 128)
+    return (pass_peak(params, seqs, mode), *modelled(params, seqs, mode))
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@settings(max_examples=20, deadline=None)
+@given(widths=st.tuples(*[st.integers(1, 24)] * 3),
+       lengths=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+       span_rows=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_a_pass_keeps_what_pass_bytes_counts(stack, mode, widths, lengths, span_rows, seed):
+    # small spans, so infer passes run several of them
+    params = init_model_params(VOCAB.size, *widths, stack=stack, seed=seed)
+    rng = np.random.default_rng(seed)
+    seqs = [TokenSequence(rng.integers(1, VOCAB.size, size=n)) for n in sorted(lengths)]
+    with mock.patch.object(layers, "SPAN_ROWS", span_rows):
+        peak = pass_peak(params, seqs, mode)
+        kept, fixed = modelled(params, seqs, mode)
+    assert kept / 2 < peak < kept + fixed + MARGIN
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_train_pass_peak_per_token(stack):
-    assert train_pass_peak(stack, 8, 64) < TRAIN_PEAK_PER_TOKEN[stack] * 512
+    # 16 reviews of 128 tokens, at the full-size widths
+    peak, kept, fixed = full_size_peak(stack, "train", 16)
+    assert peak < kept + fixed + MARGIN
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_train_pass_peak_grows_by_the_kept_trace_only(stack):
-    # an added token holds what the cache keeps: its GRU gates and LSTM
-    # input row (x itself for lstm_only), its LSTM gates, h and c, its
-    # dropout mask row and its index. The backward pass takes the embedded
-    # input, tanh(c) and the dropped-out LSTM input again where it reads
-    # them; the 10% covers the one such copy alive at a time, with each
-    # added review's (B, width) scan state
-    directions = len(STACKS[stack])
-    width = GRU_UNITS * directions or EMBEDDING_DIM
-    floats = 3 * GRU_UNITS * directions + width + 6 * LSTM_UNITS
-    kept = 8 * floats + (width if directions else 0) + 8
-    grown = train_pass_peak(stack, 16, 128) - train_pass_peak(stack, 4, 128)
-    assert grown <= 1.1 * kept * 12 * 128
-
-
-def infer_pass_peak(stack, count):
-    params, seqs = full_size_batch(stack, count, 128)
-    with traced_peak() as peak:
-        forward_batch(params, seqs)
-    return peak.bytes
+    # an added review adds what pass_bytes counts for its tokens and itself,
+    # and nothing fixed: the traces the backward pass reads, and at most one
+    # copy of the LSTM input width beside them (see pass_bytes)
+    big, kept_big, _ = full_size_peak(stack, "train", 16)
+    small, kept_small, _ = full_size_peak(stack, "train", 4)
+    assert big - small <= kept_big - kept_small + MARGIN
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_infer_pass_peak_per_token(stack):
     # the GRU directions write into one LSTM input, with no concatenated copy
-    assert infer_pass_peak(stack, 12) < INFER_PEAK_PER_TOKEN[stack] * 12 * 128
+    peak, kept, fixed = full_size_peak(stack, "infer", 24)
+    assert peak < kept + fixed + MARGIN
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
@@ -296,24 +313,33 @@ def test_infer_pass_peak_grows_by_the_index_and_reverse_gru_output_only(stack):
     # token the LSTM's first step reads; the other GRU and the LSTM run span
     # by span in buffers of a fixed size. An added review adds a row to each
     # (B, .) scan state and scratch array, and at most one to each
-    # span-sized buffer (LSTM input, embedded rows, gate block). predict_proba
-    # cuts its sub-batches by these bytes
-    directions = STACKS[stack]
-    k, m, d = GRU_UNITS, LSTM_UNITS, EMBEDDING_DIM
-    token = 8 + 8 + 8 * k * sum(reverse for _, reverse in directions)
-    state = (k + 4 * k) * len(directions) + 7 * m
-    spans = (k * len(directions) or d) + d + max(3 * k * bool(directions), 4 * m)
-    review = 8 * (state + spans)
-    grown = infer_pass_peak(stack, 16) - infer_pass_peak(stack, 4)
-    assert grown <= 1.1 * (token * 12 * 128 + review * 12)
-    assert layers._infer_bytes(full_size_batch(stack, 0)[0]) == (token, review)
+    # span-sized buffer (LSTM input, embedded rows, gate block)
+    big, kept_big, _ = full_size_peak(stack, "infer", 16)
+    small, kept_small, _ = full_size_peak(stack, "infer", 4)
+    assert big - small <= kept_big - kept_small + MARGIN
 
 
-# What a predict_proba call may take beyond INFER_BUDGET: the span-sized
-# buffers' rows that no review adds (a span holds 2 * SPAN_ROWS rows or
-# fewer besides one a review of its sub-batch), 11,264 bytes a row on
-# hbgru_lstm at the full-size widths, and 1 MB for the rest
-INFER_MARGIN = 2 * layers.SPAN_ROWS * 11_264 + 1_000_000
+# (bytes a token, bytes a sequence) of an infer pass, which cut
+# predict_proba's sub-batches: the groups, and so the last bits of the
+# probabilities, move if these do. At the full-size and two toy widths
+INFER_GROUP_COSTS = {
+    ("gru_lstm", 128, 256, 128): (16, 26624),
+    ("hbgru_lstm", 128, 256, 128): (2064, 38912),
+    ("lstm_only", 128, 256, 128): (16, 13312),
+    ("gru_lstm", 10, 6, 6): (16, 896),
+    ("hbgru_lstm", 10, 6, 6): (64, 1184),
+    ("lstm_only", 10, 6, 6): (16, 688),
+    ("gru_lstm", 3, 4, 3): (16, 480),
+    ("hbgru_lstm", 3, 4, 3): (48, 672),
+    ("lstm_only", 3, 4, 3): (16, 312),
+}
+
+
+@pytest.mark.parametrize("config", sorted(INFER_GROUP_COSTS))
+def test_infer_group_costs_are_unchanged(config):
+    stack, *widths = config
+    params = init_model_params(VOCAB.size, *widths, stack=stack, seed=0)
+    assert layers.pass_bytes("infer", *params.widths())[:2] == INFER_GROUP_COSTS[config]
 
 
 def predict_peak(seqs):
@@ -323,11 +349,19 @@ def predict_peak(seqs):
     return peak.bytes
 
 
+def predict_bound():
+    """What a predict_proba call at the full-size widths may take: a group's
+    INFER_BUDGET, the pass's fixed bytes (the span buffers' rows that no
+    review adds) and the margin."""
+    params = full_size_batch("hbgru_lstm", 0)[0]
+    return layers.INFER_BUDGET + layers.pass_bytes("infer", *params.widths())[2] + MARGIN
+
+
 def test_predict_peak_holds_to_the_budget_on_many_short_reviews():
     # a token budget alone put 1,536 one-token reviews in a sub-batch, whose
     # (B, .) arrays peaked at 33.4 MB
     seqs = [TokenSequence(np.array([j % 999 + 1])) for j in range(5000)]
-    assert predict_peak(seqs) < layers.INFER_BUDGET + INFER_MARGIN
+    assert predict_peak(seqs) < predict_bound()
 
 
 def test_predict_peak_does_not_grow_with_the_input():
@@ -335,8 +369,34 @@ def test_predict_peak_does_not_grow_with_the_input():
     # the same full one (measured 18.503 and 18.512 MB)
     seqs = full_size_batch("hbgru_lstm", 60, 128)[1]
     few, many = predict_peak(seqs), predict_peak(seqs * 4)
-    assert many < layers.INFER_BUDGET + INFER_MARGIN
-    assert abs(many - few) < 256 * 1024
+    assert many < predict_bound()
+    assert abs(many - few) < MARGIN
+
+
+def test_wide_training_groups_keep_to_the_byte_budget():
+    # at gru_units 1,024 a token keeps about 3.75 times its bytes at the
+    # stock widths, so a 1,536-token group would keep about 3.6 times the
+    # budget. The 600-token review is over it on its own. No pass runs: the
+    # parameters are never written, so their zero pages are never touched
+    params = layers.ModelParams.zeros("hbgru_lstm", VOCAB.size, 128, 1024, 128)
+    rng = np.random.default_rng(31)
+    lengths = [600] + rng.integers(0, 200, size=127).tolist()
+    data = [(TokenSequence(rng.integers(1, VOCAB.size, size=n)), n % 2) for n in lengths]
+    groups = []
+
+    def spy(params, group, **kwargs):
+        groups.append([seq.true_length for seq in group])
+        return SimpleNamespace(yhat=np.full(len(group), 0.5))
+
+    with mock.patch.object(training, "forward_batch", spy), \
+            mock.patch.object(training, "backward_batch"):
+        batch_gradients(params, data, 0.2, list(range(len(data))),
+                        SimpleNamespace(flat=np.zeros(1)))
+    token, review, _ = layers.pass_bytes("train", *params.widths())
+    assert sorted(n for group in groups for n in group) == sorted(n for n in lengths if n)
+    assert [600] in groups
+    for group in groups:
+        assert len(group) == 1 or token * sum(group) + review * len(group) <= training.TRAIN_BUDGET
 
 
 @settings(max_examples=200, deadline=None)

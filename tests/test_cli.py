@@ -662,13 +662,20 @@ class TestJsonlDataFormat:
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 0
 
-    def test_a_row_without_text_exits_3(self, tmp_path, capsys):
+    # JSON that Python's decoder refuses: nested past its recursion limit, or
+    # an integer longer than its 4,300-digit limit
+    @pytest.mark.parametrize("row, named", [
+        ('{"label": 0}', "missing text"),
+        ("[" * 100_000, "invalid JSON"),
+        ('{"text": "good movie", "label": 1' + "0" * 5000 + "}", "invalid JSON"),
+    ], ids=["missing_text", "nested_too_deep", "integer_too_long"])
+    def test_a_bad_row_exits_3(self, tmp_path, capsys, row, named):
         data = tmp_path / "d.jsonl"
-        data.write_text('{"text": "good film", "label": 1}\n{"label": 0}\n', encoding="utf-8")
+        data.write_text('{"text": "good film", "label": 1}\n' + row + "\n", encoding="utf-8")
         code = main(["evaluate", "--checkpoint", str(zero_checkpoint(tmp_path)),
                      "--data", str(data), "--format", "jsonl", "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "d.jsonl: line 2: missing text" in capsys.readouterr().err
+        assert f"d.jsonl: line 2: {named}" in capsys.readouterr().err
 
 
 class TestModelMismatch:
@@ -831,7 +838,8 @@ def test_a_stack_other_than_the_configs_exits_4(tmp_path, capsys):
     (lambda body: body + bytes(4), "trailing bytes"),
     (header_bytes(b"[]"), "not a JSON object"),
     (header_bytes(b'"hbgru_lstm"'), "not a JSON object"),
-], ids=["trailing_bytes", "header_list", "header_string"])
+    (header_bytes(b"[" * 100_000), "unreadable header"),  # past the decoder's recursion limit
+], ids=["trailing_bytes", "header_list", "header_string", "header_nested_too_deep"])
 def test_malformed_checkpoint_body_exits_3(tmp_path, capsys, edit, named):
     path = zero_checkpoint(tmp_path)
     rewrite_body(path, edit)
