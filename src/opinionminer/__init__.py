@@ -27,7 +27,6 @@ from .layers import (
     ModelParams,
     classify,
     dense_sigmoid,
-    embed_lookup,
     init_model_params,
     model_backward,
     model_forward,

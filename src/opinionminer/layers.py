@@ -28,16 +28,16 @@ the batch rows [first[t]:] still inside their sequence. Each step of the
 four time loops (both scans and their backward passes) computes that block
 only. Each sequence starts from the zero state, the reverse GRU at its last
 token, and the LSTM's final state is that of its last token, so a
-sequence's outputs do not depend on the others in its batch. The scans
-run span by span (Packing.spans: whole step blocks in scan order, whose
-rows are contiguous): a scan call runs one span from the state the call
-before it left, on inputs that hold the span's rows only (the embedded
-rows are gathered a span at a time, from indices checked once a pass),
-and projects them, X W_x^T + b, with one matrix product. In train mode
-the one span is the whole batch, projected into the trace's gates block;
-in infer mode the spans hold at least SPAN_ROWS rows and every scan
-projects into one scratch block, so an infer pass holds no gate block as
-long as the batch. Each step
+sequence's outputs do not depend on the others in its batch. Every batch,
+in either mode, runs span by span (Packing.spans: whole step blocks in
+scan order, whose rows are contiguous): a scan call runs one span from the
+state the call before it left, on inputs that hold the span's rows only,
+and projects them, X W_x^T + b, with one matrix product. Each span gathers
+its embedded rows, E[index[a:e]], from indices checked once a pass. In
+train mode the one span is the whole batch, projected into the trace's
+gates block; in infer mode the spans hold at least SPAN_ROWS rows and
+every scan projects into one scratch block, so an infer pass holds no gate
+block as long as the batch. Each step
 computes its gates in contiguous (B, ...) scratch, allocated once per
 scan call like every temporary: its recurrent products go into the
 scratch, its rows of the projection are added into it and the
@@ -49,17 +49,17 @@ pass costs about twice one over contiguous memory. The GRU directions write
 their h into their own column slices of one array, the LSTM input, which
 no concatenation copies. The LSTM's first step reads the reverse GRU's
 output at the first token, which that scan computes last, so the reverse
-GRU runs first, over the whole batch. The forward GRU and the LSTM then
-run in lockstep, span by span: the forward GRU writes the span's h into
-its columns of the LSTM input, the reverse GRU's rows of the span are
-copied into theirs, and the LSTM projects that input and runs the span's
-steps; its projection may take the shared scratch block because the
-forward GRU's steps over the span are done. In train mode the LSTM input
-holds the whole batch, which the cache keeps; in infer mode it holds one
-span, so an infer pass keeps whole only the token indices and the reverse
-GRU's output. Where one forward span covers the batch (train mode, or a
-short infer batch), the reverse GRU writes into the LSTM input itself,
-with nothing to copy, and the embedded rows are gathered once.
+GRU runs first, over the whole batch, into an output of its own. The
+forward GRU and the LSTM then run in lockstep, span by span: the forward
+GRU writes the span's h into its columns of the LSTM input, the reverse
+GRU's rows of the span are copied into theirs, and the LSTM projects that
+input and runs the span's steps; its projection may take the shared
+scratch block because the forward GRU's steps over the span are done. In
+train mode the LSTM input holds the whole batch, which the cache keeps,
+and the reverse GRU's trace then views its columns, its own output gone
+before the LSTM scan; in infer mode the LSTM input holds one span, so an
+infer pass keeps whole only the token indices and the reverse GRU's
+output.
 
 Each layer stores its gates stacked in one matrix, whose columns split
 into the recurrent and the input weights; the checkpoint tensors W_z,
@@ -74,9 +74,9 @@ gradient (zero_grads with rows) keeps only the rows its tokens read.
 The backward pass builds each step's gate pre-activation gradients in
 contiguous scratch and writes each over its gate's rows of the trace with
 its last product, gathers the state each row's step read
-(Packing.previous) and adds each weight gradient into its block with one
-matrix product after the loop (the LSTM's input weights one gate's rows at
-a time); the embedding gradient is scattered into each token's row with
+(Packing.previous) and, after the loop, adds each weight gradient into its
+block a gate's rows at a time (add_weight_grad, the one rule that forms
+them); the embedding gradient is scattered into each token's row with
 np.add.at. A train pass keeps per token only what the backward pass cannot
 take again bit for bit: its index, each GRU direction's gates, the LSTM
 input before dropout and its dropout mask, and the LSTM's gates, h and c.
@@ -84,7 +84,8 @@ The backward pass takes the rest again where it reads it, with the forward
 pass's own operation on the same values: tanh(c) step by step in scratch
 (LstmTrace.tanh_c), the dropped-out LSTM input once, for its input
 weights' gradient (apply_dropout), and the embedded inputs once, for the
-GRU input weights' gradients (embed_lookup). It consumes its cache,
+GRU input weights' gradients, gathered as the forward pass gathers them
+(E[index], on the index that pass checked). It consumes its cache,
 dropping each array after its last read: the LSTM's c after its loop, its
 h once gathered, the rest of its trace before the GRU passes and each GRU
 direction's trace before the next.
@@ -473,13 +474,6 @@ def _check_index(index, emb):
         raise IndexError("token index out of embedding range")
 
 
-def embed_lookup(index, emb):
-    """Rows of E for an integer index array of any shape, as (..., d)."""
-    index = np.asarray(index)
-    _check_index(index, emb)
-    return emb.E[index]
-
-
 def gru_scan(p, X, packing, reverse=False, trace=True, h_out=None, span=None, h=None,
              scratch=None):
     """Run a GRU over packed inputs, each sequence from a zero state.
@@ -617,19 +611,21 @@ def classify(yhat):
 class BatchCache:
     """A forward_batch call: per-token arrays in the packed order of `packing`.
 
-    Only train mode, the one mode whose caches backward_batch accepts,
-    keeps the GRU traces, each with its gates block and an h that is a
-    column slice of one array, lstm_in, and the LSTM's per-token trace. An
-    infer-mode cache holds no per-token array but index: grus is (),
-    lstm_in is None and lstm holds only h_last. The cache keeps no array
-    that the backward pass can give again bit for bit: not the embedded
-    inputs (embed_lookup(index, params.embedding)), not the dropped-out
-    LSTM input (apply_dropout(lstm_in, seq_mask, dropout_rate)) and not
-    tanh(c) (LstmTrace.tanh_c). backward_batch
-    consumes a cache: it drops grus, seq_mask, lstm_in and lstm (set to (),
-    None, None and None) after their last read, and overwrites the traces'
-    gate blocks with their pre-activation gradients and each GRU trace's h
-    with r * h_prev.
+    forward_batch runs every batch span by span, and a train-mode pass is
+    one span, the whole batch. Only train mode, the one mode whose caches
+    backward_batch accepts, keeps the GRU traces, each with its gates block
+    and an h that views its columns of one array, lstm_in (the reverse
+    direction's too), and the LSTM's per-token trace. An infer-mode cache
+    holds no per-token array but index: grus is (), lstm_in is None and lstm
+    holds only h_last. The cache keeps no array that the backward pass can
+    give again bit for bit: not the embedded inputs, which it gathers as the
+    forward pass does (params.embedding.E[index]), not the dropped-out LSTM
+    input (apply_dropout(lstm_in, seq_mask, dropout_rate)) and not tanh(c)
+    (LstmTrace.tanh_c). backward_batch consumes a cache: it drops grus,
+    seq_mask, lstm_in and lstm (set to (), None, None and None) after their
+    last read, and overwrites the traces' gate blocks with their
+    pre-activation gradients, from which add_weight_grad forms every weight
+    gradient, and each GRU trace's h with r * h_prev.
     """
     stack: str
     mode: str
@@ -686,53 +682,52 @@ def forward_batch(params, seqs, mode="infer", dropout_rate=0.0, seeds=None):
     N, B = len(index), len(seqs)
     rngs = [np.random.default_rng(seed) for seed in seeds] if train else []
 
-    # train mode scans the batch as one span into a whole LSTM input, H;
-    # infer mode scans spans of SPAN_ROWS rows or more with a span-sized H,
-    # and every scan projects into one shared scratch block. A scan of
-    # several spans carries its state from each span to the next.
+    # train mode scans the batch as one span, into an LSTM input H that
+    # holds every row; infer mode scans spans of SPAN_ROWS rows or more with
+    # a span-sized H, and every scan projects into one shared scratch block.
+    # Each scan carries its state from each span to the next, and each span
+    # gathers its own embedded rows.
     spans = {reverse: packing.spans(N if trace else SPAN_ROWS, reverse)
              for reverse in (False, True)}
     grus = [(getattr(params, block), reverse) for block, reverse in STACKS[params.stack]]
     k, m = grus[0][0].hidden_size if grus else 0, params.lstm.hidden_size
     cols = [slice(j * k, (j + 1) * k) for j in range(len(grus))]
     rows = max(e - a for both in spans.values() for a, e, _ in both)
-    whole = len(spans[False]) == 1  # H holds every row, and x is gathered once
     _check_index(index, params.embedding)  # once: every span gathers a slice of index
     E = params.embedding.E
-    x = E[index] if whole else None
     H = np.empty((rows, k * len(grus))) if grus else None
     scratch = None if trace else np.empty(rows * max(3 * k, 4 * m))
-    states = [np.zeros((B, k)) if len(spans[reverse]) > 1 else None for _, reverse in grus]
-    traces, outs = [None] * len(grus), [None] * len(grus)
+    states = [np.zeros((B, k)) for _ in grus]
+    traces = [None] * len(grus)
 
-    # a reverse direction runs first, over the whole batch: the LSTM's first
-    # step reads its output at the first token, which it computes last. It
-    # writes into H if H holds every row, else into an array of its own
+    # a reverse direction runs first, over the whole batch, into an output
+    # of its own: the LSTM's first step reads its output at the first
+    # token, which it computes last
+    outs = [np.empty((N, k)) if reverse else None for _, reverse in grus]
     for j, (p, reverse) in enumerate(grus):
         if reverse:
-            outs[j] = H[:, cols[j]] if whole else np.empty((N, k))
             for a0, e0, steps in spans[True]:
-                X = x[a0:e0] if whole else E[index[a0:e0]]
-                traces[j] = gru_scan(p, X, packing, True, trace, outs[j][a0:e0], (a0, e0, steps),
-                                     states[j], scratch)
+                traces[j] = gru_scan(p, E[index[a0:e0]], packing, True, trace, outs[j][a0:e0],
+                                     (a0, e0, steps), states[j], scratch)
 
     # the forward direction and the LSTM in lockstep, span by span: each GRU
     # direction's rows of the span go into its columns of H, which the LSTM
     # then projects
-    seq_mask = out_mask = lstm_state = None
-    if not whole:
-        lstm_state = (np.zeros((B, m)), np.zeros((B, m)))
+    seq_mask = out_mask = None
+    lstm_state = (np.zeros((B, m)), np.zeros((B, m)))
     for a0, e0, steps in spans[False]:
-        X = x if whole else E[index[a0:e0]]
+        X = E[index[a0:e0]]
         if grus:
             U = H[:e0 - a0]
             for j, (p, reverse) in enumerate(grus):
                 if not reverse:
                     traces[j] = gru_scan(p, X, packing, False, trace, U[:, cols[j]],
                                          (a0, e0, steps), states[j], scratch)
-                elif not whole:
+                else:
                     U[:, cols[j]] = outs[j][a0:e0]
-            X, x = U, None  # the GRU scans have read x; backward_batch gathers it again
+                    if trace:  # train mode's one span: the trace views H, and the output goes
+                        traces[j].h, outs[j] = U[:, cols[j]], None
+            X = U  # the GRU scans have read the embedded rows; backward_batch gathers them again
         # inverted dropout; raw embeddings are not dropped, so only a GRU
         # stack draws the sequence mask (in train mode, one span), always
         # before the final-state mask. lstm_scan applies it to its own copy
@@ -805,7 +800,8 @@ def pass_bytes(mode, stack, embedding_dim, gru_units, lstm_units):
     B sequences of N tokens in all (in train mode with its backward_batch
     pass and dropout) keeps at most token * N + sequence * B + fixed bytes
     of arrays. The sub-batchers cut their groups by the first two; fixed
-    is what a pass keeps whatever its size.
+    is what a pass keeps whatever its size. Every pass runs span by span,
+    each span gathering its own embedded rows; a train pass is one span.
 
     Infer: a token keeps its index, its row of Packing.order and, on
     hbgru_lstm, its reverse-GRU output row. A sequence keeps a row of each
@@ -824,9 +820,9 @@ def pass_bytes(mode, stack, embedding_dim, gru_units, lstm_units):
     gradient being summed and one array of the GRU's or the embedding's
     width (the gathered previous states, or one direction's input
     gradient). A sequence keeps the LSTM's state and backward scratch and
-    the dense head's rows, or a GRU pass's state and scratch. Each weight
-    gradient is added from one matrix product; the largest such temporary
-    is fixed.
+    the dense head's rows, or a GRU pass's state and scratch. Every weight
+    gradient is added a gate's rows at a time (add_weight_grad), so fixed
+    is the largest product's temporary, one gate block of a layer's W.
     """
     grus = STACKS[stack]
     k, m, d = gru_units if grus else 0, lstm_units, embedding_dim
@@ -840,7 +836,7 @@ def pass_bytes(mode, stack, embedding_dim, gru_units, lstm_units):
     gru = w + 2 * d + max(k, d) if grus else 0
     token = 40 + mask + 8 * (3 * k * len(grus) + w + max(lstm, gru))
     sequence = 8 * max(9 * m, 5 * k + 2 * m)
-    fixed = 8 * max(2 * k * k, 3 * k * d, 4 * m * m, m * w)
+    fixed = 8 * max(k * max(k, d), m * max(m, w))
     return token, sequence, fixed
 
 
@@ -890,6 +886,16 @@ def _times(out, scratch, *factors):
     return np.multiply(scratch, factors[-1], out=out)
 
 
+def add_weight_grad(G, da, Y, units):
+    """G += da.T @ Y, a gate's `units` rows of G (columns of da) at a time:
+    the one rule that forms a GRU or LSTM weight gradient. A product's rows
+    have the same bits however many rows it computes at once (a test in
+    tests/test_layers.py checks this), so G gets the bits of one whole
+    product while the largest temporary is one gate block."""
+    for g in range(0, len(G), units):
+        G[g:g + units] += da[:, g:g + units].T @ Y
+
+
 def _lstm_backward(p, cache, prev, dh_last, grad):
     """BPTT through the LSTM, adding to `grad`; returns d(loss)/d(input), (N, in_dim).
 
@@ -930,14 +936,10 @@ def _lstm_backward(p, cache, prev, dh_last, grad):
     trace.c = None
     h_prev = _previous_states(trace.h, prev)
     trace.h = None
-    grad.W[:, :m] += da.T @ h_prev
+    add_weight_grad(grad.W[:, :m], da, h_prev, m)
     del h_prev
-    # a gate's rows at a time, so the product's temporary beside U is
-    # (m, in_dim), not (4m, in_dim); a product's rows have the same bits
-    # however many rows it takes at once, as the infer-mode spans rely on
     U = apply_dropout(X, cache.seq_mask, cache.dropout_rate)
-    for g in range(4):
-        grad.W[g * m:(g + 1) * m, m:] += da[:, g * m:(g + 1) * m].T @ U
+    add_weight_grad(grad.W[:, m:], da, U, m)
     del U, X  # the input gradient does not read them
     grad.b += da.sum(axis=0)
     return da @ p.W[:, m:]
@@ -981,10 +983,10 @@ def _gru_backward(p, trace, X, packing, prev, dH, grad, reverse=False):
         dhs += rdv
         np.matmul(d[:, :2 * k], W_zr, out=dv)
         dhs += dv
-    grad.W[:2 * k, :k] += da[:, :2 * k].T @ h_prev
+    add_weight_grad(grad.W[:2 * k, :k], da[:, :2 * k], h_prev, k)
     del h_prev
-    grad.W[2 * k:, :k] += da[:, 2 * k:].T @ rh
-    grad.W[:, k:] += da.T @ X
+    add_weight_grad(grad.W[2 * k:, :k], da[:, 2 * k:], rh, k)
+    add_weight_grad(grad.W[:, k:], da, X, k)
     grad.b += da.sum(axis=0)
     return da @ p.W[:, k:]
 
@@ -1047,7 +1049,7 @@ def backward_batch(params, cache, dL_dyhat, grads):
     # trace leaves the cache for the call, so it goes when the call returns.
     # Their input weights' gradients read the embedded inputs, gathered again.
     grus, cache.grus = list(cache.grus), ()
-    x = embed_lookup(cache.index, params.embedding) if grus else None
+    x = params.embedding.E[cache.index] if grus else None
     dX = dU
     for j, (block, reverse) in enumerate(STACKS[params.stack]):
         k = dU.shape[1] // len(STACKS[params.stack])

@@ -596,9 +596,16 @@ def _read_checkpoint(r, path):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
-    stack, config, vocab, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
-    params = ModelParams.zeros(stack, vocab.size, config.embedding_dim,
+    stack, config, tokens, stopwords, whitelist = _parse_header(r.take(r.u32()), path)
+    # the vector comes before the vocabulary's dict, whose growth would
+    # otherwise take its pieces out of the hole a freed parameter vector left
+    # in malloc's heap, and a reload would grow the heap by a whole vector
+    params = ModelParams.zeros(stack, len(tokens), config.embedding_dim,
                                config.gru_units, config.lstm_units)
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))
+    if tokens[:2] != [PAD_TOKEN, UNK_TOKEN] or len(vocab.token_to_index) != vocab.size:
+        raise CheckpointError(f"{path}: vocab must start with {PAD_TOKEN!r}, {UNK_TOKEN!r} "
+                              f"and hold no token twice")
     views = list(params.named_arrays())
     count = r.u32()
     for i in range(count):
@@ -627,7 +634,7 @@ def _read_checkpoint(r, path):
 
 
 def _parse_header(raw, path):
-    """(stack, config, Vocabulary, stopwords, whitelist) from the JSON header bytes."""
+    """(stack, config, vocab tokens, stopwords, whitelist) from the JSON header bytes."""
     try:
         header = json.loads(str(raw, "utf-8"))
     except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
@@ -647,16 +654,13 @@ def _parse_header(raw, path):
                                  if header[k] is not None]
     if not all(isinstance(v, list) and all(isinstance(t, str) for t in v) for v in lists):
         raise CheckpointError(f"{path}: vocab and word lists must be lists of strings")
-    vocab = Vocabulary({t: i for i, t in enumerate(header["vocab"])}, tuple(header["vocab"]))
-    if header["vocab"][:2] != [PAD_TOKEN, UNK_TOKEN] or len(vocab.token_to_index) != vocab.size:
-        raise CheckpointError(f"{path}: vocab must start with {PAD_TOKEN!r}, {UNK_TOKEN!r} "
-                              f"and hold no token twice")
-    sizes = (vocab.size, config.embedding_dim, config.gru_units, config.lstm_units)
+    tokens = header["vocab"]
+    sizes = (len(tokens), config.embedding_dim, config.gru_units, config.lstm_units)
     count = _parameter_count(header["stack"], *sizes)  # the load allocates them first
     if count > MAX_PARAMETERS:
-        raise CheckpointError(f"{path}: a vocab of {vocab.size} tokens gives {count} "
+        raise CheckpointError(f"{path}: a vocab of {len(tokens)} tokens gives {count} "
                               f"parameters with the stored config, more than {MAX_PARAMETERS}")
-    return header["stack"], config, vocab, header["stopwords"], header["whitelist"]
+    return header["stack"], config, tokens, header["stopwords"], header["whitelist"]
 
 
 def validate_checkpoint(ckpt):

@@ -26,7 +26,6 @@ from opinionminer.layers import (
     Packing,
     apply_dropout,
     backward_batch,
-    embed_lookup,
     forward_batch,
     gru_scan,
     init_model_params,
@@ -203,7 +202,7 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
     params = random_params(stack, 3)
     cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2, seeds=[1, 2, 3, 4])
     # the embedded inputs and the dropped-out LSTM input as backward_batch takes them again
-    arrays = {"index": cache.index, "x": embed_lookup(cache.index, params.embedding),
+    arrays = {"index": cache.index, "x": params.embedding.E[cache.index],
               "lstm_in": cache.lstm_in,
               "dropped": apply_dropout(cache.lstm_in, cache.seq_mask, cache.dropout_rate)}
     if cache.seq_mask is not None:
@@ -219,6 +218,18 @@ def test_per_token_arrays_hold_the_real_tokens_only(stack):
         padded[:len(seq.indices), j] = seq.indices
     mask = np.arange(max(lengths))[:, np.newaxis] < lengths
     np.testing.assert_array_equal(cache.index, padded[mask])
+
+
+@pytest.mark.parametrize("stack", ["gru_lstm", "hbgru_lstm"])
+def test_a_train_cache_holds_each_gru_output_once(stack):
+    # each GRU trace's h views its columns of the LSTM input: the reverse
+    # direction's too, though it scans into an output of its own first
+    params = random_params(stack, 3)
+    seqs = [TokenSequence(np.arange(1, n + 1)) for n in (2, 5, 9)]
+    cache = forward_batch(params, seqs, mode="train", dropout_rate=0.2, seeds=[1, 2, 3])
+    assert len(cache.grus) == len(STACKS[stack])
+    for trace in cache.grus:
+        assert np.shares_memory(trace.h, cache.lstm_in)
 
 
 # What a pass may take beyond what layers.pass_bytes counts: numpy's two

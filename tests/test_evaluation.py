@@ -280,3 +280,7 @@ class TestReportSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             parse_report("auc = 0.5\n")
+
+    def test_line_without_a_value_rejected(self):
+        with pytest.raises(ValueError, match="report line 2: expected 'key = value'"):
+            parse_report("n = 3\ntp 1\n")

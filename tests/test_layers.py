@@ -14,7 +14,6 @@ import pytest
 import _reference as ref
 from opinionminer.layers import (
     DenseParams,
-    EmbeddingParams,
     GatedParams,
     GruParams,
     LstmParams,
@@ -23,7 +22,6 @@ from opinionminer.layers import (
     apply_dropout,
     classify,
     dense_sigmoid,
-    embed_lookup,
     gru_scan,
     init_model_params,
     lstm_scan,
@@ -48,29 +46,6 @@ def scalar_lstm(w, b=0.0):
 def one_sequence(X):
     """An (n, d) sequence as a packed batch of one: its rows and their packing."""
     return X, Packing([X.shape[0]])
-
-
-class TestEmbedLookup:
-    def test_basic_lookup(self):
-        E = np.arange(20, dtype=float).reshape(5, 4)
-        E[0] = 0.0
-        x = embed_lookup(np.array([[2, 3], [4, 0]]), EmbeddingParams(E))
-        npt.assert_array_equal(x, E[[[2, 3], [4, 0]]])
-
-    def test_all_pad_gives_empty(self):
-        E = np.zeros((5, 4))
-        x = embed_lookup(np.zeros(0, dtype=np.int64), EmbeddingParams(E))
-        assert x.shape == (0, 4)
-
-    def test_basis_rows(self):
-        E = np.eye(4)
-        x = embed_lookup(np.array([1, 3]), EmbeddingParams(E))
-        npt.assert_array_equal(x, np.eye(4)[[1, 3]])
-
-    def test_out_of_range(self):
-        E = np.zeros((3, 2))
-        with pytest.raises(IndexError):
-            embed_lookup(np.array([5]), EmbeddingParams(E))
 
 
 class TestGruCell:
@@ -161,7 +136,7 @@ class TestBgru:
         _, c2 = model_forward(other, seq, mode="train", dropout_rate=0.0)
         npt.assert_array_equal(c1.lstm_in[:, :2], c2.lstm_in[:, :2])
         assert np.any(c1.lstm_in[:, 2:] != c2.lstm_in[:, 2:])
-        x = embed_lookup(c2.index, other.embedding)  # as backward_batch gathers it again
+        x = other.embedding.E[c2.index]  # as backward_batch gathers it again
         npt.assert_array_equal(c2.lstm_in[:, 2:],
                                gru_scan(other.gru_bwd, x, c2.packing, reverse=True).h)
 
@@ -533,3 +508,42 @@ def test_traced_benchmark_sees_every_scan():
     assert counts["layers.lstm_scan"] == 1
     assert counts["layers.zero_grads"] == 1
     assert counts["tensor_math.affine_calls"] > 0
+
+
+# Runs in its own interpreter, so OPENBLAS_NUM_THREADS takes effect before
+# numpy loads. Each full-size weight-gradient block, as (gate rows, gates,
+# gates of the trace block da's columns are taken from, Y's width): the
+# GRU's input weights and its z and r recurrent weights, the LSTM's
+# recurrent and input weights; over the token counts of real training groups
+GATE_ROWS_PROBE = """
+import json
+import numpy as np
+from opinionminer.layers import add_weight_grad
+
+rng = np.random.default_rng(0)
+differ = []
+for units, gates, stacked, width in [(256, 3, 3, 128), (256, 2, 3, 256),
+                                     (128, 4, 4, 128), (128, 4, 4, 512)]:
+    for n in (1335, 1513, 1536, 4332):
+        da = rng.normal(size=(n, stacked * units))[:, :gates * units]
+        Y = rng.normal(size=(n, width))
+        whole, split = np.zeros((2, gates * units, width))
+        whole += da.T @ Y
+        add_weight_grad(split, da, Y, units)
+        if whole.tobytes() != split.tobytes():
+            differ.append([units, gates, width, n])
+print(json.dumps(differ))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_gate_at_a_time_has_the_bits_of_the_whole_product(threads):
+    # add_weight_grad forms every weight gradient a gate's rows at a time and
+    # relies on a product's rows having the same bits however many rows it
+    # computes at once; a BLAS build that breaks this fails here instead of
+    # moving training's bits
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads)
+    out = subprocess.run([sys.executable, "-c", GATE_ROWS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == []

@@ -51,6 +51,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 3"):
             load_dataset(path, "csv")
 
+    def test_wrong_field_count_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("text,label\nfine,1\nbroken,1,2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 3: expected 2 fields, got 3"):
+            load_dataset(path, "csv")
+
     def test_missing_text_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text('text,label\n"",1\n', encoding="utf-8")
